@@ -44,10 +44,10 @@ print(f"\nbest closeness {series.values[best_t]:.12f} at t={best_t}")
 # X_i Z_{i-1} Z_{i+1} of the 4-cycle graph state.
 state = evolve(WalkConfig(cycle, coin, 24))
 rho = unconditioned_vertex_state(state)
-spectrum = hermitian_eig(rho, vectors=True)
-print(f"register purity at t=24: {np.sum(spectrum.eigenvalues ** 2):.12f}")
+eigenvalues, eigenvectors = hermitian_eig(rho)
+print(f"register purity at t=24: {np.sum(eigenvalues ** 2):.12f}")
 
-register = PureState(spectrum.eigenvectors[:, 0], SubsystemShape((2, 2, 2, 2)))
+register = PureState(eigenvectors[:, 0], SubsystemShape((2, 2, 2, 2)))
 print("stabilizer expectations:", np.round(stabilizer_expectations(register, cycle), 12))
 
 target = reference_density("graph", cycle)

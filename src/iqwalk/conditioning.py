@@ -67,13 +67,3 @@ def unconditioned_vertex_state(state: PureState) -> np.ndarray:
     """Vertex-register density matrix: trace over walker and coin."""
     return state.reduced(range(2, len(state.shape.dims)))
 
-
-def projection_grid(num_mu: int = 21, num_nu: int = 11) -> list[CoinProjection]:
-    """Uniform (mu, nu) grid on [0, pi] x [0, pi/2].
-
-    The defaults include the computational-basis projections mu in
-    {0, pi/2}, nu = 0, where the conditional concurrence gain peaks.
-    """
-    return [CoinProjection(mu, nu)
-            for mu in np.linspace(0.0, math.pi, num_mu)
-            for nu in np.linspace(0.0, math.pi / 2, num_nu)]

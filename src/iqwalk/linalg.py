@@ -11,7 +11,6 @@ significant digit of the flat index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,14 +64,6 @@ def as_shape(shape: SubsystemShape | Sequence[int]) -> SubsystemShape:
     return SubsystemShape(tuple(shape))
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-
-
 def _normalize_subset(subset: Iterable[int], num_subsystems: int, name: str) -> tuple[int, ...]:
     idx = sorted({int(i) for i in subset})
     if not idx:
@@ -80,16 +71,6 @@ def _normalize_subset(subset: Iterable[int], num_subsystems: int, name: str) -> 
     if idx[0] < 0 or idx[-1] >= num_subsystems:
         raise ValueError(f"{name} {idx} out of range for {num_subsystems} subsystems")
     return tuple(idx)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, shape ``(ra*rb, ca*cb)``."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    return reduce(np.kron, (np.asarray(m) for m in mats))
 
 
 def partial_trace(rho: np.ndarray,
@@ -172,11 +153,13 @@ def reduced_density(amplitudes: np.ndarray,
 
 
 def hermitian_eig(a: np.ndarray, *, vectors: bool = True,
-                  atol: float = HERMITIAN_ATOL) -> HermitianSpectrum:
+                  atol: float = HERMITIAN_ATOL) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    The input is symmetrized as ``(A + A^dag)/2`` before solving; inputs
-    whose anti-Hermitian part exceeds ``atol`` entrywise are rejected.
+    Returns ``(eigenvalues, eigenvectors)`` with the eigenvectors as
+    columns, or only the eigenvalues when ``vectors=False``.  The input is
+    symmetrized as ``(A + A^dag)/2`` before solving; inputs whose
+    anti-Hermitian part exceeds ``atol`` entrywise are rejected.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -188,9 +171,8 @@ def hermitian_eig(a: np.ndarray, *, vectors: bool = True,
     h = (a + a.conj().T) / 2
     if vectors:
         vals, vecs = np.linalg.eigh(h)
-        return HermitianSpectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
-    vals = np.linalg.eigvalsh(h)
-    return HermitianSpectrum(vals[::-1].copy(), None)
+        return vals[::-1].copy(), vecs[:, ::-1].copy()
+    return np.linalg.eigvalsh(h)[::-1].copy()
 
 
 def matrix_sqrt_psd(a: np.ndarray, *, clip: float = PSD_CLIP) -> np.ndarray:
@@ -199,21 +181,20 @@ def matrix_sqrt_psd(a: np.ndarray, *, clip: float = PSD_CLIP) -> np.ndarray:
     Eigenvalues in ``[-clip, 0)`` are clamped to zero as float noise; an
     eigenvalue below ``-clip`` raises :class:`ContractViolationError`.
     """
-    spec = hermitian_eig(a)
-    vals = spec.eigenvalues
+    vals, vecs = hermitian_eig(a)
     if vals.size and vals.min() < -clip:
         raise ContractViolationError(
             f"matrix is not PSD: smallest eigenvalue {vals.min():.3e} < -{clip:.0e}")
     vals = np.clip(vals, 0.0, None)
-    vecs = spec.eigenvectors
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return (root + root.conj().T) / 2
 
 
 def schatten1_norm(a: np.ndarray) -> float:
-    """Trace norm: sum of singular values (sum of |eigenvalues| when
-    ``a`` is Hermitian)."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    """Trace norm of a Hermitian matrix: the sum of |eigenvalues|, which
+    equals the sum of singular values.
+
+    Raises :class:`ContractViolationError` when ``a`` is not Hermitian (the
+    package's only operand is the partial transpose of a density matrix).
+    """
+    return float(np.abs(hermitian_eig(a, vectors=False)).sum())

@@ -8,7 +8,6 @@ complement ("closeness").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,36 +28,18 @@ DENSITY_ATOL = 1e-10
 CONCURRENCE_CLIP = 1e-10
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """One side of a bipartition, as the set of subsystem indices kept."""
-
-    keep: frozenset[int]
-
-    def __init__(self, keep: Iterable[int]):
-        object.__setattr__(self, "keep", frozenset(int(i) for i in keep))
-        if not self.keep:
-            raise ValueError("bipartition must keep at least one subsystem")
-
-    def complement(self, num_subsystems: int) -> "Bipartition":
-        rest = set(range(num_subsystems)) - self.keep
-        if not rest:
-            raise ValueError("bipartition must be a proper subset of the subsystems")
-        return Bipartition(rest)
-
-
 def validate_density_matrix(rho: np.ndarray, *, atol: float = DENSITY_ATOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the eigenvalues
     (descending).  Raises :class:`ContractViolationError` on violation."""
     rho = np.asarray(rho)
-    spec = hermitian_eig(rho, vectors=False, atol=atol)
+    vals = hermitian_eig(rho, vectors=False, atol=atol)
     tr = np.real(np.trace(rho))
     if abs(tr - 1.0) > atol:
         raise ContractViolationError(f"density matrix trace is {tr!r}, expected 1")
-    if spec.eigenvalues.min() < -atol:
+    if vals.min() < -atol:
         raise ContractViolationError(
-            f"density matrix has eigenvalue {spec.eigenvalues.min():.3e} < -{atol:.0e}")
-    return spec.eigenvalues
+            f"density matrix has eigenvalue {vals.min():.3e} < -{atol:.0e}")
+    return vals
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -102,7 +83,7 @@ def n_concurrence(rho: np.ndarray, num_qubits: int) -> float:
 
     root = matrix_sqrt_psd(rho)
     m = root @ (big_sy @ rho.conj() @ big_sy) @ root
-    vals = hermitian_eig(m, vectors=False).eigenvalues
+    vals = hermitian_eig(m, vectors=False)
     if vals.min() < -CONCURRENCE_CLIP:
         raise ContractViolationError(
             f"concurrence operator eigenvalue {vals.min():.3e} < -{CONCURRENCE_CLIP:.0e}")
@@ -119,7 +100,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
     validate_density_matrix(rho)
     validate_density_matrix(sigma)
-    eps = hermitian_eig(rho - sigma, vectors=False).eigenvalues
+    eps = hermitian_eig(rho - sigma, vectors=False)
     return float(min(1.0, max(0.0, 0.5 * np.abs(eps).sum())))
 
 

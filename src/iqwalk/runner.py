@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -256,13 +257,11 @@ class SweepResult:
 
 def _coin_best(task: tuple[GraphTopology, CoinParams, int, str]) -> tuple[float, int]:
     """Best closeness over t for one coin (earliest t on exact ties)."""
-    topology, coin, steps, target_kind = task
-    target = reference_density(target_kind, topology)
-    trajectory = evolve(WalkConfig(topology, coin, steps), trajectory=True)
-    values = np.array([closeness(unconditioned_vertex_state(s), target)
-                       for s in trajectory])
+    topology, coin, steps, target = task
+    values = run_metric_series(WalkConfig(topology, coin, steps),
+                               f"closeness({target})").values
     t = int(np.argmax(values))
-    return float(values[t]), t
+    return values[t], t
 
 
 def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> SweepResult:
@@ -270,12 +269,16 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> Sw
 
     The reduction is deterministic and independent of evaluation order:
     grid points are ranked by value with exact ties broken toward the
-    lexicographically smallest (theta, phi1, phi2, t).
+    lexicographically smallest (theta, phi1, phi2, t).  ``jobs`` worker
+    processes share the grid, at most one per CPU.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1)
     coins = spec.coins()
     tasks = [(spec.topology, coin, spec.steps, spec.target) for coin in coins]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_coin_best, tasks, chunksize=8))
     else:
         results = [_coin_best(t) for t in tasks]

@@ -9,11 +9,12 @@ coin and the vertex qubit at the walker's new position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SubsystemShape, kron_all, reduced_density
+from .linalg import SubsystemShape, reduced_density
 
 # Ceiling on the site count for dense simulation; at n = 12 the vertex
 # register's density matrix is already 4096 x 4096.
@@ -56,6 +57,11 @@ class CoinParams:
     phi1: float = 0.0
     phi2: float = 0.0
 
+    def __post_init__(self):
+        for name, value in zip(("theta", "phi1", "phi2"), self.astuple()):
+            if not math.isfinite(value):
+                raise ValueError(f"coin angle {name} must be finite, got {value}")
+
     def astuple(self) -> tuple[float, float, float]:
         return (self.theta, self.phi1, self.phi2)
 
@@ -72,7 +78,8 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         self.shape.check_vector(amps)
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-10:
+        # Written so that a NaN norm fails the check too.
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"state is not normalized: ||psi|| = {norm:.12g}")
 
     def tensor(self) -> np.ndarray:
@@ -169,29 +176,10 @@ def interaction_diagonal(topology: GraphTopology) -> np.ndarray:
     return diag.reshape(-1).astype(complex)
 
 
-def build_interaction(topology: GraphTopology) -> np.ndarray:
-    """Position-controlled CZ as a dense diagonal matrix on the full space."""
-    return np.diag(interaction_diagonal(topology))
-
-
-def build_step(config: WalkConfig) -> np.ndarray:
-    """One-step propagator U = CZ . (S (x) 1_G) . (1_P (x) C (x) 1_G).
-
-    Both shift and coin act as identity on the vertex register, so their
-    product is ``(S . (1_P (x) C)) (x) 1_G``; only the final CZ couples
-    walker and register.
-    """
-    n = config.topology.n
-    coin_mat = build_coin(config.coin)
-    shift = build_shift(config.topology)
-    walker_part = shift @ kron_all([np.eye(n), coin_mat])
-    step = np.kron(walker_part, np.eye(2 ** n))
-    return interaction_diagonal(config.topology)[:, None] * step
-
-
 def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift: np.ndarray,
                 diag: np.ndarray) -> np.ndarray:
-    """Apply one walk step to the state tensor of shape (n, 2, 2**n)."""
+    """Apply the one-step propagator U = CZ . (S (x) 1_G) . (1_P (x) C (x) 1_G)
+    to the state tensor of shape (n, 2, 2**n), factor by factor."""
     n, _, g_dim = tensor.shape
     t = np.einsum("cd,pdg->pcg", coin_mat, tensor)
     t = (shift @ t.reshape(2 * n, g_dim)).reshape(n, 2, g_dim)

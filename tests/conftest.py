@@ -1,5 +1,25 @@
-import sys
-from pathlib import Path
+import numpy as np
+import pytest
 
-# Make the shared oracle helpers importable from every test module.
-sys.path.insert(0, str(Path(__file__).parent))
+from iqwalk import build_coin, build_shift
+from iqwalk.walk import _apply_step, interaction_diagonal
+
+
+@pytest.fixture
+def dense_step():
+    """Materialize the one-step propagator from the matrix-free kernel that
+    ``evolve`` runs, one basis column at a time."""
+
+    def build(config):
+        top = config.topology
+        coin, shift = build_coin(config.coin), build_shift(top)
+        diag = interaction_diagonal(top)
+        dim = top.n * 2 * 2 ** top.n
+        u = np.empty((dim, dim), dtype=complex)
+        for j in range(dim):
+            column = np.zeros((top.n, 2, 2 ** top.n), dtype=complex)
+            column.flat[j] = 1.0
+            u[:, j] = _apply_step(column, coin, shift, diag).reshape(-1)
+        return u
+
+    return build

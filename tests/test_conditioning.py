@@ -8,11 +8,9 @@ from iqwalk import (
     WalkConfig,
     ZeroProbabilityError,
     evolve,
-    kron,
     n_concurrence,
     partial_trace,
     postselect_coin,
-    projection_grid,
     standard_initial_state,
     unconditioned_vertex_state,
 )
@@ -35,13 +33,6 @@ class TestCoinProjection:
             CoinProjection(-0.1, 0.0)
         with pytest.raises(ValueError):
             CoinProjection(0.5, 2.0)
-
-    def test_grid_contains_reported_optima(self):
-        grid = projection_grid()
-        assert len(grid) == 21 * 11
-        pairs = {(round(p.mu, 12), round(p.nu, 12)) for p in grid}
-        assert (0.0, 0.0) in pairs
-        assert (round(np.pi / 2, 12), 0.0) in pairs
 
 
 class TestPostselect:
@@ -86,7 +77,7 @@ class TestPostselect:
         # other operator ordering: project the full density matrix first,
         # then trace out walker and coin
         ket = proj.ket()
-        pi_c = kron(np.eye(4), kron(np.outer(ket, ket.conj()), np.eye(16)))
+        pi_c = np.kron(np.eye(4), np.kron(np.outer(ket, ket.conj()), np.eye(16)))
         full = np.outer(state.amplitudes, state.amplitudes.conj())
         projected = pi_c @ full @ pi_c
         p_want = np.trace(projected).real

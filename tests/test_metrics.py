@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from iqwalk import (
-    Bipartition,
     ContractViolationError,
     closeness,
     ghz,
@@ -185,16 +184,3 @@ class TestTraceDistance:
         with pytest.raises(ValueError):
             trace_distance(np.eye(2) / 2, np.eye(4) / 4)
 
-
-class TestBipartition:
-    def test_complement(self):
-        part = Bipartition([0, 1])
-        assert part.complement(6).keep == frozenset(range(2, 6))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Bipartition([])
-
-    def test_rejects_improper(self):
-        with pytest.raises(ValueError):
-            Bipartition([0, 1]).complement(2)

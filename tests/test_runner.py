@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,21 @@ from iqwalk import (
     series_csv,
     series_json,
 )
+from iqwalk import runner
 from iqwalk.cli import main
 
 CYCLE4 = GraphTopology("cycle", 4)
 PATH4 = GraphTopology("path", 4)
 CLUSTER_COIN = CoinParams(math.pi / 2, 0.0, math.pi / 2)
+
+# Every series value of fig2-fig5 and fig7 at T = 100, keyed by CSV name
+# (tests/data/make_figures_golden.py wrote it).
+GOLDEN = json.loads((Path(__file__).parent / "data" / "figures_golden.json").read_text())
+# Both concurrences take sqrt of ~1e-16 eigenvalue noise in the register's
+# zero eigenvalues, so their low digits depend on the BLAS; the other
+# metrics are stable to float64 rounding.
+GOLDEN_ATOL = {"entropy": 1e-10, "logneg": 1e-10, "closeness": 1e-10,
+               "concurrence": 1e-7, "concurrence_postselected": 1e-7}
 
 
 class TestParseAngle:
@@ -122,6 +134,34 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(CYCLE4, "bell")
 
+    def test_rejects_nonpositive_jobs(self):
+        spec = SweepSpec(CYCLE4, "graph", thetas=(0.9,), phi2s=(0.4,), steps=1)
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                run_sweep(spec, jobs=jobs)
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = SweepSpec(CYCLE4, "graph", thetas=(0.9, 1.2), phi2s=(0.4,), steps=2)
+        assert run_sweep(spec, jobs=64) == run_sweep(spec)
+        assert workers == [2]
+
 
 class TestSerialization:
     def test_csv_layout(self):
@@ -189,6 +229,18 @@ class TestReproduceFigure:
         reproduce_figure("fig7", tmp_path, steps=30)
         body = (tmp_path / "fig7_cycle_coin2_closeness_graph.csv").read_text()
         assert "\n24,1\n" in body
+
+    @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4", "fig5", "fig7"])
+    def test_matches_golden(self, fig, tmp_path):
+        files = reproduce_figure(fig, tmp_path)[:-1]
+        golden = {name: entry for name, entry in GOLDEN.items()
+                  if name.startswith(fig + "_")}
+        assert sorted(f.name for f in files) == sorted(golden)
+        for f in files:
+            entry = golden[f.name]
+            values = np.loadtxt(f, delimiter=",", skiprows=2)[:, 1]
+            atol = GOLDEN_ATOL[entry["metric"].split("(")[0]]
+            assert np.abs(values - entry["values"]).max() <= atol, f.name
 
 
 class TestCli:
@@ -272,6 +324,20 @@ class TestCli:
         assert main(["metric", "--coin", "pi/2,0,pi/2", "--steps", "2",
                      "--metric", "nonsense"]) == 1
         assert main(["metric", "--steps", "2", "--metric", "entropy(G)"]) == 1
+        assert main(["sweep", "--theta-grid", "0", "--phi2-grid", "0",
+                     "--steps", "1", "--jobs", "0"]) == 1
+
+    @pytest.mark.parametrize("command", ["evolve", "metric"])
+    @pytest.mark.parametrize("coin,angle", [("nan,0,0", "theta"), ("0,inf,0", "phi1"),
+                                            ("0,0,-inf", "phi2")])
+    def test_non_finite_coin_exits_one(self, command, coin, angle, capsys):
+        argv = [command, "--coin", coin, "--steps", "2"]
+        if command == "metric":
+            argv += ["--metric", "closeness(graph)"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"coin angle {angle} must be finite" in captured.err
 
     def test_argparse_usage_exits_one(self):
         with pytest.raises(SystemExit) as err:

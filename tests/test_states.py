@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from iqwalk import (
     GraphTopology,
     ghz,
     graph_state,
-    kron_all,
     n_concurrence,
     stabilizer_expectations,
     von_neumann_entropy,
@@ -102,7 +103,7 @@ class TestGraphState:
     def test_stabilizer_oracle_agrees(self):
         # independent check of one stabilizer on the 4-cycle: X_1 Z_0 Z_2
         state = graph_state(GraphTopology("cycle", 4))
-        k1 = kron_all([Z, X, Z, np.eye(2)])
+        k1 = reduce(np.kron, [Z, X, Z, np.eye(2)])
         val = np.vdot(state.amplitudes, k1 @ state.amplitudes)
         assert abs(val - 1.0) < 1e-12
 

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,8 @@ from iqwalk import (
     STANDARD_COINS,
     WalkConfig,
     build_coin,
-    build_interaction,
     build_shift,
-    build_step,
     evolve,
-    kron_all,
     standard_initial_state,
     walk_shape,
 )
@@ -113,34 +112,31 @@ class TestShift:
 
 class TestInteraction:
     def test_diagonal_signs(self):
-        top = GraphTopology("cycle", 4)
-        z = build_interaction(top)
-        assert np.abs(z - np.diag(np.diag(z))).max() == 0
-        diag = interaction_diagonal(top)
+        diag = interaction_diagonal(GraphTopology("cycle", 4))
         assert set(np.unique(diag.real)) == {-1.0, 1.0}
         assert np.abs(diag.imag).max() == 0
 
     def test_coin_zero_never_fires(self):
         top = GraphTopology("cycle", 4)
-        z = build_interaction(top)
+        diag = interaction_diagonal(top)
         for pos in range(4):
             for bits in ([0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 0]):
                 psi = basis_state(top, pos, 0, bits).amplitudes
-                assert np.array_equal(z @ psi, psi)
+                assert np.array_equal(diag * psi, psi)
 
     def test_phase_on_matching_qubit(self):
         top = GraphTopology("cycle", 4)
-        z = build_interaction(top)
+        diag = interaction_diagonal(top)
         hit = basis_state(top, 2, 1, [0, 0, 1, 0]).amplitudes
-        assert np.array_equal(z @ hit, -hit)
+        assert np.array_equal(diag * hit, -hit)
         miss = basis_state(top, 2, 1, [0, 1, 0, 0]).amplitudes
-        assert np.array_equal(z @ miss, miss)
+        assert np.array_equal(diag * miss, miss)
 
 
 class TestStep:
     @pytest.mark.parametrize("coin", STANDARD_COINS)
-    def test_unitary(self, coin):
-        u = build_step(WalkConfig(GraphTopology("cycle", 4), coin, 1))
+    def test_unitary(self, coin, dense_step):
+        u = dense_step(WalkConfig(GraphTopology("cycle", 4), coin, 1))
         assert unitarity_defect(u) < 1e-12
 
     def test_identity_coin_circulates_walker(self):
@@ -166,8 +162,8 @@ class TestStep:
         plus = np.array([1, 1]) / np.sqrt(2)
         minus = np.array([1, -1]) / np.sqrt(2)
         e = np.eye(4)
-        want = (c[0, 0] * kron_all([e[3], [1, 0], plus, plus, plus, plus])
-                + c[1, 0] * kron_all([e[1], [0, 1], plus, minus, plus, plus]))
+        want = (c[0, 0] * reduce(np.kron, [e[3], [1, 0], plus, plus, plus, plus])
+                + c[1, 0] * reduce(np.kron, [e[1], [0, 1], plus, minus, plus, plus]))
         got = evolve(WalkConfig(top, coin, 1)).amplitudes
         assert np.abs(got - want).max() < 1e-12
 
@@ -189,7 +185,9 @@ class TestEvolve:
         top = GraphTopology(kind, 3)
         coin = CoinParams(0.7, 0.3, 1.1)
         cfg = WalkConfig(top, coin, 5)
-        u = build_step(cfg)
+        # Independent dense reference: U = CZ . (S (x) 1_G) . (1_P (x) C (x) 1_G).
+        walker = build_shift(top) @ np.kron(np.eye(3), build_coin(coin))
+        u = interaction_diagonal(top)[:, None] * np.kron(walker, np.eye(2 ** 3))
         psi = standard_initial_state(top).amplitudes
         for state in evolve(cfg, trajectory=True)[1:]:
             psi = u @ psi
@@ -222,5 +220,6 @@ class TestWalkConfig:
             WalkConfig(top5, CoinParams(0), 1, initial=standard_initial_state(top4))
 
     def test_rejects_unnormalized_state(self):
-        with pytest.raises(ValueError):
-            PureState(np.ones(128), walk_shape(GraphTopology("cycle", 4)))
+        for amps in (np.ones(128), np.full(128, np.nan)):
+            with pytest.raises(ValueError):
+                PureState(amps, walk_shape(GraphTopology("cycle", 4)))
