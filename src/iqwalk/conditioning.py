@@ -40,11 +40,13 @@ def postselect_coin(state: PureState, proj: CoinProjection) -> tuple[np.ndarray,
     """Conditional vertex-register state after projecting the coin.
 
     Contracts <Sigma| into the coin index of the pure walk state (cheaper
-    than, but identical to, projecting the full density matrix), then
-    traces out the walker.  Returns ``(rho, p)`` with ``rho`` the
-    renormalized density matrix on the vertex qubits and ``p`` the outcome
-    probability.  Raises :class:`ZeroProbabilityError` when ``p`` is below
-    the numerical floor: the conditional state does not exist.
+    than, but identical to, projecting the full density matrix); tracing
+    out the walker then leaves ``rho = B @ B^dag`` with ``B`` the projected
+    branch as a (2**n, n) matrix.  Returns ``(B, p)`` with ``B`` already
+    renormalized, so ``rho`` has unit trace and rank at most n, and ``p``
+    the outcome probability.  Raises :class:`ZeroProbabilityError` when
+    ``p`` is below the numerical floor: the conditional state does not
+    exist.
     """
     if len(state.shape.dims) < 3 or state.shape.dims[1] != 2:
         raise ValueError("state must live on position (x) coin (x) vertex qubits, "
@@ -59,11 +61,12 @@ def postselect_coin(state: PureState, proj: CoinProjection) -> tuple[np.ndarray,
     if prob < ZERO_PROBABILITY:
         raise ZeroProbabilityError(
             f"projection ({proj.mu}, {proj.nu}) has probability {prob:.3e}")
-    rho = np.einsum("pg,ph->gh", branch, branch.conj()) / prob
-    return rho, prob
+    return branch.T / math.sqrt(prob), prob
 
 
 def unconditioned_vertex_state(state: PureState) -> np.ndarray:
-    """Vertex-register density matrix: trace over walker and coin."""
-    return state.reduced(range(2, len(state.shape.dims)))
-
+    """Factor ``B`` of the vertex-register density matrix ``rho = B @ B^dag``
+    (walker and coin traced out): the walk state as a (2**n, 2n) matrix, so
+    ``rho`` has rank at most 2n."""
+    dims = state.shape.dims
+    return state.amplitudes.reshape(dims[0] * dims[1], -1).T

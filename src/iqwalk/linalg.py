@@ -129,15 +129,16 @@ def partial_transpose(rho: np.ndarray,
     return tensor.transpose(perm).reshape(d, d)
 
 
-def reduced_density(amplitudes: np.ndarray,
-                    shape: SubsystemShape | Sequence[int],
-                    keep: Iterable[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state without forming the full
-    projector.
+def reduction_factor(amplitudes: np.ndarray,
+                     shape: SubsystemShape | Sequence[int],
+                     keep: Iterable[int]) -> np.ndarray:
+    """Factor ``F`` of the reduced density matrix of a pure state,
+    ``rho_keep = F @ F^dag``.
 
-    Equivalent to ``partial_trace(outer(psi, psi.conj()), shape, keep)`` but
-    works directly on the amplitude vector, which is what keeps larger site
-    counts tractable.
+    ``F`` is the amplitude tensor with the kept subsystems moved to the row
+    index and the traced-out ones to the column index, so ``rho_keep`` has
+    rank at most ``min(F.shape)``: a metric of ``rho_keep`` can be solved on
+    the smaller of the Gram matrices ``F^dag F`` and ``F F^dag``.
     """
     shape = as_shape(shape)
     psi = np.asarray(amplitudes)
@@ -148,8 +149,21 @@ def reduced_density(amplitudes: np.ndarray,
 
     tensor = psi.reshape(shape.dims)
     d_keep = int(np.prod([shape.dims[i] for i in keep_idx]))
-    block = tensor.transpose(list(keep_idx) + rest).reshape(d_keep, -1)
-    return block @ block.conj().T
+    return tensor.transpose(list(keep_idx) + rest).reshape(d_keep, -1)
+
+
+def reduced_density(amplitudes: np.ndarray,
+                    shape: SubsystemShape | Sequence[int],
+                    keep: Iterable[int]) -> np.ndarray:
+    """Reduced density matrix of a pure state without forming the full
+    projector.
+
+    Equivalent to ``partial_trace(outer(psi, psi.conj()), shape, keep)`` but
+    works directly on the amplitude vector, which is what keeps larger site
+    counts tractable.
+    """
+    f = reduction_factor(amplitudes, shape, keep)
+    return f @ f.conj().T
 
 
 def hermitian_eig(a: np.ndarray, *, vectors: bool = True,
@@ -175,19 +189,37 @@ def hermitian_eig(a: np.ndarray, *, vectors: bool = True,
     return np.linalg.eigvalsh(h)[::-1].copy()
 
 
+def _psd_eig(a: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarray]:
+    vals, vecs = hermitian_eig(a)
+    if vals.size and vals.min() < -clip:
+        raise ContractViolationError(
+            f"matrix is not PSD: smallest eigenvalue {vals.min():.3e} < -{clip:.0e}")
+    return np.clip(vals, 0.0, None), vecs
+
+
 def matrix_sqrt_psd(a: np.ndarray, *, clip: float = PSD_CLIP) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues in ``[-clip, 0)`` are clamped to zero as float noise; an
     eigenvalue below ``-clip`` raises :class:`ContractViolationError`.
     """
-    vals, vecs = hermitian_eig(a)
-    if vals.size and vals.min() < -clip:
-        raise ContractViolationError(
-            f"matrix is not PSD: smallest eigenvalue {vals.min():.3e} < -{clip:.0e}")
-    vals = np.clip(vals, 0.0, None)
+    vals, vecs = _psd_eig(a, clip)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return (root + root.conj().T) / 2
+
+
+def density_factor(rho: np.ndarray) -> np.ndarray:
+    """Factor ``B`` with ``rho = B @ B^dag`` of a dense positive
+    semidefinite matrix: its eigenvectors scaled by the square roots of
+    their eigenvalues.
+
+    This is how a caller holding a dense density matrix reaches the metrics,
+    which all take a factor.  ``rho`` must be Hermitian; eigenvalues in
+    ``[-PSD_CLIP, 0)`` are clamped to zero as float noise and a more
+    negative one raises :class:`ContractViolationError`.
+    """
+    vals, vecs = _psd_eig(rho, PSD_CLIP)
+    return vecs * np.sqrt(vals)
 
 
 def schatten1_norm(a: np.ndarray) -> float:

@@ -4,6 +4,14 @@ All four quantities the walk analysis relies on: von Neumann entropy of a
 reduction (in bits), logarithmic negativity across a bipartition,
 n-partite concurrence of a qubit register, and trace distance with its
 complement ("closeness").
+
+Entropy, concurrence and trace distance take a factor ``B`` of the state,
+``rho = B @ B^dag``, not ``rho`` itself.  A pure walk state gives one
+directly (:func:`~iqwalk.linalg.reduction_factor`, the conditioning
+module), with as many columns as the traced-out space has dimensions: the
+vertex register of an n-site walk has a (2**n, 2n) factor, so every
+register metric is solved in dimension at most 2n + 1, never 2**n.  A
+caller holding a dense ``rho`` passes :func:`~iqwalk.linalg.density_factor`.
 """
 
 from __future__ import annotations
@@ -14,18 +22,14 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import (
+    PSD_CLIP,
     SubsystemShape,
     as_shape,
     hermitian_eig,
-    matrix_sqrt_psd,
     partial_transpose,
-    schatten1_norm,
 )
 
 DENSITY_ATOL = 1e-10
-# Eigenvalues of the concurrence operator below this are treated as bugs,
-# not float noise.
-CONCURRENCE_CLIP = 1e-10
 
 
 def validate_density_matrix(rho: np.ndarray, *, atol: float = DENSITY_ATOL) -> np.ndarray:
@@ -42,10 +46,25 @@ def validate_density_matrix(rho: np.ndarray, *, atol: float = DENSITY_ATOL) -> n
     return vals
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -Tr[rho log2 rho] in bits, with 0 log 0 = 0."""
-    vals = validate_density_matrix(rho)
-    vals = np.clip(vals, 0.0, 1.0)
+def _factor_spectrum(factor: np.ndarray) -> np.ndarray:
+    """Eigenvalues (descending) of the smaller Gram matrix of ``B``,
+    ``B^dag B`` or ``B @ B^dag``, checked as a density matrix.
+
+    That Gram matrix has the same trace, Hermiticity and nonzero spectrum
+    as ``rho = B @ B^dag``, so the density-matrix contract and its
+    tolerance apply to ``rho`` unchanged.
+    """
+    b = np.asarray(factor)
+    if b.ndim != 2:
+        raise ValueError(f"expected a factor matrix, got shape {b.shape}")
+    gram = b.conj().T @ b if b.shape[1] <= b.shape[0] else b @ b.conj().T
+    return validate_density_matrix(gram)
+
+
+def von_neumann_entropy(factor: np.ndarray) -> float:
+    """Entropy -Tr[rho log2 rho] in bits of ``rho = B @ B^dag``, with
+    0 log 0 = 0."""
+    vals = np.clip(_factor_spectrum(factor), 0.0, 1.0)
     nz = vals[vals > 0.0]
     return float(max(0.0, -np.sum(nz * np.log2(nz))))
 
@@ -53,57 +72,78 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 def log_negativity(rho: np.ndarray,
                    shape: SubsystemShape | Sequence[int],
                    transpose_part: Iterable[int]) -> float:
-    """max(0, log2 ||rho^PT||_1) for the partial transpose over
-    ``transpose_part``.  Zero on every PPT (in particular product) state."""
+    """log2 ||rho^PT||_1 = log2(1 + 2N) for the partial transpose over
+    ``transpose_part``, N being minus the sum of its negative eigenvalues.
+
+    Eigenvalues in ``[-PSD_CLIP, 0)`` are float noise and do not count, so
+    every PPT (in particular product) state gives exactly 0.
+    """
     validate_density_matrix(rho)
     pt = partial_transpose(rho, as_shape(shape), transpose_part)
-    return float(max(0.0, np.log2(schatten1_norm(pt))))
+    vals = hermitian_eig(pt, vectors=False)
+    negativity = -vals[vals < -PSD_CLIP].sum()
+    return float(np.log2(1.0 + 2.0 * negativity))
 
 
-def n_concurrence(rho: np.ndarray, num_qubits: int) -> float:
-    """n-partite concurrence max(0, sqrt(l1) - sum_j>=2 sqrt(l_j)).
+def _sigma_y_all(b: np.ndarray, num_qubits: int) -> np.ndarray:
+    """sigma_y^(x n) @ b without forming the operator.
+
+    sigma_y^(x n) |g> = i^n (-1)^popcount(g) |~g>, and ~g reverses the
+    big-endian basis order.
+    """
+    g = np.arange(2 ** num_qubits)
+    parity = np.zeros_like(g)
+    for k in range(num_qubits):
+        parity ^= (g >> k) & 1
+    phase = 1j ** num_qubits * (1 - 2 * parity)
+    return (phase[:, None] * b)[::-1]
+
+
+def n_concurrence(factor: np.ndarray, num_qubits: int) -> float:
+    """n-partite concurrence max(0, sqrt(l1) - sum_j>=2 sqrt(l_j)) of
+    ``rho = B @ B^dag``.
 
     The l's are the (descending) eigenvalues of rho Sy rho* Sy with
-    Sy = sigma_y^(x n).  They are computed from the Hermitian similar
-    matrix sqrt(rho) . Sy rho* Sy . sqrt(rho), which has the same spectrum
-    but admits a stable Hermitian solve.  Zero whenever any qubit is
-    separable from the rest; 1 on an n-qubit GHZ state.
+    Sy = sigma_y^(x n).  Their square roots are the singular values of the
+    small matrix B^T Sy B (Carvalho, Mintert & Buchleitner, PRL 2004): the
+    nonzero spectrum of B B^dag Sy B* B^T Sy is that of M M^dag with
+    M = B^T Sy B.  Zero whenever any qubit is separable from the rest; 1 on
+    an n-qubit GHZ state.
     """
-    rho = np.asarray(rho)
+    b = np.asarray(factor)
     dim = 2 ** num_qubits
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix for {num_qubits} qubits, "
-                         f"got shape {rho.shape}")
-    validate_density_matrix(rho)
-
-    sy = np.array([[0, -1j], [1j, 0]])
-    big_sy = sy
-    for _ in range(num_qubits - 1):
-        big_sy = np.kron(big_sy, sy)
-
-    root = matrix_sqrt_psd(rho)
-    m = root @ (big_sy @ rho.conj() @ big_sy) @ root
-    vals = hermitian_eig(m, vectors=False)
-    if vals.min() < -CONCURRENCE_CLIP:
-        raise ContractViolationError(
-            f"concurrence operator eigenvalue {vals.min():.3e} < -{CONCURRENCE_CLIP:.0e}")
-    lam = np.sqrt(np.clip(vals, 0.0, None))
+    if b.ndim != 2 or b.shape[0] != dim:
+        raise ValueError(f"expected a factor with {dim} rows for {num_qubits} qubits, "
+                         f"got shape {b.shape}")
+    _factor_spectrum(b)
+    lam = np.linalg.svd(b.T @ _sigma_y_all(b, num_qubits), compute_uv=False)
     value = 2 * lam[0] - lam.sum()
     return float(min(1.0, max(0.0, value)))
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """delta = (1/2) sum |eps_i| over the eigenvalues of rho - sigma."""
-    rho = np.asarray(rho)
-    sigma = np.asarray(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    validate_density_matrix(rho)
-    validate_density_matrix(sigma)
-    eps = hermitian_eig(rho - sigma, vectors=False)
-    return float(min(1.0, max(0.0, 0.5 * np.abs(eps).sum())))
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """delta = (1/2) sum |eps_i| over the eigenvalues of rho - sigma, for
+    factors ``rho = A @ A^dag`` and ``sigma = B @ B^dag`` (a pure state
+    ``g`` is the one-column factor ``g[:, None]``).
+
+    rho - sigma = W J W^dag with W = [A, B] and J = diag(1, ..., -1, ...),
+    so with W = QR the eps are the eigenvalues of R J R^dag, of dimension
+    at most the total column count.  Those within PSD_CLIP of zero are float
+    noise of the QR and do not count: equal states give exactly 0.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _factor_spectrum(a)
+    _factor_spectrum(b)
+    r = np.linalg.qr(np.concatenate([a, b], axis=1), mode="r")
+    signs = np.concatenate([np.ones(a.shape[1]), -np.ones(b.shape[1])])
+    eps = hermitian_eig((r * signs) @ r.conj().T, vectors=False)
+    eps = np.abs(eps)
+    return float(min(1.0, 0.5 * eps[eps > PSD_CLIP].sum()))
 
 
-def closeness(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """1 - trace_distance: 1 iff the states coincide, 0 iff orthogonal."""
-    return 1.0 - trace_distance(rho, sigma)
+def closeness(a: np.ndarray, b: np.ndarray) -> float:
+    """1 - trace_distance of the states with factors ``a`` and ``b``: 1 iff
+    they coincide, 0 iff orthogonal."""
+    return 1.0 - trace_distance(a, b)

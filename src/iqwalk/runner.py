@@ -23,6 +23,7 @@ import numpy as np
 
 from .conditioning import CoinProjection, postselect_coin, unconditioned_vertex_state
 from .errors import ZeroProbabilityError
+from .linalg import reduction_factor
 from .metrics import closeness, log_negativity, n_concurrence, von_neumann_entropy
 from .states import ghz, graph_state, w_state
 from .walk import CoinParams, GraphTopology, PureState, WalkConfig, evolve
@@ -48,6 +49,9 @@ BEST_CLUSTER_COINS = (
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
 TARGET_KINDS = ("ghz", "w", "graph")
+
+# Sweep values closer than this are ties: only float rounding separates them.
+TIE_ATOL = 1e-12
 
 _ANGLE_RE = re.compile(
     r"^(?P<sign>[+-])?\s*(?P<k>\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi\s*"
@@ -124,16 +128,19 @@ def _subsystem_indices(label: str, n: int) -> tuple[int, ...]:
     return idx
 
 
+def _reference_state(kind: str, topology: GraphTopology) -> PureState:
+    if kind == "ghz":
+        return ghz(topology.n)
+    if kind == "w":
+        return w_state(topology.n)
+    if kind == "graph":
+        return graph_state(topology)
+    raise ValueError(f"unknown reference state {kind!r}; pick from {TARGET_KINDS}")
+
+
 def reference_density(kind: str, topology: GraphTopology) -> np.ndarray:
     """Density matrix of the named reference state on ``topology.n`` qubits."""
-    if kind == "ghz":
-        amps = ghz(topology.n).amplitudes
-    elif kind == "w":
-        amps = w_state(topology.n).amplitudes
-    elif kind == "graph":
-        amps = graph_state(topology).amplitudes
-    else:
-        raise ValueError(f"unknown reference state {kind!r}; pick from {TARGET_KINDS}")
+    amps = _reference_state(kind, topology).amplitudes
     return np.outer(amps, amps.conj())
 
 
@@ -152,7 +159,8 @@ def _parse_metric(metric: str, topology: GraphTopology) \
         keep = _subsystem_indices(arg, n)
         label = "".join(sorted(set(arg), key="PCG".index))
         return (f"entropy({label})",
-                lambda s: von_neumann_entropy(s.reduced(keep)), {})
+                lambda s: von_neumann_entropy(reduction_factor(s.amplitudes, s.shape, keep)),
+                {})
 
     if head == "logneg":
         if arg not in ("", "PC"):
@@ -177,10 +185,10 @@ def _parse_metric(metric: str, topology: GraphTopology) \
             # A (numerically) impossible outcome contributes no conditional
             # state; the series records 0 there.
             try:
-                rho, _ = postselect_coin(s, proj)
+                factor, _ = postselect_coin(s, proj)
             except ZeroProbabilityError:
                 return 0.0
-            return n_concurrence(rho, n)
+            return n_concurrence(factor, n)
 
         return (f"concurrence_postselected({_fmt(mu)},{_fmt(nu)})",
                 postselected, {"mu": mu, "nu": nu})
@@ -188,7 +196,8 @@ def _parse_metric(metric: str, topology: GraphTopology) \
     if head == "closeness":
         if not arg:
             raise ValueError("closeness needs a reference state, e.g. closeness(graph)")
-        target = reference_density(arg, topology)
+        # The target is pure: its factor is its (norm-checked) amplitude column.
+        target = _reference_state(arg, topology).amplitudes[:, None]
         return (f"closeness({arg})",
                 lambda s: closeness(unconditioned_vertex_state(s), target),
                 {"target": arg})
@@ -256,25 +265,38 @@ class SweepResult:
 
 
 def _coin_best(task: tuple[GraphTopology, CoinParams, int, str]) -> tuple[float, int]:
-    """Best closeness over t for one coin (earliest t on exact ties)."""
+    """Best closeness over t for one coin, with ties resolved as in
+    :func:`run_sweep`."""
     topology, coin, steps, target = task
     values = run_metric_series(WalkConfig(topology, coin, steps),
                                f"closeness({target})").values
-    t = int(np.argmax(values))
+    tied = np.asarray(values) >= max(values) - TIE_ATOL
+    t = int(np.argmax(tied))
+    while t + 1 < len(values) and tied[t + 1]:
+        t += 1
     return values[t], t
+
+
+def _check_jobs(jobs: int) -> int:
+    """Worker count for ``jobs``: at most one per CPU; ``jobs < 1`` raises."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> SweepResult:
     """Exhaustive grid maximization of closeness to the target state.
 
-    The reduction is deterministic and independent of evaluation order:
-    grid points are ranked by value with exact ties broken toward the
-    lexicographically smallest (theta, phi1, phi2, t).  ``jobs`` worker
-    processes share the grid, at most one per CPU.
+    Values within ``TIE_ATOL`` (1e-12) of each other are ties, so the result
+    does not depend on rounding.  Per coin, the reported t is the last step
+    of the first run of consecutive steps tied with the coin's maximum: the
+    cluster coin holds the cycle's cluster state over steps 23-24 (and again
+    71-72), which reports t = 24.  Across coins, every coin tied with the best
+    value is a candidate, and the earliest t wins, then the lexicographically
+    smallest (theta, phi1, phi2).  The result is independent of evaluation
+    order.  ``jobs`` worker processes share the grid, at most one per CPU.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = _check_jobs(jobs)
     coins = spec.coins()
     tasks = [(spec.topology, coin, spec.steps, spec.target) for coin in coins]
     if workers > 1:
@@ -283,14 +305,14 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> Sw
     else:
         results = [_coin_best(t) for t in tasks]
 
-    best_value, best_coin, best_t = -1.0, coins[0], 0
-    table = []
-    for coin, (value, t) in zip(coins, results):
-        table.append((coin.theta, coin.phi1, coin.phi2, t, value))
-        if value > best_value:
-            best_value, best_coin, best_t = value, coin, t
-    return SweepResult(best_value, best_coin, best_t,
-                       tuple(table) if keep_table else None)
+    top = max(value for value, _ in results)
+    _, _, best = min((t, coin.astuple(), i)
+                     for i, (coin, (value, t)) in enumerate(zip(coins, results))
+                     if value >= top - TIE_ATOL)
+    best_value, best_t = results[best]
+    table = tuple((coin.theta, coin.phi1, coin.phi2, t, value)
+                  for coin, (value, t) in zip(coins, results))
+    return SweepResult(best_value, coins[best], best_t, table if keep_table else None)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +387,7 @@ def reproduce_figure(fig_id: str, out_dir: str | Path, *,
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {fig_id!r}; pick from {FIGURE_IDS}")
+    _check_jobs(jobs)
     out = Path(out_dir)
     n = 4
     cycle, path = GraphTopology("cycle", n), GraphTopology("path", n)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .linalg import SubsystemShape, reduced_density
 
-# Ceiling on the site count for dense simulation; at n = 12 the vertex
-# register's density matrix is already 4096 x 4096.
+# Ceiling on the site count for dense simulation; at n = 12 one walk state
+# holds 98304 amplitudes and a T = 100 trajectory 150 MiB.
 MAX_SITES = 12
 
 GRAPH_KINDS = ("path", "cycle")

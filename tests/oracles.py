@@ -53,16 +53,28 @@ def partial_trace_loops(rho: np.ndarray, dims, keep) -> np.ndarray:
     return out
 
 
-def concurrence_direct(rho: np.ndarray, num_qubits: int) -> float:
-    """n-concurrence via direct (non-Hermitian) diagonalization of the
-    operator rho . Sy rho* Sy."""
+def sigma_y_all(num_qubits: int) -> np.ndarray:
+    """sigma_y^(x n) as a dense Kronecker product."""
     big_sy = _SIGMA_Y
     for _ in range(num_qubits - 1):
         big_sy = np.kron(big_sy, _SIGMA_Y)
+    return big_sy
+
+
+def concurrence_direct(rho: np.ndarray, num_qubits: int, rank: int | None = None) -> float:
+    """n-concurrence via direct (non-Hermitian) diagonalization of the
+    operator rho . Sy rho* Sy.
+
+    With ``rank`` (the rank of rho), only the ``rank`` largest eigenvalues
+    count: the operator has at most that many nonzero ones, and the square
+    roots of the others' ~1e-16 rounding noise would add ~1e-8 each.
+    """
+    big_sy = sigma_y_all(num_qubits)
     rho_tilde = rho @ big_sy @ rho.conj() @ big_sy
     vals = np.linalg.eigvals(rho_tilde).real
     lam = np.sqrt(np.clip(vals, 0.0, None))
     lam[::-1].sort()
+    lam = lam[:rank]
     return float(max(0.0, 2 * lam[0] - lam.sum()))
 
 

@@ -20,6 +20,7 @@ from iqwalk import (
     ZeroProbabilityError,
     build_coin,
     build_shift,
+    density_factor,
     evolve,
     graph_state,
     n_concurrence,
@@ -63,7 +64,7 @@ def test_criterion_1_perfect_cluster_state():
     start = time.perf_counter()
     final = evolve(WalkConfig(CYCLE4, CLUSTER_COIN, 24))
     delta = trace_distance(unconditioned_vertex_state(final),
-                           reference_density("graph", CYCLE4))
+                           density_factor(reference_density("graph", CYCLE4)))
     elapsed = time.perf_counter() - start
     _report(1, "perfect cluster state at t=24",
             delta <= 1e-9 and elapsed < 1.0,
@@ -112,8 +113,8 @@ def test_criterion_3_postselection_gain_on_path():
             values = []
             for state in trajectory:
                 try:
-                    rho, _ = postselect_coin(state, CoinProjection(mu, 0.0))
-                    values.append(n_concurrence(rho, 4))
+                    factor, _ = postselect_coin(state, CoinProjection(mu, 0.0))
+                    values.append(n_concurrence(factor, 4))
                 except ZeroProbabilityError:
                     values.append(0.0)
             best[mu] = max(values)
@@ -162,9 +163,9 @@ def test_criterion_5_entropy_bounds_and_schmidt_symmetry():
         for coin in STANDARD_COINS:
             for state in _trajectory(topology, coin):
                 for keep, bound in bounds.items():
-                    e = von_neumann_entropy(state.reduced(keep))
+                    e = von_neumann_entropy(density_factor(state.reduced(keep)))
                     complement = tuple(i for i in range(6) if i not in keep)
-                    e_c = von_neumann_entropy(state.reduced(complement))
+                    e_c = von_neumann_entropy(density_factor(state.reduced(complement)))
                     worst_excess = max(worst_excess, e - bound)
                     worst_asym = max(worst_asym, abs(e - e_c))
     _report(5, "entropy bounds and Schmidt symmetry",
@@ -175,7 +176,7 @@ def test_criterion_5_entropy_bounds_and_schmidt_symmetry():
 def test_criterion_6_oracle_suites():
     """Brute-force cross-checks: partial trace against explicit index
     summation (1e-12, every 2/3-subsystem shape with local dims 2..4),
-    the concurrence's Hermitian route against direct diagonalization of
+    the concurrence's factor route against direct diagonalization of
     rho.Sy.rho*.Sy (1e-8), and the two-qubit case against the closed-form
     concurrence (1e-8, 20 states)."""
     rng = np.random.default_rng(606)
@@ -193,14 +194,15 @@ def test_criterion_6_oracle_suites():
     for num_qubits in (2, 3, 4):
         for _ in range(10):
             rho = random_density(2 ** num_qubits, rng)
-            worst_conc = max(worst_conc, abs(n_concurrence(rho, num_qubits)
+            worst_conc = max(worst_conc, abs(n_concurrence(density_factor(rho), num_qubits)
                                              - concurrence_direct(rho, num_qubits)))
 
     worst_wootters = 0.0
     for _ in range(20):
         rho = random_density(4, rng)
         worst_wootters = max(worst_wootters,
-                             abs(n_concurrence(rho, 2) - wootters_concurrence(rho)))
+                             abs(n_concurrence(density_factor(rho), 2)
+                                 - wootters_concurrence(rho)))
 
     _report(6, "oracle suites",
             worst_pt <= 1e-12 and worst_conc <= 1e-8 and worst_wootters <= 1e-8,

@@ -6,11 +6,13 @@ import pytest
 from iqwalk import (
     ContractViolationError,
     SubsystemShape,
+    density_factor,
     hermitian_eig,
     matrix_sqrt_psd,
     partial_trace,
     partial_transpose,
     reduced_density,
+    reduction_factor,
     schatten1_norm,
 )
 from oracles import partial_trace_loops, random_density, random_pure
@@ -216,3 +218,30 @@ class TestReducedDensity:
             got = reduced_density(psi, dims, keep)
             want = partial_trace(rho, dims, keep)
             assert np.abs(got - want).max() < 1e-12
+
+    def test_factor_shape(self):
+        rng = np.random.default_rng(62)
+        psi = random_pure(12, rng)
+        for keep, rows in (([0], 2), ([1, 2], 6), ([0, 2], 4)):
+            f = reduction_factor(psi, (2, 3, 2), keep)
+            assert f.shape == (rows, 12 // rows)
+            assert np.abs(f @ f.conj().T - reduced_density(psi, (2, 3, 2), keep)).max() == 0.0
+
+
+class TestDensityFactor:
+    def test_reconstructs_input(self):
+        rng = np.random.default_rng(71)
+        for rank in (1, 3, 6):
+            rho = random_density(6, rng, rank=rank)
+            b = density_factor(rho)
+            assert np.abs(b @ b.conj().T - rho).max() < 1e-12
+
+    def test_clamps_noise_and_rejects_negative(self):
+        b = density_factor(np.diag([1.0, -1e-13]))
+        assert np.abs(b @ b.conj().T - np.diag([1.0, 0.0])).max() == 0.0
+        with pytest.raises(ContractViolationError):
+            density_factor(np.diag([1.0, -1e-6]))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ContractViolationError):
+            density_factor(np.array([[0.5, 0.3], [0.0, 0.5]]))

@@ -4,6 +4,7 @@ import pytest
 from iqwalk import (
     ContractViolationError,
     closeness,
+    density_factor,
     ghz,
     log_negativity,
     n_concurrence,
@@ -17,6 +18,7 @@ from oracles import (
     random_density,
     random_pure,
     random_unitary,
+    sigma_y_all,
     wootters_concurrence,
 )
 
@@ -49,13 +51,13 @@ class TestValidateDensityMatrix:
 class TestEntropy:
     def test_pure_state_is_zero(self):
         rng = np.random.default_rng(2)
-        assert von_neumann_entropy(projector(random_pure(8, rng))) < 1e-12
+        assert von_neumann_entropy(density_factor(projector(random_pure(8, rng)))) < 1e-12
 
     def test_maximally_mixed_qubit(self):
-        assert abs(von_neumann_entropy(np.eye(2) / 2) - 1.0) < 1e-12
+        assert abs(von_neumann_entropy(density_factor(np.eye(2) / 2)) - 1.0) < 1e-12
 
     def test_maximally_mixed_two_qubits(self):
-        assert abs(von_neumann_entropy(np.eye(4) / 4) - 2.0) < 1e-12
+        assert abs(von_neumann_entropy(density_factor(np.eye(4) / 4)) - 2.0) < 1e-12
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(3)
@@ -63,12 +65,13 @@ class TestEntropy:
         for _ in range(5):
             u = random_unitary(8, rng)
             rotated = u @ rho @ u.conj().T
-            assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) < 1e-9
+            assert abs(von_neumann_entropy(density_factor(rotated))
+                       - von_neumann_entropy(density_factor(rho))) < 1e-9
 
     def test_bounds(self):
         rng = np.random.default_rng(4)
         for dim in (2, 4, 8):
-            e = von_neumann_entropy(random_density(dim, rng))
+            e = von_neumann_entropy(density_factor(random_density(dim, rng)))
             assert 0.0 <= e <= np.log2(dim) + 1e-12
 
     def test_schmidt_symmetry(self):
@@ -77,8 +80,8 @@ class TestEntropy:
         rng = np.random.default_rng(5)
         for dims in ((2, 4), (3, 5), (4, 8)):
             psi = random_pure(dims[0] * dims[1], rng)
-            e_a = von_neumann_entropy(reduced_density(psi, dims, [0]))
-            e_b = von_neumann_entropy(reduced_density(psi, dims, [1]))
+            e_a = von_neumann_entropy(density_factor(reduced_density(psi, dims, [0])))
+            e_b = von_neumann_entropy(density_factor(reduced_density(psi, dims, [1])))
             assert abs(e_a - e_b) < 1e-9
 
 
@@ -99,6 +102,15 @@ class TestLogNegativity:
     def test_bell_state_is_one(self):
         assert abs(log_negativity(projector(ghz(2)), (2, 2), [1]) - 1.0) < 1e-12
 
+    def test_ppt_float_noise_is_exactly_zero(self):
+        # Rotated product states: their partial transposes carry rounding
+        # noise of either sign, which must not leak into the result.
+        for seed in range(11, 16):
+            rng = np.random.default_rng(seed)
+            u = np.kron(random_unitary(2, rng), random_unitary(3, rng))
+            rho = np.kron(random_density(2, rng, rank=1), random_density(3, rng, rank=1))
+            assert log_negativity(u @ rho @ u.conj().T, (2, 3), [1]) == 0.0
+
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -109,31 +121,31 @@ class TestLogNegativity:
 class TestConcurrence:
     def test_ghz_is_one(self):
         rho = projector(ghz(4))
-        assert abs(n_concurrence(rho, 4) - 1.0) < 1e-8
+        assert abs(n_concurrence(density_factor(rho), 4) - 1.0) < 1e-8
         assert abs(concurrence_direct(rho, 4) - 1.0) < 1e-12
 
     def test_w_state_is_zero(self):
-        assert n_concurrence(projector(w_state(4)), 4) < 1e-8
+        assert n_concurrence(density_factor(projector(w_state(4))), 4) < 1e-8
 
     def test_bell_reduces_to_wootters(self):
-        assert abs(n_concurrence(projector(ghz(2)), 2) - 1.0) < 1e-8
+        assert abs(n_concurrence(density_factor(projector(ghz(2))), 2) - 1.0) < 1e-8
 
     def test_separable_qubit_kills_it(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             rho = np.kron(random_density(2, rng), random_density(8, rng))
-            assert n_concurrence(rho, 4) < 1e-8
+            assert n_concurrence(density_factor(rho), 4) < 1e-8
             # separable qubit in the middle, not just on the edge
             rho = np.kron(np.kron(random_density(2, rng), random_density(2, rng, rank=1)),
                           random_density(4, rng))
-            assert n_concurrence(rho, 4) < 1e-8
+            assert n_concurrence(density_factor(rho), 4) < 1e-8
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4])
     def test_hermitian_route_matches_direct(self, num_qubits):
         rng = np.random.default_rng(10 + num_qubits)
         for _ in range(10):
             rho = random_density(2 ** num_qubits, rng)
-            got = n_concurrence(rho, num_qubits)
+            got = n_concurrence(density_factor(rho), num_qubits)
             want = concurrence_direct(rho, num_qubits)
             assert abs(got - want) < 1e-8
 
@@ -141,35 +153,61 @@ class TestConcurrence:
         rng = np.random.default_rng(20)
         for _ in range(20):
             rho = random_density(4, rng)
-            assert abs(n_concurrence(rho, 2) - wootters_concurrence(rho)) < 1e-8
+            assert abs(n_concurrence(density_factor(rho), 2) - wootters_concurrence(rho)) < 1e-8
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6])
+    def test_low_rank_factor_matches_direct(self, num_qubits):
+        # The factor is the Gaussian matrix of the Wishart construction, never
+        # a dense rho; the oracle takes sqrt of eigenvalue noise, hence 1e-8
+        # as in criterion 6.
+        rng = np.random.default_rng(40 + num_qubits)
+        dim = 2 ** num_qubits
+        for rank in (1, 2, num_qubits):
+            for _ in range(4):
+                b = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+                b /= np.linalg.norm(b)
+                want = concurrence_direct(b @ b.conj().T, num_qubits, rank=rank)
+                assert abs(n_concurrence(b, num_qubits) - want) < 1e-8
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6])
+    def test_pure_state_closed_form(self, num_qubits):
+        # |psi^T Sy psi| is the pure-state n-concurrence, with no sqrt of noise
+        rng = np.random.default_rng(50 + num_qubits)
+        big_sy = sigma_y_all(num_qubits)
+        for _ in range(5):
+            psi = random_pure(2 ** num_qubits, rng)
+            want = abs(psi @ big_sy @ psi)
+            assert abs(n_concurrence(psi[:, None], num_qubits) - want) < 1e-12
+        assert abs(n_concurrence(ghz(num_qubits).amplitudes[:, None], num_qubits)
+                   - (num_qubits % 2 == 0)) < 1e-12
 
     def test_rejects_non_qubit_dimension(self):
         with pytest.raises(ValueError):
-            n_concurrence(np.eye(6) / 6, 2)
+            n_concurrence(density_factor(np.eye(6) / 6), 2)
 
 
 class TestTraceDistance:
     def test_identical_states(self):
         rng = np.random.default_rng(30)
-        rho = random_density(5, rng)
+        rho = density_factor(random_density(5, rng))
         assert trace_distance(rho, rho) == 0.0
         assert closeness(rho, rho) == 1.0
 
     def test_orthogonal_pure_states(self):
-        a = projector(np.array([1, 0], dtype=complex))
-        b = projector(np.array([0, 1], dtype=complex))
+        a = density_factor(projector(np.array([1, 0], dtype=complex)))
+        b = density_factor(projector(np.array([0, 1], dtype=complex)))
         assert abs(trace_distance(a, b) - 1.0) < 1e-12
         assert closeness(a, b) < 1e-12
 
     def test_mixed_vs_pure_qubit(self):
-        rho = np.eye(2) / 2
-        sigma = np.diag([1.0, 0.0])
+        rho = density_factor(np.eye(2) / 2)
+        sigma = density_factor(np.diag([1.0, 0.0]))
         assert abs(trace_distance(rho, sigma) - 0.5) < 1e-12
 
     def test_metric_properties(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
-            a, b, c = (random_density(6, rng) for _ in range(3))
+            a, b, c = (density_factor(random_density(6, rng)) for _ in range(3))
             assert abs(trace_distance(a, b) - trace_distance(b, a)) < 1e-10
             assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-10
 
@@ -177,10 +215,37 @@ class TestTraceDistance:
         rng = np.random.default_rng(32)
         a, b = random_density(6, rng), random_density(6, rng)
         u = random_unitary(6, rng)
-        rotated = trace_distance(u @ a @ u.conj().T, u @ b @ u.conj().T)
-        assert abs(rotated - trace_distance(a, b)) < 1e-10
+        rotated = trace_distance(density_factor(u @ a @ u.conj().T),
+                                 density_factor(u @ b @ u.conj().T))
+        assert abs(rotated - trace_distance(density_factor(a), density_factor(b))) < 1e-10
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6])
+    def test_factor_matches_dense_spectrum(self, num_qubits):
+        # register-like factors (2^n x 2n) against a pure target and a mixed one
+        rng = np.random.default_rng(60 + num_qubits)
+        shape = (2 ** num_qubits, 2 * num_qubits)
+        dim = shape[0]
+        for _ in range(4):
+            b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            b /= np.linalg.norm(b)
+            rho = b @ b.conj().T
+            g = random_pure(dim, rng)
+            sigma = random_density(dim, rng, rank=3)
+            for target, dense in ((g[:, None], np.outer(g, g.conj())),
+                                  (density_factor(sigma), sigma)):
+                want = 0.5 * np.abs(np.linalg.eigvalsh(rho - dense)).sum()
+                assert abs(trace_distance(b, target) - want) < 1e-12
+            vals = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+            vals = vals[vals > 0.0]
+            want = -np.sum(vals * np.log2(vals))
+            assert abs(von_neumann_entropy(b) - want) < 1e-12
+
+    def test_rejects_invalid_factor(self):
+        with pytest.raises(ContractViolationError):
+            trace_distance(np.eye(2), np.eye(2) / np.sqrt(2))    # trace 2
+        with pytest.raises(ValueError):
+            trace_distance(np.ones(2) / np.sqrt(2), np.eye(2) / np.sqrt(2))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            trace_distance(np.eye(2) / 2, np.eye(4) / 4)
-
+            trace_distance(density_factor(np.eye(2) / 2), density_factor(np.eye(4) / 4))

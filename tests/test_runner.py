@@ -9,9 +9,11 @@ import pytest
 from iqwalk import (
     CoinParams,
     GraphTopology,
+    MetricSeries,
     SweepSpec,
     WalkConfig,
     default_angle_grid,
+    graph_state,
     parse_angle,
     reproduce_figure,
     run_metric_series,
@@ -87,6 +89,26 @@ class TestMetricSeries:
         assert series.metric.startswith("concurrence_postselected(1.570796")
         assert series.provenance["mu"] == pytest.approx(math.pi / 2)
 
+    def test_register_metrics_at_twelve_sites(self):
+        # The register factor is 4096 x 24: every metric is solved in
+        # dimension <= 25, never 4096.
+        topology = GraphTopology("path", 12)
+        cfg = WalkConfig(topology, CoinParams(math.pi / 4, 0.0, 2 * math.pi / 5), 2)
+        plus = np.full(2 ** 12, 2.0 ** -6)
+        overlap = abs(np.vdot(plus, graph_state(topology).amplitudes))
+        series = {m: run_metric_series(cfg, m).values
+                  for m in ("concurrence", "concurrence_postselected(pi/2,0)",
+                            "closeness(graph)", "entropy(G)")}
+        # t = 0 is the pure product |+>^12
+        assert series["concurrence"][0] == 0.0
+        assert series["entropy(G)"][0] == 0.0
+        assert series["closeness(graph)"][0] == pytest.approx(
+            1 - math.sqrt(1 - overlap ** 2), abs=1e-12)
+        for name, values in series.items():
+            hi = math.log2(24) if name == "entropy(G)" else 1.0
+            assert all(0.0 <= v <= hi + 1e-12 for v in values[1:]), name
+        assert series["entropy(G)"][2] > 0.1
+
     def test_unknown_metric(self):
         cfg = WalkConfig(CYCLE4, CoinParams(0.7), 2)
         for bad in ("magic", "entropy(Q)", "entropy(PCG)", "closeness(bell)",
@@ -124,6 +146,43 @@ class TestSweep:
         serial = run_sweep(spec, jobs=1, keep_table=True)
         parallel = run_sweep(spec, jobs=2, keep_table=True)
         assert serial == parallel
+
+    @staticmethod
+    def _fake_series(monkeypatch, table):
+        """Serve made-up closeness series per coin (zeros for other coins)."""
+        def fake(config, metric):
+            values = table.get(config.coin.astuple(), (0.0,) * (config.steps + 1))
+            return MetricSeries(metric, tuple(range(len(values))), values, {})
+
+        monkeypatch.setattr(runner, "run_metric_series", fake)
+
+    def test_ties_across_t_end_the_first_run(self, monkeypatch):
+        eps = 1e-13
+        self._fake_series(monkeypatch, {
+            (0.9, 0.0, 0.4): (0.1, 0.5 - eps, 0.5 + eps, 0.5, 0.2, 0.5 + 2 * eps),
+            (1.2, 0.0, 0.4): (0.1, 0.3, 0.3 + 1e-11, 0.3, 0.2, 0.1),
+        })
+        spec = SweepSpec(CYCLE4, "graph", thetas=(0.9,), phi2s=(0.4,), steps=5)
+        result = run_sweep(spec)
+        assert (result.best_t, result.best_value) == (3, 0.5)
+        # 1e-11 is above the tie tolerance: a strict maximum
+        spec = SweepSpec(CYCLE4, "graph", thetas=(1.2,), phi2s=(0.4,), steps=5)
+        assert run_sweep(spec).best_t == 2
+
+    def test_ties_across_coins_take_earliest_t_then_smallest_coin(self, monkeypatch):
+        eps = 1e-13
+        self._fake_series(monkeypatch, {
+            (0.3, 0.0, 0.9): (0.1, 0.2, 0.7 + eps),      # the maximum, t = 2
+            (0.6, 0.0, 0.2): (0.1, 0.7, 0.2),            # tied, t = 1
+            (0.6, 0.0, 0.1): (0.1, 0.7 - eps, 0.2),      # tied, t = 1, smaller coin
+            (0.2, 0.0, 0.5): (0.7 - 1e-11, 0.1, 0.1),    # t = 0, not tied
+        })
+        # grid order differs from lexicographic order on phi2
+        for phi2s in ((0.9, 0.2, 0.1, 0.5), (0.5, 0.1, 0.2, 0.9)):
+            spec = SweepSpec(CYCLE4, "graph", thetas=(0.6, 0.3, 0.2), phi2s=phi2s, steps=2)
+            result = run_sweep(spec)
+            assert result.best_coin == CoinParams(0.6, 0.0, 0.1)
+            assert (result.best_t, result.best_value) == (1, 0.7 - eps)
 
     def test_default_grid(self):
         assert len(default_angle_grid()) == 21
@@ -224,6 +283,12 @@ class TestReproduceFigure:
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(ValueError):
             reproduce_figure("fig1", tmp_path)
+
+    @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7"])
+    def test_rejects_nonpositive_jobs(self, fig, tmp_path):
+        with pytest.raises(ValueError, match="jobs"):
+            reproduce_figure(fig, tmp_path / "out", steps=2, jobs=0)
+        assert not (tmp_path / "out").exists()
 
     def test_fig7_cluster_row(self, tmp_path):
         reproduce_figure("fig7", tmp_path, steps=30)
@@ -326,6 +391,12 @@ class TestCli:
         assert main(["metric", "--steps", "2", "--metric", "entropy(G)"]) == 1
         assert main(["sweep", "--theta-grid", "0", "--phi2-grid", "0",
                      "--steps", "1", "--jobs", "0"]) == 1
+
+    def test_figure_jobs_zero_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["figure", "fig7", "--jobs", "0", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command", ["evolve", "metric"])
     @pytest.mark.parametrize("coin,angle", [("nan,0,0", "theta"), ("0,inf,0", "phi1"),

@@ -5,6 +5,7 @@ import pytest
 
 from iqwalk import (
     GraphTopology,
+    density_factor,
     ghz,
     graph_state,
     n_concurrence,
@@ -33,7 +34,7 @@ class TestGHZ:
         state = ghz(4)
         for q in range(4):
             rho = state.reduced([q])
-            assert abs(von_neumann_entropy(rho) - 1.0) < 1e-12
+            assert abs(von_neumann_entropy(density_factor(rho)) - 1.0) < 1e-12
 
     def test_normalized(self):
         assert abs(np.vdot(ghz(6).amplitudes, ghz(6).amplitudes) - 1) < 1e-12
@@ -45,7 +46,7 @@ class TestGHZ:
 
 class TestWState:
     def test_four_qubit_concurrence_vanishes(self):
-        assert n_concurrence(projector(w_state(4)), 4) < 1e-8
+        assert n_concurrence(density_factor(projector(w_state(4))), 4) < 1e-8
 
     def test_two_qubit_form_and_concurrence(self):
         state = w_state(2)
