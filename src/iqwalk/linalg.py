@@ -173,20 +173,23 @@ def hermitian_eig(a: np.ndarray, *, vectors: bool = True,
     Returns ``(eigenvalues, eigenvectors)`` with the eigenvectors as
     columns, or only the eigenvalues when ``vectors=False``.  The input is
     symmetrized as ``(A + A^dag)/2`` before solving; inputs whose
-    anti-Hermitian part exceeds ``atol`` entrywise are rejected.
+    anti-Hermitian part exceeds ``atol`` entrywise are rejected.  A
+    (..., d, d) stack is solved member by member in one call, and one
+    non-Hermitian member rejects the stack.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    defect = np.abs(a - a.conj().T).max() if a.size else 0.0
+    a_dag = a.conj().swapaxes(-1, -2)
+    defect = np.abs(a - a_dag).max() if a.size else 0.0
     if defect > atol:
         raise ContractViolationError(
             f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {atol:.0e}")
-    h = (a + a.conj().T) / 2
+    h = (a + a_dag) / 2
     if vectors:
         vals, vecs = np.linalg.eigh(h)
-        return vals[::-1].copy(), vecs[:, ::-1].copy()
-    return np.linalg.eigvalsh(h)[::-1].copy()
+        return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
+    return np.linalg.eigvalsh(h)[..., ::-1].copy()
 
 
 def _psd_eig(a: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarray]:

@@ -34,15 +34,22 @@ DENSITY_ATOL = 1e-10
 
 def validate_density_matrix(rho: np.ndarray, *, atol: float = DENSITY_ATOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the eigenvalues
-    (descending).  Raises :class:`ContractViolationError` on violation."""
+    (descending).  Raises :class:`ContractViolationError` on violation.
+
+    A (..., d, d) stack is checked member by member: one bad member rejects
+    the stack, and the eigenvalues come back as a (..., d) array.
+    """
     rho = np.asarray(rho)
     vals = hermitian_eig(rho, vectors=False, atol=atol)
-    tr = np.real(np.trace(rho))
-    if abs(tr - 1.0) > atol:
-        raise ContractViolationError(f"density matrix trace is {tr!r}, expected 1")
-    if vals.min() < -atol:
+    tr = np.real(np.trace(rho, axis1=-2, axis2=-1))
+    bad_trace = np.abs(tr - 1.0) > atol
+    if bad_trace.any():
         raise ContractViolationError(
-            f"density matrix has eigenvalue {vals.min():.3e} < -{atol:.0e}")
+            f"density matrix trace is {tr[bad_trace].flat[0]!r}, expected 1")
+    low = vals.min(axis=-1)
+    if (low < -atol).any():
+        raise ContractViolationError(
+            f"density matrix has eigenvalue {low.min():.3e} < -{atol:.0e}")
     return vals
 
 
@@ -52,12 +59,14 @@ def _factor_spectrum(factor: np.ndarray) -> np.ndarray:
 
     That Gram matrix has the same trace, Hermiticity and nonzero spectrum
     as ``rho = B @ B^dag``, so the density-matrix contract and its
-    tolerance apply to ``rho`` unchanged.
+    tolerance apply to ``rho`` unchanged.  A (..., D, k) stack of factors
+    gives a (..., min(D, k)) stack of spectra.
     """
     b = np.asarray(factor)
-    if b.ndim != 2:
+    if b.ndim < 2:
         raise ValueError(f"expected a factor matrix, got shape {b.shape}")
-    gram = b.conj().T @ b if b.shape[1] <= b.shape[0] else b @ b.conj().T
+    b_dag = b.conj().swapaxes(-1, -2)
+    gram = b_dag @ b if b.shape[-1] <= b.shape[-2] else b @ b_dag
     return validate_density_matrix(gram)
 
 
@@ -121,7 +130,7 @@ def n_concurrence(factor: np.ndarray, num_qubits: int) -> float:
     return float(min(1.0, max(0.0, value)))
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """delta = (1/2) sum |eps_i| over the eigenvalues of rho - sigma, for
     factors ``rho = A @ A^dag`` and ``sigma = B @ B^dag`` (a pure state
     ``g`` is the one-column factor ``g[:, None]``).
@@ -130,20 +139,27 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     so with W = QR the eps are the eigenvalues of R J R^dag, of dimension
     at most the total column count.  Those within PSD_CLIP of zero are float
     noise of the QR and do not count: equal states give exactly 0.
+
+    Stacks of factors, (..., D, k), broadcast against each other over their
+    leading axes and give an array of distances; two matrices give a float.
     """
     a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-2] != b.shape[-2]:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     _factor_spectrum(a)
     _factor_spectrum(b)
-    r = np.linalg.qr(np.concatenate([a, b], axis=1), mode="r")
-    signs = np.concatenate([np.ones(a.shape[1]), -np.ones(b.shape[1])])
-    eps = hermitian_eig((r * signs) @ r.conj().T, vectors=False)
-    eps = np.abs(eps)
-    return float(min(1.0, 0.5 * eps[eps > PSD_CLIP].sum()))
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    w = np.concatenate([np.broadcast_to(a, batch + a.shape[-2:]),
+                        np.broadcast_to(b, batch + b.shape[-2:])], axis=-1)
+    r = np.linalg.qr(w, mode="r")
+    signs = np.concatenate([np.ones(a.shape[-1]), -np.ones(b.shape[-1])])
+    eps = np.abs(hermitian_eig((r * signs) @ r.conj().swapaxes(-1, -2), vectors=False))
+    distance = np.minimum(1.0, 0.5 * np.where(eps > PSD_CLIP, eps, 0.0).sum(axis=-1))
+    return float(distance) if distance.ndim == 0 else distance
 
 
-def closeness(a: np.ndarray, b: np.ndarray) -> float:
+def closeness(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """1 - trace_distance of the states with factors ``a`` and ``b``: 1 iff
-    they coincide, 0 iff orthogonal."""
+    they coincide, 0 iff orthogonal.  Takes stacks as :func:`trace_distance`
+    does."""
     return 1.0 - trace_distance(a, b)

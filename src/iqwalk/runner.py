@@ -26,7 +26,18 @@ from .errors import ZeroProbabilityError
 from .linalg import reduction_factor
 from .metrics import closeness, log_negativity, n_concurrence, von_neumann_entropy
 from .states import ghz, graph_state, w_state
-from .walk import CoinParams, GraphTopology, PureState, WalkConfig, evolve
+from .walk import (
+    CoinParams,
+    GraphTopology,
+    PureState,
+    WalkConfig,
+    _apply_step,
+    _shift_rows,
+    build_coin,
+    evolve,
+    interaction_diagonal,
+    standard_initial_state,
+)
 
 # The four coin parameter sets used by every time-series figure dataset
 # (fig2 through fig5).
@@ -264,17 +275,57 @@ class SweepResult:
     table: tuple[tuple[float, float, float, int, float], ...] | None = None
 
 
-def _coin_best(task: tuple[GraphTopology, CoinParams, int, str]) -> tuple[float, int]:
-    """Best closeness over t for one coin, with ties resolved as in
-    :func:`run_sweep`."""
-    topology, coin, steps, target = task
-    values = run_metric_series(WalkConfig(topology, coin, steps),
-                               f"closeness({target})").values
-    tied = np.asarray(values) >= max(values) - TIE_ATOL
-    t = int(np.argmax(tied))
-    while t + 1 < len(values) and tied[t + 1]:
-        t += 1
-    return values[t], t
+# Coins evolved together as one (K, n, 2, 2**n) tensor by a sweep: enough to
+# amortize the per-call overhead of the stacked solves, few enough that a
+# block's states stay small next to the rest of the process.
+_SWEEP_BLOCK = 32
+
+
+def _block_closeness(task: tuple[GraphTopology, str, int, list[CoinParams]]) -> np.ndarray:
+    """Closeness to the target at every step t = 0..T of every coin in one
+    block, as a (K, T+1) array.  The block is evolved together, and each
+    step scores all K register states with one stacked :func:`closeness`;
+    only the current step's states are held."""
+    topology, target, steps, coins = task
+    n = topology.n
+    shift_rows = _shift_rows(topology)
+    diag = interaction_diagonal(topology)
+    coin_mats = np.stack([build_coin(coin) for coin in coins])
+    # The target is pure: its factor is its (norm-checked) amplitude column.
+    target_factor = _reference_state(target, topology).amplitudes[:, None]
+    initial = standard_initial_state(topology).amplitudes.reshape(n, 2, -1)
+    tensor = np.broadcast_to(initial, (len(coins),) + initial.shape)
+    values = np.empty((len(coins), steps + 1))
+    for t in range(steps + 1):
+        if t:
+            tensor = _apply_step(tensor, coin_mats, shift_rows, diag)
+        # Each member's register factor, as unconditioned_vertex_state gives it.
+        register = tensor.reshape(len(coins), 2 * n, -1).swapaxes(1, 2)
+        values[:, t] = closeness(register, target_factor)
+    return values
+
+
+def _best_of(coins: list[CoinParams], values: np.ndarray, keep_table: bool) -> SweepResult:
+    """The sweep's tie rule over the (K, T+1) closeness ``values`` of
+    ``coins``; see :func:`run_sweep`."""
+    if not np.isfinite(values).all():
+        raise ValueError("metric values must be finite")
+    tied = values >= values.max(axis=1, keepdims=True) - TIE_ATOL
+    # Per coin: the last step of the first run of tied steps.
+    steps = np.arange(values.shape[1])
+    first = tied.argmax(axis=1)
+    run_ended = ~tied & (steps > first[:, None])
+    per_t = np.where(run_ended.any(axis=1), run_ended.argmax(axis=1) - 1, steps[-1])
+    per_value = values[np.arange(len(coins)), per_t]
+
+    top = per_value.max()
+    _, _, best = min((int(t), coin.astuple(), i)
+                     for i, (coin, value, t) in enumerate(zip(coins, per_value, per_t))
+                     if value >= top - TIE_ATOL)
+    table = tuple((coin.theta, coin.phi1, coin.phi2, int(t), float(value))
+                  for coin, value, t in zip(coins, per_value, per_t))
+    return SweepResult(float(per_value[best]), coins[best], int(per_t[best]),
+                       table if keep_table else None)
 
 
 def _check_jobs(jobs: int) -> int:
@@ -294,25 +345,19 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> Sw
     71-72), which reports t = 24.  Across coins, every coin tied with the best
     value is a candidate, and the earliest t wins, then the lexicographically
     smallest (theta, phi1, phi2).  The result is independent of evaluation
-    order.  ``jobs`` worker processes share the grid, at most one per CPU.
+    order.  Coins are evolved and scored in blocks of stacked states;
+    ``jobs`` worker processes share the blocks, at most one per CPU.
     """
     workers = _check_jobs(jobs)
     coins = spec.coins()
-    tasks = [(spec.topology, coin, spec.steps, spec.target) for coin in coins]
+    tasks = [(spec.topology, spec.target, spec.steps, coins[i:i + _SWEEP_BLOCK])
+             for i in range(0, len(coins), _SWEEP_BLOCK)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_coin_best, tasks, chunksize=8))
+            blocks = list(pool.map(_block_closeness, tasks))
     else:
-        results = [_coin_best(t) for t in tasks]
-
-    top = max(value for value, _ in results)
-    _, _, best = min((t, coin.astuple(), i)
-                     for i, (coin, (value, t)) in enumerate(zip(coins, results))
-                     if value >= top - TIE_ATOL)
-    best_value, best_t = results[best]
-    table = tuple((coin.theta, coin.phi1, coin.phi2, t, value)
-                  for coin, (value, t) in zip(coins, results))
-    return SweepResult(best_value, coins[best], best_t, table if keep_table else None)
+        blocks = [_block_closeness(task) for task in tasks]
+    return _best_of(coins, np.concatenate(blocks), keep_table)
 
 
 # ---------------------------------------------------------------------------

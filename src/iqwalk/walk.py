@@ -176,15 +176,26 @@ def interaction_diagonal(topology: GraphTopology) -> np.ndarray:
     return diag.reshape(-1).astype(complex)
 
 
-def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift: np.ndarray,
+def _shift_rows(topology: GraphTopology) -> np.ndarray:
+    """The shift as a row gather: ``(S @ x)[r] = x[rows[r]]``, read off the
+    permutation matrix :func:`build_shift`."""
+    return build_shift(topology).real.argmax(axis=1)
+
+
+def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray,
                 diag: np.ndarray) -> np.ndarray:
     """Apply the one-step propagator U = CZ . (S (x) 1_G) . (1_P (x) C (x) 1_G)
-    to the state tensor of shape (n, 2, 2**n), factor by factor."""
-    n, _, g_dim = tensor.shape
-    t = np.einsum("cd,pdg->pcg", coin_mat, tensor)
-    t = (shift @ t.reshape(2 * n, g_dim)).reshape(n, 2, g_dim)
-    t = t.reshape(-1) * diag
-    return t.reshape(n, 2, g_dim)
+    to the state tensor of shape (..., n, 2, 2**n), factor by factor.
+
+    Leading axes are a batch of walks, each with its own coin from the
+    matching (..., 2, 2) stack ``coin_mat``; the shift is the row gather
+    :func:`_shift_rows`.
+    """
+    *batch, n, _, g_dim = tensor.shape
+    t = np.einsum("...cd,...pdg->...pcg", coin_mat, tensor)
+    t = t.reshape(*batch, 2 * n, g_dim)[..., shift_rows, :]
+    t = t.reshape(*batch, -1) * diag
+    return t.reshape(*batch, n, 2, g_dim)
 
 
 def evolve(config: WalkConfig, *, trajectory: bool = False) -> PureState | list[PureState]:
@@ -200,13 +211,13 @@ def evolve(config: WalkConfig, *, trajectory: bool = False) -> PureState | list[
         else standard_initial_state(config.topology)
 
     coin_mat = build_coin(config.coin)
-    shift = build_shift(config.topology)
+    shift_rows = _shift_rows(config.topology)
     diag = interaction_diagonal(config.topology)
 
     tensor = state.amplitudes.reshape(config.topology.n, 2, -1).copy()
     states = [state]
     for _ in range(config.steps):
-        tensor = _apply_step(tensor, coin_mat, shift, diag)
+        tensor = _apply_step(tensor, coin_mat, shift_rows, diag)
         if trajectory:
             states.append(PureState(tensor.reshape(-1).copy(), shape))
     if trajectory:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from iqwalk import build_coin, build_shift
-from iqwalk.walk import _apply_step, interaction_diagonal
+from iqwalk import build_coin
+from iqwalk.walk import _apply_step, _shift_rows, interaction_diagonal
 
 
 @pytest.fixture
@@ -12,14 +12,14 @@ def dense_step():
 
     def build(config):
         top = config.topology
-        coin, shift = build_coin(config.coin), build_shift(top)
+        coin, shift_rows = build_coin(config.coin), _shift_rows(top)
         diag = interaction_diagonal(top)
         dim = top.n * 2 * 2 ** top.n
         u = np.empty((dim, dim), dtype=complex)
         for j in range(dim):
             column = np.zeros((top.n, 2, 2 ** top.n), dtype=complex)
             column.flat[j] = 1.0
-            u[:, j] = _apply_step(column, coin, shift, diag).reshape(-1)
+            u[:, j] = _apply_step(column, coin, shift_rows, diag).reshape(-1)
         return u
 
     return build

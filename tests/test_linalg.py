@@ -150,6 +150,22 @@ class TestHermitianEig:
         with pytest.raises(ContractViolationError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_is_solved_member_by_member(self):
+        rng = np.random.default_rng(32)
+        a = rng.normal(size=(2, 3, 5, 5)) + 1j * rng.normal(size=(2, 3, 5, 5))
+        h = a + a.conj().swapaxes(-1, -2)
+        vals, vecs = hermitian_eig(h)
+        only_vals = hermitian_eig(h, vectors=False)
+        assert vals.shape == only_vals.shape == (2, 3, 5) and vecs.shape == (2, 3, 5, 5)
+        for i, j in itertools.product(range(2), range(3)):
+            want_vals, want_vecs = hermitian_eig(h[i, j])
+            assert np.abs(vals[i, j] - want_vals).max() < 1e-12
+            assert np.abs(only_vals[i, j] - want_vals).max() < 1e-12
+            assert np.abs(np.abs(vecs[i, j].conj().T @ want_vecs) - np.eye(5)).max() < 1e-10
+        h[1, 2, 0, 3] += 1e-6
+        with pytest.raises(ContractViolationError):
+            hermitian_eig(h, vectors=False)
+
 
 class TestMatrixSqrt:
     def test_identity(self):

@@ -249,3 +249,59 @@ class TestTraceDistance:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             trace_distance(density_factor(np.eye(2) / 2), density_factor(np.eye(4) / 4))
+
+
+def random_factors(rng, count, shape):
+    """``count`` random factors of unit Frobenius norm (unit-trace states)."""
+    b = rng.normal(size=(count,) + shape) + 1j * rng.normal(size=(count,) + shape)
+    return b / np.linalg.norm(b, axis=(-2, -1), keepdims=True)
+
+
+class TestStacks:
+    def test_stacked_distances_are_the_scalar_distances(self):
+        rng = np.random.default_rng(70)
+        a = random_factors(rng, 6, (16, 8))
+        pure = random_pure(16, rng)[:, None]
+        mixed = random_factors(rng, 6, (16, 3))
+        # one target for the whole stack, or one per member
+        for b in (pure, mixed):
+            dist, close = trace_distance(a, b), closeness(a, b)
+            assert dist.shape == close.shape == (6,)
+            for k in range(6):
+                bk = b if b.ndim == 2 else b[k]
+                assert abs(dist[k] - trace_distance(a[k], bk)) < 1e-14
+                assert abs(close[k] - closeness(a[k], bk)) < 1e-14
+        # any number of leading axes
+        grid = trace_distance(a.reshape(2, 3, 16, 8), mixed.reshape(2, 3, 16, 3))
+        assert np.abs(grid.reshape(-1) - trace_distance(a, mixed)).max() < 1e-14
+        assert trace_distance(a[:2], a[:2]).tolist() == [0.0, 0.0]
+
+    def test_stacked_validation_is_the_scalar_validation(self):
+        rng = np.random.default_rng(71)
+        rhos = np.stack([random_density(4, rng) for _ in range(5)])
+        vals = validate_density_matrix(rhos)
+        assert vals.shape == (5, 4)
+        for k in range(5):
+            assert np.abs(vals[k] - validate_density_matrix(rhos[k])).max() < 1e-14
+
+    def test_one_bad_member_rejects_the_stack(self):
+        rng = np.random.default_rng(72)
+        a = random_factors(rng, 5, (8, 4))
+        g = random_pure(8, rng)[:, None]
+        closeness(a, g)
+        non_unit = a.copy()
+        non_unit[3] *= 1.1                                   # trace 1.21
+        with pytest.raises(ContractViolationError, match="trace"):
+            closeness(non_unit, g)
+        with pytest.raises(ContractViolationError, match="trace"):
+            trace_distance(g, non_unit)
+        grams = a.conj().swapaxes(-1, -2) @ a
+        validate_density_matrix(grams)
+        non_psd = grams.copy()
+        non_psd[2] = np.diag([1.5, -0.5, 0.0, 0.0])          # trace 1
+        with pytest.raises(ContractViolationError, match="eigenvalue"):
+            validate_density_matrix(non_psd)
+        non_hermitian = grams.copy()
+        non_hermitian[4, 0, 1] += 0.3
+        with pytest.raises(ContractViolationError, match="Hermitian"):
+            validate_density_matrix(non_hermitian)

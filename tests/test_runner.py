@@ -9,7 +9,6 @@ import pytest
 from iqwalk import (
     CoinParams,
     GraphTopology,
-    MetricSeries,
     SweepSpec,
     WalkConfig,
     default_angle_grid,
@@ -148,41 +147,73 @@ class TestSweep:
         assert serial == parallel
 
     @staticmethod
-    def _fake_series(monkeypatch, table):
-        """Serve made-up closeness series per coin (zeros for other coins)."""
-        def fake(config, metric):
-            values = table.get(config.coin.astuple(), (0.0,) * (config.steps + 1))
-            return MetricSeries(metric, tuple(range(len(values))), values, {})
+    def _tie_rule(spec, table):
+        """The sweep's choice over made-up closeness series per coin (zeros
+        for other coins)."""
+        coins = spec.coins()
+        values = [table.get(coin.astuple(), (0.0,) * (spec.steps + 1)) for coin in coins]
+        return runner._best_of(coins, np.array(values), keep_table=False)
 
-        monkeypatch.setattr(runner, "run_metric_series", fake)
-
-    def test_ties_across_t_end_the_first_run(self, monkeypatch):
+    def test_ties_across_t_end_the_first_run(self):
         eps = 1e-13
-        self._fake_series(monkeypatch, {
+        table = {
             (0.9, 0.0, 0.4): (0.1, 0.5 - eps, 0.5 + eps, 0.5, 0.2, 0.5 + 2 * eps),
             (1.2, 0.0, 0.4): (0.1, 0.3, 0.3 + 1e-11, 0.3, 0.2, 0.1),
-        })
+        }
         spec = SweepSpec(CYCLE4, "graph", thetas=(0.9,), phi2s=(0.4,), steps=5)
-        result = run_sweep(spec)
+        result = self._tie_rule(spec, table)
         assert (result.best_t, result.best_value) == (3, 0.5)
         # 1e-11 is above the tie tolerance: a strict maximum
         spec = SweepSpec(CYCLE4, "graph", thetas=(1.2,), phi2s=(0.4,), steps=5)
-        assert run_sweep(spec).best_t == 2
+        assert self._tie_rule(spec, table).best_t == 2
 
-    def test_ties_across_coins_take_earliest_t_then_smallest_coin(self, monkeypatch):
+    def test_ties_across_coins_take_earliest_t_then_smallest_coin(self):
         eps = 1e-13
-        self._fake_series(monkeypatch, {
+        table = {
             (0.3, 0.0, 0.9): (0.1, 0.2, 0.7 + eps),      # the maximum, t = 2
             (0.6, 0.0, 0.2): (0.1, 0.7, 0.2),            # tied, t = 1
             (0.6, 0.0, 0.1): (0.1, 0.7 - eps, 0.2),      # tied, t = 1, smaller coin
             (0.2, 0.0, 0.5): (0.7 - 1e-11, 0.1, 0.1),    # t = 0, not tied
-        })
+        }
         # grid order differs from lexicographic order on phi2
         for phi2s in ((0.9, 0.2, 0.1, 0.5), (0.5, 0.1, 0.2, 0.9)):
             spec = SweepSpec(CYCLE4, "graph", thetas=(0.6, 0.3, 0.2), phi2s=phi2s, steps=2)
-            result = run_sweep(spec)
+            result = self._tie_rule(spec, table)
             assert result.best_coin == CoinParams(0.6, 0.0, 0.1)
             assert (result.best_t, result.best_value) == (1, 0.7 - eps)
+
+    @pytest.mark.parametrize("target", ["ghz", "w", "graph"])
+    @pytest.mark.parametrize("topology", [CYCLE4, PATH4], ids=["cycle", "path"])
+    def test_blocks_match_per_coin_series(self, topology, target):
+        # 40 coins: one full block and an uneven last one
+        spec = SweepSpec(topology, target, thetas=tuple(k * math.pi / 5 for k in range(5)),
+                         phi2s=tuple(k * math.pi / 7 for k in range(8)), steps=12)
+        result = run_sweep(spec, keep_table=True)
+        assert len(result.table) == 40
+        for coin, (theta, phi1, phi2, t, value) in zip(spec.coins(), result.table):
+            assert (theta, phi1, phi2) == coin.astuple()
+            values = run_metric_series(WalkConfig(topology, coin, spec.steps),
+                                       f"closeness({target})").values
+            tied = np.asarray(values) >= max(values) - runner.TIE_ATOL
+            want_t = int(np.argmax(tied))
+            while want_t + 1 < len(values) and tied[want_t + 1]:
+                want_t += 1
+            assert t == want_t
+            assert abs(value - values[want_t]) < 1e-12
+        assert run_sweep(spec, jobs=2, keep_table=True) == result
+
+    def test_non_finite_closeness_raises(self, monkeypatch):
+        scalar_closeness = runner.closeness
+
+        def poisoned(a, b):
+            values = scalar_closeness(a, b)
+            values[-1] = np.nan
+            return values
+
+        monkeypatch.setattr(runner, "closeness", poisoned)
+        spec = SweepSpec(CYCLE4, "graph", thetas=(0.9, 1.2), phi2s=(0.4,), steps=2)
+        with pytest.raises(ValueError, match="finite"):
+            run_sweep(spec)
 
     def test_default_grid(self):
         assert len(default_angle_grid()) == 21

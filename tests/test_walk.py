@@ -15,7 +15,7 @@ from iqwalk import (
     standard_initial_state,
     walk_shape,
 )
-from iqwalk.walk import MAX_SITES, interaction_diagonal
+from iqwalk.walk import MAX_SITES, _apply_step, _shift_rows, interaction_diagonal
 
 
 def random_coins(count, seed=2024):
@@ -166,6 +166,36 @@ class TestStep:
                 + c[1, 0] * reduce(np.kron, [e[1], [0, 1], plus, minus, plus, plus]))
         got = evolve(WalkConfig(top, coin, 1)).amplitudes
         assert np.abs(got - want).max() < 1e-12
+
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
+    def test_shift_gather_is_the_matmul_bitwise(self, kind, n):
+        top = GraphTopology(kind, n)
+        shift, rows = build_shift(top), _shift_rows(top)
+        coin = build_coin(STANDARD_COINS[2])
+        diag = interaction_diagonal(top)
+        tensor = standard_initial_state(top).amplitudes.reshape(n, 2, -1)
+        for _ in range(24):
+            mixed = np.einsum("cd,pdg->pcg", coin, tensor).reshape(2 * n, -1)
+            want = ((shift @ mixed).reshape(-1) * diag).reshape(n, 2, -1)
+            tensor = _apply_step(tensor, coin, rows, diag)
+            assert np.array_equal(tensor, want)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_batched_step_is_separate_steps(self, kind):
+        top = GraphTopology(kind, 5)
+        rows, diag = _shift_rows(top), interaction_diagonal(top)
+        coins = np.stack([build_coin(c) for c in random_coins(6)]).reshape(2, 3, 2, 2)
+        rng = np.random.default_rng(5)
+        batch = rng.normal(size=(2, 3, 5, 2, 32)) + 1j * rng.normal(size=(2, 3, 5, 2, 32))
+        singles = [[batch[i, j] for j in range(3)] for i in range(2)]
+        for _ in range(10):
+            batch = _apply_step(batch, coins, rows, diag)
+            for i in range(2):
+                for j in range(3):
+                    singles[i][j] = _apply_step(singles[i][j], coins[i, j], rows, diag)
+                    assert np.array_equal(batch[i, j], singles[i][j])
 
 
 class TestEvolve:
