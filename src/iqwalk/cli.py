@@ -32,6 +32,9 @@ from .runner import (
 )
 from .walk import CoinParams, GraphTopology, WalkConfig, evolve
 
+_FORMATS = ("csv", "json")
+_INT_KEYS = ("sites", "steps", "jobs")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; this CLI reserves 2 for
@@ -59,7 +62,7 @@ def _build_parser() -> _Parser:
     def add_output_flags(p):
         p.add_argument("--out", default=None, metavar="PATH",
                        help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
+        p.add_argument("--format", choices=_FORMATS, default=None,
                        help="output format (default csv)")
 
     p = sub.add_parser("evolve", help="run a walk and emit the final state vector")
@@ -114,6 +117,17 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"cannot read config {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config {path} must hold a JSON object")
+    # Values for the typed flags pass those flags' checks: int() of the text
+    # (so 2.7 and true fail, as --steps 2.7 does) and the --format choices.
+    for key in _INT_KEYS:
+        if key in data:
+            try:
+                data[key] = int(str(data[key]))
+            except ValueError:
+                raise ValueError(f"config {key} must be an integer, "
+                                 f"got {data[key]!r}") from None
+    if "format" in data and data["format"] not in _FORMATS:
+        raise ValueError(f"config format must be one of {_FORMATS}, got {data['format']!r}")
     return data
 
 
@@ -126,8 +140,8 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
 
 def _walk_config(args, config) -> WalkConfig:
     graph = _resolve(args, config, "graph", "cycle")
-    sites = int(_resolve(args, config, "sites", 4))
-    steps = int(_resolve(args, config, "steps", 100))
+    sites = _resolve(args, config, "sites", 4)
+    steps = _resolve(args, config, "steps", 100)
     coin_text = _resolve(args, config, "coin")
     if coin_text is None:
         raise ValueError("a coin is required: --coin THETA,PHI1,PHI2")
@@ -203,10 +217,10 @@ def _grid(args, config, key: str) -> tuple[float, ...]:
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     graph = _resolve(args, config, "graph", "cycle")
-    sites = int(_resolve(args, config, "sites", 4))
-    steps = int(_resolve(args, config, "steps", 100))
+    sites = _resolve(args, config, "sites", 4)
+    steps = _resolve(args, config, "steps", 100)
     target = _resolve(args, config, "target", "graph")
-    jobs = int(_resolve(args, config, "jobs", 1))
+    jobs = _resolve(args, config, "jobs", 1)
     keep_table = bool(args.table or config.get("table", False))
     fmt = _resolve(args, config, "format", "json")
 
@@ -229,8 +243,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_figure(args) -> int:
     config = _load_config(args.config)
-    steps = int(_resolve(args, config, "steps", 100))
-    jobs = int(_resolve(args, config, "jobs", 1))
+    steps = _resolve(args, config, "steps", 100)
+    jobs = _resolve(args, config, "jobs", 1)
     out = _resolve(args, config, "out", ".")
     written = reproduce_figure(args.fig_id, out, steps=steps, jobs=jobs)
     for path in written:

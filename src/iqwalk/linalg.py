@@ -73,40 +73,6 @@ def _normalize_subset(subset: Iterable[int], num_subsystems: int, name: str) -> 
     return tuple(idx)
 
 
-def partial_trace(rho: np.ndarray,
-                  shape: SubsystemShape | Sequence[int],
-                  keep: Iterable[int]) -> np.ndarray:
-    """Trace out every subsystem not listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : square matrix on the full space described by ``shape``.
-    shape : subsystem dimensions of the full space.
-    keep : indices of the subsystems the reduced matrix lives on.  Their
-        relative order is preserved in the output.
-
-    Returns
-    -------
-    The reduced matrix of dimension ``prod(dims[k] for k in keep)``.
-    The trace is preserved.
-    """
-    shape = as_shape(shape)
-    rho = np.asarray(rho)
-    shape.check_matrix(rho)
-    k = len(shape)
-    keep_idx = _normalize_subset(keep, k, "keep")
-
-    tensor = rho.reshape(shape.dims + shape.dims)
-    row = list(range(k))
-    # Traced subsystems reuse the row label on the column axis; kept ones
-    # get a fresh label so they survive the contraction.
-    col = [k + i if i in keep_idx else i for i in range(k)]
-    out = [i for i in keep_idx] + [k + i for i in keep_idx]
-    reduced = np.einsum(tensor, row + col, out)
-    d = int(np.prod([shape.dims[i] for i in keep_idx]))
-    return reduced.reshape(d, d)
-
-
 def partial_transpose(rho: np.ndarray,
                       shape: SubsystemShape | Sequence[int],
                       part: Iterable[int]) -> np.ndarray:
@@ -158,9 +124,9 @@ def reduced_density(amplitudes: np.ndarray,
     """Reduced density matrix of a pure state without forming the full
     projector.
 
-    Equivalent to ``partial_trace(outer(psi, psi.conj()), shape, keep)`` but
-    works directly on the amplitude vector, which is what keeps larger site
-    counts tractable.
+    Equivalent to tracing the subsystems outside ``keep`` out of
+    ``outer(psi, psi.conj())``, but works directly on the amplitude vector,
+    which is what keeps larger site counts tractable.
     """
     f = reduction_factor(amplitudes, shape, keep)
     return f @ f.conj().T

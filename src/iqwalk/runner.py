@@ -31,12 +31,9 @@ from .walk import (
     GraphTopology,
     PureState,
     WalkConfig,
-    _apply_step,
-    _shift_rows,
+    _walk_tensors,
     build_coin,
-    evolve,
-    interaction_diagonal,
-    standard_initial_state,
+    trajectory,
 )
 
 # The four coin parameter sets used by every time-series figure dataset
@@ -217,10 +214,10 @@ def _parse_metric(metric: str, topology: GraphTopology) \
 
 
 def run_metric_series(config: WalkConfig, metric: str) -> MetricSeries:
-    """Evaluate one metric at every step of the configured walk."""
+    """Evaluate one metric at every step of the configured walk, each state
+    as the walk produces it."""
     name, evaluate, extras = _parse_metric(metric, config.topology)
-    trajectory = evolve(config, trajectory=True)
-    values = tuple(float(evaluate(s)) for s in trajectory)
+    values = tuple(float(evaluate(s)) for s in trajectory(config))
     provenance = {
         "metric": name,
         "graph": config.topology.kind,
@@ -287,20 +284,13 @@ def _block_closeness(task: tuple[GraphTopology, str, int, list[CoinParams]]) -> 
     step scores all K register states with one stacked :func:`closeness`;
     only the current step's states are held."""
     topology, target, steps, coins = task
-    n = topology.n
-    shift_rows = _shift_rows(topology)
-    diag = interaction_diagonal(topology)
     coin_mats = np.stack([build_coin(coin) for coin in coins])
     # The target is pure: its factor is its (norm-checked) amplitude column.
     target_factor = _reference_state(target, topology).amplitudes[:, None]
-    initial = standard_initial_state(topology).amplitudes.reshape(n, 2, -1)
-    tensor = np.broadcast_to(initial, (len(coins),) + initial.shape)
     values = np.empty((len(coins), steps + 1))
-    for t in range(steps + 1):
-        if t:
-            tensor = _apply_step(tensor, coin_mats, shift_rows, diag)
+    for t, tensor in enumerate(_walk_tensors(topology, coin_mats, steps)):
         # Each member's register factor, as unconditioned_vertex_state gives it.
-        register = tensor.reshape(len(coins), 2 * n, -1).swapaxes(1, 2)
+        register = tensor.reshape(len(coins), 2 * topology.n, -1).swapaxes(1, 2)
         values[:, t] = closeness(register, target_factor)
     return values
 

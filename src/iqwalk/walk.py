@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .linalg import SubsystemShape, reduced_density
 
 # Ceiling on the site count for dense simulation; at n = 12 one walk state
-# holds 98304 amplitudes and a T = 100 trajectory 150 MiB.
+# holds 98304 amplitudes (1.5 MiB).  A walk holds one state at a time, a
+# sweep one block of states.
 MAX_SITES = 12
 
 GRAPH_KINDS = ("path", "cycle")
@@ -198,30 +200,45 @@ def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray
     return t.reshape(*batch, n, 2, g_dim)
 
 
-def evolve(config: WalkConfig, *, trajectory: bool = False) -> PureState | list[PureState]:
-    """Run the walk for ``config.steps`` steps.
+def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
+                  initial: PureState | None = None) -> Iterator[np.ndarray]:
+    """Yield the state tensor of shape (..., n, 2, 2**n) at t = 0..steps.
 
-    Applies the step operator to the state vector factor by factor (coin,
-    shift, CZ) rather than ever forming its ``t``-th power.  Returns the
-    final state, or the whole trajectory ``[psi(0), ..., psi(T)]`` when
-    ``trajectory=True``.
+    Leading axes batch walks, one per coin of the (..., 2, 2) stack
+    ``coin_mats``, all started from ``initial`` (``None`` selects
+    |0>_P |0>_C |+>^n).  Each step is a fresh array, so a yielded tensor
+    stays valid after the next one is produced.
+    """
+    shift_rows = _shift_rows(topology)
+    diag = interaction_diagonal(topology)
+    state = initial if initial is not None else standard_initial_state(topology)
+    start = state.amplitudes.reshape(topology.n, 2, -1)
+    tensor = np.broadcast_to(start, coin_mats.shape[:-2] + start.shape)
+    yield tensor
+    for _ in range(steps):
+        tensor = _apply_step(tensor, coin_mats, shift_rows, diag)
+        yield tensor
+
+
+def trajectory(config: WalkConfig) -> Iterator[PureState]:
+    """Lazily yield the states psi(0), ..., psi(T) of the configured walk.
+
+    Only the current state is held; a caller that needs the whole
+    trajectory keeps it, e.g. with ``list(trajectory(config))``.
     """
     shape = walk_shape(config.topology)
-    state = config.initial if config.initial is not None \
-        else standard_initial_state(config.topology)
+    for tensor in _walk_tensors(config.topology, build_coin(config.coin),
+                                config.steps, config.initial):
+        yield PureState(tensor.reshape(-1), shape)
 
-    coin_mat = build_coin(config.coin)
-    shift_rows = _shift_rows(config.topology)
-    diag = interaction_diagonal(config.topology)
 
-    tensor = state.amplitudes.reshape(config.topology.n, 2, -1).copy()
-    states = [state]
-    for _ in range(config.steps):
-        tensor = _apply_step(tensor, coin_mat, shift_rows, diag)
-        if trajectory:
-            states.append(PureState(tensor.reshape(-1).copy(), shape))
-    if trajectory:
-        return states
-    if config.steps == 0:
-        return state
-    return PureState(tensor.reshape(-1), shape)
+def evolve(config: WalkConfig) -> PureState:
+    """Run the walk for ``config.steps`` steps and return the final state.
+
+    Applies the step operator to the state vector factor by factor (coin,
+    shift, CZ) rather than ever forming its ``t``-th power.
+    """
+    for tensor in _walk_tensors(config.topology, build_coin(config.coin),
+                                config.steps, config.initial):
+        pass
+    return PureState(tensor.reshape(-1), walk_shape(config.topology))

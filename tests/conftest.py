@@ -4,11 +4,14 @@ import pytest
 from iqwalk import build_coin
 from iqwalk.walk import _apply_step, _shift_rows, interaction_diagonal
 
+# Basis columns pushed through the kernel per batched call.
+_COLUMN_BLOCK = 256
+
 
 @pytest.fixture
 def dense_step():
     """Materialize the one-step propagator from the matrix-free kernel that
-    ``evolve`` runs, one basis column at a time."""
+    ``evolve`` runs: each block of identity columns is one batched step."""
 
     def build(config):
         top = config.topology
@@ -16,10 +19,12 @@ def dense_step():
         diag = interaction_diagonal(top)
         dim = top.n * 2 * 2 ** top.n
         u = np.empty((dim, dim), dtype=complex)
-        for j in range(dim):
-            column = np.zeros((top.n, 2, 2 ** top.n), dtype=complex)
-            column.flat[j] = 1.0
-            u[:, j] = _apply_step(column, coin, shift_rows, diag).reshape(-1)
+        for start in range(0, dim, _COLUMN_BLOCK):
+            stop = min(start + _COLUMN_BLOCK, dim)
+            basis = np.zeros((stop - start, dim), dtype=complex)
+            basis[:, start:stop] = np.eye(stop - start)
+            out = _apply_step(basis.reshape(-1, top.n, 2, 2 ** top.n), coin, shift_rows, diag)
+            u[:, start:stop] = out.reshape(-1, dim).T
         return u
 
     return build

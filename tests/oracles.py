@@ -1,9 +1,11 @@
 """Independent brute-force reference implementations used to pin the
 library's linear algebra and entanglement measures.
 
-Everything here is deliberately written the slow, obvious way (explicit
-index loops, non-Hermitian eigensolves) and shares no code with the
-package internals it checks.
+Everything here shares no code with the package internals it checks, and
+is written the slow, obvious way (explicit index loops, non-Hermitian
+eigensolves), except :func:`partial_trace`: the one-contraction partial
+trace that tests use to build dense references, itself pinned against
+:func:`partial_trace_loops`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,27 @@ def partial_trace_loops(rho: np.ndarray, dims, keep) -> np.ndarray:
                 acc += rho[flat(row), flat(col)]
             out[a, b] = acc
     return out
+
+
+def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out every subsystem not listed in ``keep`` with one einsum
+    contraction; the kept subsystems keep their relative order."""
+    dims = tuple(int(d) for d in dims)
+    keep = sorted({int(i) for i in keep})
+    k = len(dims)
+    total = int(np.prod(dims))
+    if np.shape(rho) != (total, total):
+        raise ValueError(f"matrix of shape {np.shape(rho)} does not match dims {dims}")
+    if not keep or keep[0] < 0 or keep[-1] >= k:
+        raise ValueError(f"keep {keep} must select some of the {k} subsystems")
+
+    tensor = np.asarray(rho).reshape(dims + dims)
+    row = list(range(k))
+    # Traced subsystems reuse the row label on the column axis; kept ones
+    # get a fresh label so they survive the contraction.
+    col = [k + i if i in keep else i for i in range(k)]
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    return np.einsum(tensor, row + col, keep + [k + i for i in keep]).reshape(d_keep, d_keep)
 
 
 def sigma_y_all(num_qubits: int) -> np.ndarray:

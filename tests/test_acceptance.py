@@ -24,18 +24,19 @@ from iqwalk import (
     evolve,
     graph_state,
     n_concurrence,
-    partial_trace,
     postselect_coin,
     reference_density,
     run_sweep,
     stabilizer_expectations,
     trace_distance,
+    trajectory,
     unconditioned_vertex_state,
     von_neumann_entropy,
 )
 from iqwalk.walk import interaction_diagonal
 from oracles import (
     concurrence_direct,
+    partial_trace,
     partial_trace_loops,
     random_density,
     wootters_concurrence,
@@ -55,7 +56,7 @@ def _report(num, name, ok, detail=""):
 
 
 def _trajectory(topology, coin, steps=100):
-    return evolve(WalkConfig(topology, coin, steps), trajectory=True)
+    return list(trajectory(WalkConfig(topology, coin, steps)))
 
 
 def test_criterion_1_perfect_cluster_state():
@@ -105,13 +106,13 @@ def test_criterion_3_postselection_gain_on_path():
     ok = True
     details = []
     for coin in STANDARD_COINS:
-        trajectory = _trajectory(PATH4, coin)
+        states = _trajectory(PATH4, coin)
         unconditioned = max(n_concurrence(unconditioned_vertex_state(s), 4)
-                            for s in trajectory)
+                            for s in states)
         best = {}
         for mu in (0.0, math.pi / 2):
             values = []
-            for state in trajectory:
+            for state in states:
                 try:
                     factor, _ = postselect_coin(state, CoinProjection(mu, 0.0))
                     values.append(n_concurrence(factor, 4))
@@ -217,6 +218,22 @@ def _random_coins(count, seed=777):
                                         rng.uniform(0, 2 * math.pi, count))]
 
 
+def _two_sparse_unitarity_defect(u):
+    """max |U^dag U - 1| for a U with at most two nonzeros per row and
+    column, summed from each row's pair of entries (no dense product)."""
+    nonzero = u != 0
+    assert nonzero.sum(axis=0).max() <= 2 and nonzero.sum(axis=1).max() <= 2
+    rows, cols = np.nonzero(nonzero)         # row-major: a row's entries adjacent
+    vals = u[rows, cols]
+    gram_diag = np.bincount(cols, weights=np.abs(vals) ** 2, minlength=u.shape[1])
+    # Each row holding two entries (a < b) adds conj(U_ra) U_rb to G[a, b].
+    pair = rows[:-1] == rows[1:]
+    keys, slot = np.unique(cols[:-1][pair] * u.shape[1] + cols[1:][pair], return_inverse=True)
+    gram_off = np.zeros(len(keys), dtype=complex)
+    np.add.at(gram_off, slot, vals[:-1][pair].conj() * vals[1:][pair])
+    return max(np.abs(gram_diag - 1).max(), np.abs(gram_off).max(initial=0.0))
+
+
 def test_criterion_7_structural_invariants(dense_step):
     """Unitarity of coin, shift, interaction and the full step to 1e-12 for
     n = 2..8 on both graphs with 50 random coins; norm drift <= 1e-10 over
@@ -224,11 +241,13 @@ def test_criterion_7_structural_invariants(dense_step):
 
     The full step is the matrix materialized from the kernel ``evolve``
     runs; the interaction is diagonal, so |diag| = 1 is its unitarity.
+    The step has at most two nonzeros in every row and column (asserted),
+    so U^dag U is summed from each row's pair of entries.
 
-    The full-step check costs O(dim^3), so the 50 coins are spread over the
-    (n, graph) combinations deterministically: four coins each for n <= 6,
-    three for n = 7, two for n = 8 (50 total, every combination covered).
-    The coin matrix itself is checked for all 50 coins.
+    The 50 coins are spread over the (n, graph) combinations
+    deterministically: four coins each for n <= 6, three for n = 7, two
+    for n = 8 (50 total, every combination covered).  The coin matrix
+    itself is checked for all 50 coins.
     """
     coins = _random_coins(50)
     worst_coin = max(np.abs(build_coin(c).conj().T @ build_coin(c) - np.eye(2)).max()
@@ -248,8 +267,7 @@ def test_criterion_7_structural_invariants(dense_step):
             worst_inter = max(worst_inter, np.abs(np.abs(diag) - 1.0).max())
             for coin in itertools.islice(queue, per_n[n]):
                 u = dense_step(WalkConfig(topology, coin, 1))
-                worst_step = max(worst_step, np.abs(
-                    u.conj().T @ u - np.eye(u.shape[0])).max())
+                worst_step = max(worst_step, _two_sparse_unitarity_defect(u))
 
     worst_drift = 0.0
     for topology in (CYCLE4, PATH4):

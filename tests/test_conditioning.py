@@ -7,22 +7,21 @@ from iqwalk import (
     STANDARD_COINS,
     WalkConfig,
     ZeroProbabilityError,
-    evolve,
     n_concurrence,
-    partial_trace,
     postselect_coin,
     standard_initial_state,
+    trajectory,
     unconditioned_vertex_state,
     von_neumann_entropy,
 )
-from oracles import concurrence_direct
+from oracles import concurrence_direct, partial_trace
 
 CYCLE4 = GraphTopology("cycle", 4)
 PATH4 = GraphTopology("path", 4)
 
 
 def walk_states(topology, coin, steps):
-    return evolve(WalkConfig(topology, coin, steps), trajectory=True)
+    return list(trajectory(WalkConfig(topology, coin, steps)))
 
 
 def density(factor):
@@ -37,7 +36,7 @@ def project_then_trace(state, proj):
     full = np.outer(state.amplitudes, state.amplitudes.conj())
     projected = pi_c @ full @ pi_c
     p = np.trace(projected).real
-    return partial_trace(projected, state.shape, keep=range(2, 6)) / p, p
+    return partial_trace(projected, state.shape.dims, keep=range(2, 6)) / p, p
 
 
 class TestCoinProjection:
@@ -98,9 +97,9 @@ class TestPostselect:
 
     def test_factor_metrics_match_dense_conditional_state(self):
         proj = CoinProjection(0.4, 0.3)
-        trajectory = walk_states(PATH4, STANDARD_COINS[0], 53)
+        states = walk_states(PATH4, STANDARD_COINS[0], 53)
         for t in (7, 23, 25, 53):       # concurrence 0 at t = 7, 0.06 to 0.12 after
-            state = trajectory[t]
+            state = states[t]
             factor, _ = postselect_coin(state, proj)
             assert factor.shape == (16, 4)
             rho, _ = project_then_trace(state, proj)

@@ -9,13 +9,12 @@ from iqwalk import (
     density_factor,
     hermitian_eig,
     matrix_sqrt_psd,
-    partial_trace,
     partial_transpose,
     reduced_density,
     reduction_factor,
     schatten1_norm,
 )
-from oracles import partial_trace_loops, random_density, random_pure
+from oracles import partial_trace, partial_trace_loops, random_density, random_pure
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

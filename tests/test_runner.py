@@ -12,6 +12,7 @@ from iqwalk import (
     SweepSpec,
     WalkConfig,
     default_angle_grid,
+    evolve,
     graph_state,
     parse_angle,
     reproduce_figure,
@@ -107,6 +108,17 @@ class TestMetricSeries:
             hi = math.log2(24) if name == "entropy(G)" else 1.0
             assert all(0.0 <= v <= hi + 1e-12 for v in values[1:]), name
         assert series["entropy(G)"][2] > 0.1
+
+    @pytest.mark.parametrize("metric", ["entropy(G)", "logneg(PC)", "concurrence",
+                                        "closeness(graph)"])
+    def test_series_starts_from_config_initial(self, metric):
+        # A series started from psi(3) is the tail of the series from t = 0.
+        coin = CoinParams(0.7, 0.3, 1.1)
+        full = run_metric_series(WalkConfig(PATH4, coin, 8), metric)
+        start = evolve(WalkConfig(PATH4, coin, 3))
+        tail = run_metric_series(WalkConfig(PATH4, coin, 5, initial=start), metric)
+        assert tail.times == tuple(range(6))
+        assert tail.values == full.values[3:]
 
     def test_unknown_metric(self):
         cfg = WalkConfig(CYCLE4, CoinParams(0.7), 2)
@@ -415,6 +427,31 @@ class TestCli:
         rc = main(["metric", "--config", str(config), "--metric", "entropy(P)"])
         assert rc == 0
         assert "metric=entropy(P)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,values", [
+        ("metric", {"steps": 2.7, "sites": 4.9}),
+        ("metric", {"steps": True}),
+        ("metric", {"sites": "4.5"}),
+        ("metric", {"steps": None}),
+        ("metric", {"format": "xml"}),
+        ("evolve", {"format": "xml"}),
+        ("sweep", {"jobs": 1.5}),
+        ("figure", {"steps": 2.5}),
+    ])
+    def test_config_values_pass_the_flag_checks(self, command, values, tmp_path, capsys):
+        # Each value fails as its flag does (--steps 2.7, --format xml): exit 1
+        # and no output, rather than a truncated or defaulted run.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"coin": "pi/5,0,pi/5", "metric": "entropy(C)",
+                                      "steps": 2, "theta_grid": "0", "phi2_grid": "0",
+                                      **values}))
+        argv = [command, "--config", str(config)]
+        if command == "figure":
+            argv = ["figure", "fig7", "--config", str(config), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "iqwalk: error: config" in captured.err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["metric", "--coin", "pi/2,0,pi/2", "--steps", "2",

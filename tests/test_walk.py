@@ -1,3 +1,4 @@
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -13,8 +14,10 @@ from iqwalk import (
     build_shift,
     evolve,
     standard_initial_state,
+    trajectory,
     walk_shape,
 )
+import iqwalk.walk as walk_module
 from iqwalk.walk import MAX_SITES, _apply_step, _shift_rows, interaction_diagonal
 
 
@@ -134,6 +137,19 @@ class TestInteraction:
 
 
 class TestStep:
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_dense_step_is_the_column_loop(self, kind, dense_step):
+        # The fixture pushes blocks of basis columns (here 256, then 64)
+        # through one batched step; the reference pushes them one at a time.
+        top = GraphTopology(kind, 5)
+        cfg = WalkConfig(top, STANDARD_COINS[0], 1)
+        coin, rows, diag = build_coin(cfg.coin), _shift_rows(top), interaction_diagonal(top)
+        u = dense_step(cfg)
+        for j in range(u.shape[1]):
+            column = np.zeros((5, 2, 2 ** 5), dtype=complex)
+            column.flat[j] = 1.0
+            assert np.array_equal(u[:, j], _apply_step(column, coin, rows, diag).reshape(-1))
+
     @pytest.mark.parametrize("coin", STANDARD_COINS)
     def test_unitary(self, coin, dense_step):
         u = dense_step(WalkConfig(GraphTopology("cycle", 4), coin, 1))
@@ -219,21 +235,51 @@ class TestEvolve:
         walker = build_shift(top) @ np.kron(np.eye(3), build_coin(coin))
         u = interaction_diagonal(top)[:, None] * np.kron(walker, np.eye(2 ** 3))
         psi = standard_initial_state(top).amplitudes
-        for state in evolve(cfg, trajectory=True)[1:]:
+        for state in list(trajectory(cfg))[1:]:
             psi = u @ psi
             assert np.abs(state.amplitudes - psi).max() < 1e-10
 
     def test_trajectory_layout(self):
-        traj = evolve(WalkConfig(GraphTopology("cycle", 4), STANDARD_COINS[1], 7),
-                      trajectory=True)
+        traj = list(trajectory(WalkConfig(GraphTopology("cycle", 4), STANDARD_COINS[1], 7)))
         assert len(traj) == 8
         assert all(isinstance(s, PureState) for s in traj)
+
+    @pytest.mark.parametrize("steps", [0, 1, 9])
+    @pytest.mark.parametrize("start", ["standard", "explicit"])
+    def test_evolve_is_last_trajectory_state_bitwise(self, steps, start):
+        top = GraphTopology("path", 5)
+        initial = None
+        if start == "explicit":
+            initial = evolve(WalkConfig(top, STANDARD_COINS[3], 4))
+        cfg = WalkConfig(top, STANDARD_COINS[2], steps, initial=initial)
+        states = list(trajectory(cfg))
+        assert len(states) == steps + 1
+        first = initial if initial is not None else standard_initial_state(top)
+        assert np.array_equal(states[0].amplitudes, first.amplitudes)
+        assert np.array_equal(evolve(cfg).amplitudes, states[-1].amplitudes)
+
+    def test_trajectory_is_lazy(self, monkeypatch):
+        # A billion steps never finish if the states are made up front; the
+        # step counter stops such a walk at once instead.
+        cfg = WalkConfig(GraphTopology("cycle", 4), STANDARD_COINS[0], 10 ** 9)
+        want = evolve(WalkConfig(cfg.topology, cfg.coin, 2)).amplitudes
+        steps_taken = []
+
+        def counted_step(*args):
+            steps_taken.append(1)
+            assert len(steps_taken) <= 2, "trajectory stepped ahead of its consumer"
+            return _apply_step(*args)
+
+        monkeypatch.setattr(walk_module, "_apply_step", counted_step)
+        states = list(itertools.islice(trajectory(cfg), 3))
+        assert len(states) == 3 and len(steps_taken) == 2
+        assert np.array_equal(states[2].amplitudes, want)
 
     def test_identity_coin_keeps_register_plus(self):
         # On the cycle the coin never leaves |0>, so the CZ control stays
         # off; path boundaries would flip the coin instead.
         top = GraphTopology("cycle", 5)
-        for state in evolve(WalkConfig(top, CoinParams(0, 0, 0), 12), trajectory=True):
+        for state in trajectory(WalkConfig(top, CoinParams(0, 0, 0), 12)):
             rho = state.reduced(range(2, 7))
             plus = np.full(32, 2.0 ** -2.5)
             assert np.abs(rho - np.outer(plus, plus)).max() < 1e-12
