@@ -34,6 +34,8 @@ from .walk import CoinParams, GraphTopology, WalkConfig, evolve
 
 _FORMATS = ("csv", "json")
 _INT_KEYS = ("sites", "steps", "jobs")
+_STR_KEYS = ("graph", "coin", "metric", "postselect", "target", "out")
+_GRID_KEYS = ("theta_grid", "phi1_grid", "phi2_grid")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,7 +103,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("figure", help="write the data files behind one figure")
     p.add_argument("fig_id", choices=FIGURE_IDS, metavar="FIG",
                    help="one of " + ", ".join(FIGURE_IDS))
-    p.add_argument("--out", default=".", metavar="DIR", help="output directory")
+    p.add_argument("--out", default=None, metavar="DIR", help="output directory (default .)")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--config", default=None, metavar="FILE.json")
@@ -128,6 +130,16 @@ def _load_config(path: str | None) -> dict:
                                  f"got {data[key]!r}") from None
     if "format" in data and data["format"] not in _FORMATS:
         raise ValueError(f"config format must be one of {_FORMATS}, got {data['format']!r}")
+    # The other values must have their flag's JSON type, so that "false"
+    # is not a true --table and a number fails here, not after the walk.
+    if "table" in data and not isinstance(data["table"], bool):
+        raise ValueError(f"config table must be true or false, got {data['table']!r}")
+    for key in _STR_KEYS:
+        if key in data and not isinstance(data[key], str):
+            raise ValueError(f"config {key} must be a string, got {data[key]!r}")
+    for key in _GRID_KEYS:
+        if key in data and not isinstance(data[key], (str, list)):
+            raise ValueError(f"config {key} must be a string or a list, got {data[key]!r}")
     return data
 
 
@@ -221,7 +233,7 @@ def _cmd_sweep(args) -> int:
     steps = _resolve(args, config, "steps", 100)
     target = _resolve(args, config, "target", "graph")
     jobs = _resolve(args, config, "jobs", 1)
-    keep_table = bool(args.table or config.get("table", False))
+    keep_table = args.table or config.get("table", False)
     fmt = _resolve(args, config, "format", "json")
 
     spec = SweepSpec(GraphTopology(graph, sites), target,

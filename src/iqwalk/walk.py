@@ -162,20 +162,28 @@ def build_shift(topology: GraphTopology) -> np.ndarray:
     return s
 
 
-def interaction_diagonal(topology: GraphTopology) -> np.ndarray:
-    """Diagonal (+-1 entries) of the position-controlled CZ.
+def _cz_signs(topology: GraphTopology) -> np.ndarray:
+    """The position-controlled CZ as a (2n, 2 * 2**n) table of +-1 signs.
 
-    A basis state |i>_P |c>_C |b_0 ... b_{n-1}> picks up phase -1 exactly
-    when the coin is 1 and the vertex qubit at the walker's position is 1.
+    Row ``p*2 + c`` holds, for each register basis state g, the sign that
+    |p>_P |c>_C |g> picks up: -1 exactly when the coin is 1 and the vertex
+    qubit at the walker's position is 1.  Each sign appears twice, for the
+    real and the imaginary part, so that the table scales the ``float64``
+    view of a (..., 2n, 2**n) complex tensor in place.
     """
     n = topology.n
-    g_dim = 2 ** n
-    g = np.arange(g_dim)
-    diag = np.ones((n, 2, g_dim))
-    for i in range(n):
-        bit_i = (g >> (n - 1 - i)) & 1
-        diag[i, 1, :] = 1.0 - 2.0 * bit_i
-    return diag.reshape(-1).astype(complex)
+    # bits[p, g]: vertex qubit p of register state g (big-endian).
+    bits = (np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    signs = np.ones((n, 2, 2 ** n, 2))
+    signs[:, 1] -= 2 * bits[..., None]
+    return signs.reshape(2 * n, -1)
+
+
+def interaction_diagonal(topology: GraphTopology) -> np.ndarray:
+    """Diagonal (+-1 entries) of the position-controlled CZ, flattened in
+    the walk's (P, C, q_0, ..., q_{n-1}) order: the real-part columns of
+    :func:`_cz_signs`."""
+    return _cz_signs(topology)[:, 0::2].reshape(-1)
 
 
 def _shift_rows(topology: GraphTopology) -> np.ndarray:
@@ -185,18 +193,21 @@ def _shift_rows(topology: GraphTopology) -> np.ndarray:
 
 
 def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray,
-                diag: np.ndarray) -> np.ndarray:
+                cz_signs: np.ndarray) -> np.ndarray:
     """Apply the one-step propagator U = CZ . (S (x) 1_G) . (1_P (x) C (x) 1_G)
-    to the state tensor of shape (..., n, 2, 2**n), factor by factor.
+    to the state tensor of shape (..., n, 2, 2**n), factor by factor, into a
+    fresh array.
 
     Leading axes are a batch of walks, each with its own coin from the
-    matching (..., 2, 2) stack ``coin_mat``; the shift is the row gather
-    :func:`_shift_rows`.
+    matching (..., 2, 2) stack ``coin_mat``.  The coin is one batched
+    ``matmul`` over the sites, the shift is the row gather
+    :func:`_shift_rows`, and the CZ flips signs of the result's ``float64``
+    view in place with the table :func:`_cz_signs`.
     """
     *batch, n, _, g_dim = tensor.shape
-    t = np.einsum("...cd,...pdg->...pcg", coin_mat, tensor)
-    t = t.reshape(*batch, 2 * n, g_dim)[..., shift_rows, :]
-    t = t.reshape(*batch, -1) * diag
+    t = np.matmul(coin_mat[..., None, :, :], tensor)
+    t = np.take(t.reshape(*batch, 2 * n, g_dim), shift_rows, axis=-2)
+    t.view(np.float64)[...] *= cz_signs
     return t.reshape(*batch, n, 2, g_dim)
 
 
@@ -210,13 +221,13 @@ def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
     stays valid after the next one is produced.
     """
     shift_rows = _shift_rows(topology)
-    diag = interaction_diagonal(topology)
+    cz_signs = _cz_signs(topology)
     state = initial if initial is not None else standard_initial_state(topology)
     start = state.amplitudes.reshape(topology.n, 2, -1)
     tensor = np.broadcast_to(start, coin_mats.shape[:-2] + start.shape)
     yield tensor
     for _ in range(steps):
-        tensor = _apply_step(tensor, coin_mats, shift_rows, diag)
+        tensor = _apply_step(tensor, coin_mats, shift_rows, cz_signs)
         yield tensor
 
 

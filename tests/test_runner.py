@@ -453,6 +453,59 @@ class TestCli:
         assert captured.out == ""
         assert "iqwalk: error: config" in captured.err
 
+    @pytest.mark.parametrize("command,values", [
+        ("sweep", {"table": "false"}),
+        ("sweep", {"table": 0}),
+        ("metric", {"out": 5}),
+        ("metric", {"metric": 5}),
+        ("metric", {"coin": None}),
+        ("metric", {"graph": ["cycle"]}),
+        ("metric", {"postselect": 0.5}),
+        ("metric", {"target": True}),
+        ("evolve", {"out": ["a.csv"]}),
+        ("sweep", {"theta_grid": 0.5}),
+        ("sweep", {"phi2_grid": {"k": 1}}),
+        ("figure", {"out": 5}),
+    ])
+    def test_config_values_have_their_flag_types(self, command, values, tmp_path,
+                                                 monkeypatch, capsys):
+        # A value of the wrong JSON type exits 1 before any walk runs: no
+        # "false" that reads as a true --table, no traceback after the walk,
+        # and no file written.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"coin": "pi/5,0,pi/5", "metric": "entropy(C)",
+                                      "steps": 2, "theta_grid": "0", "phi2_grid": "0",
+                                      **values}))
+        argv = [command, "--config", str(config)]
+        if command == "figure":
+            argv = ["figure", "fig7", "--config", str(config)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "iqwalk: error: config" in captured.err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_config_grid_list_and_table_flag(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"theta_grid": [0, "pi/2"], "phi2_grid": "0",
+                                      "steps": 2, "table": True}))
+        assert main(["sweep", "--config", str(config)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["table"]) == 2
+
+    def test_figure_out_from_config(self, tmp_path, monkeypatch, capsys):
+        # The config's out is the default for --out, as for every flag;
+        # an explicit --out still wins.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"out": "data", "steps": 2}))
+        assert main(["figure", "fig7", "--config", str(config)]) == 0
+        assert (tmp_path / "data" / "fig7_manifest.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.json"]
+        assert main(["figure", "fig7", "--config", str(config), "--out", "flag"]) == 0
+        assert (tmp_path / "flag" / "fig7_manifest.json").exists()
+        capsys.readouterr()
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["metric", "--coin", "pi/2,0,pi/2", "--steps", "2",
                      "--metric", "nonsense"]) == 1

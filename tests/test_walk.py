@@ -18,7 +18,7 @@ from iqwalk import (
     walk_shape,
 )
 import iqwalk.walk as walk_module
-from iqwalk.walk import MAX_SITES, _apply_step, _shift_rows, interaction_diagonal
+from iqwalk.walk import MAX_SITES, _apply_step, _cz_signs, _shift_rows, interaction_diagonal
 
 
 def random_coins(count, seed=2024):
@@ -135,6 +135,17 @@ class TestInteraction:
         miss = basis_state(top, 2, 1, [0, 1, 0, 0]).amplitudes
         assert np.array_equal(diag * miss, miss)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_diagonal_is_the_sign_table(self, n):
+        # One CZ definition: the kernel's table holds each diagonal entry
+        # twice, for the real and the imaginary part.
+        for kind in ("path", "cycle"):
+            top = GraphTopology(kind, n)
+            signs = _cz_signs(top)
+            assert signs.shape == (2 * n, 2 * 2 ** n)
+            assert np.array_equal(signs[:, 1::2], signs[:, 0::2])
+            assert np.array_equal(interaction_diagonal(top), signs[:, 0::2].reshape(-1))
+
 
 class TestStep:
     @pytest.mark.parametrize("kind", ["path", "cycle"])
@@ -143,12 +154,12 @@ class TestStep:
         # through one batched step; the reference pushes them one at a time.
         top = GraphTopology(kind, 5)
         cfg = WalkConfig(top, STANDARD_COINS[0], 1)
-        coin, rows, diag = build_coin(cfg.coin), _shift_rows(top), interaction_diagonal(top)
+        coin, rows, signs = build_coin(cfg.coin), _shift_rows(top), _cz_signs(top)
         u = dense_step(cfg)
         for j in range(u.shape[1]):
             column = np.zeros((5, 2, 2 ** 5), dtype=complex)
             column.flat[j] = 1.0
-            assert np.array_equal(u[:, j], _apply_step(column, coin, rows, diag).reshape(-1))
+            assert np.array_equal(u[:, j], _apply_step(column, coin, rows, signs).reshape(-1))
 
     @pytest.mark.parametrize("coin", STANDARD_COINS)
     def test_unitary(self, coin, dense_step):
@@ -190,27 +201,49 @@ class TestStep:
         top = GraphTopology(kind, n)
         shift, rows = build_shift(top), _shift_rows(top)
         coin = build_coin(STANDARD_COINS[2])
-        diag = interaction_diagonal(top)
+        diag, signs = interaction_diagonal(top), _cz_signs(top)
         tensor = standard_initial_state(top).amplitudes.reshape(n, 2, -1)
         for _ in range(24):
-            mixed = np.einsum("cd,pdg->pcg", coin, tensor).reshape(2 * n, -1)
+            mixed = np.matmul(coin, tensor).reshape(2 * n, -1)
             want = ((shift @ mixed).reshape(-1) * diag).reshape(n, 2, -1)
-            tensor = _apply_step(tensor, coin, rows, diag)
+            tensor = _apply_step(tensor, coin, rows, signs)
             assert np.array_equal(tensor, want)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_kernel_matches_einsum_formulation(self, kind, batched):
+        # The kernel's matmul rounds differently from an einsum over the
+        # coin index; over 24 steps at n = 12 the two walks stay within
+        # 1e-14 of each other in every amplitude.
+        n = 12
+        top = GraphTopology(kind, n)
+        rows, diag, signs = _shift_rows(top), interaction_diagonal(top), _cz_signs(top)
+        coins = np.stack([build_coin(c) for c in STANDARD_COINS[:2]])
+        if not batched:
+            coins = coins[0]
+        start = standard_initial_state(top).amplitudes.reshape(n, 2, -1)
+        tensor = want = np.broadcast_to(start, coins.shape[:-2] + start.shape)
+        batch = coins.shape[:-2]
+        for _ in range(24):
+            mixed = np.einsum("...cd,...pdg->...pcg", coins, want)
+            want = mixed.reshape(*batch, 2 * n, -1)[..., rows, :].reshape(*batch, -1) * diag
+            want = want.reshape(*batch, n, 2, -1)
+            tensor = _apply_step(tensor, coins, rows, signs)
+            assert np.abs(tensor - want).max() <= 1e-14
 
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     def test_batched_step_is_separate_steps(self, kind):
         top = GraphTopology(kind, 5)
-        rows, diag = _shift_rows(top), interaction_diagonal(top)
+        rows, signs = _shift_rows(top), _cz_signs(top)
         coins = np.stack([build_coin(c) for c in random_coins(6)]).reshape(2, 3, 2, 2)
         rng = np.random.default_rng(5)
         batch = rng.normal(size=(2, 3, 5, 2, 32)) + 1j * rng.normal(size=(2, 3, 5, 2, 32))
         singles = [[batch[i, j] for j in range(3)] for i in range(2)]
         for _ in range(10):
-            batch = _apply_step(batch, coins, rows, diag)
+            batch = _apply_step(batch, coins, rows, signs)
             for i in range(2):
                 for j in range(3):
-                    singles[i][j] = _apply_step(singles[i][j], coins[i, j], rows, diag)
+                    singles[i][j] = _apply_step(singles[i][j], coins[i, j], rows, signs)
                     assert np.array_equal(batch[i, j], singles[i][j])
 
 
@@ -257,6 +290,22 @@ class TestEvolve:
         first = initial if initial is not None else standard_initial_state(top)
         assert np.array_equal(states[0].amplitudes, first.amplitudes)
         assert np.array_equal(evolve(cfg).amplitudes, states[-1].amplitudes)
+
+    def test_held_trajectory_states_stay_valid(self):
+        # Each step is a fresh array: after the walk has ended, every held
+        # state still equals a step-by-step recomputation from copies.
+        top = GraphTopology("cycle", 5)
+        cfg = WalkConfig(top, STANDARD_COINS[1], 12)
+        states = list(trajectory(cfg))
+        coin, rows, signs = build_coin(cfg.coin), _shift_rows(top), _cz_signs(top)
+        tensor = standard_initial_state(top).amplitudes.reshape(5, 2, -1)
+        want = [tensor.copy()]
+        for _ in range(cfg.steps):
+            tensor = _apply_step(tensor, coin, rows, signs)
+            want.append(tensor.copy())
+        assert len(states) == len(want)
+        for state, amplitudes in zip(states, want):
+            assert np.array_equal(state.amplitudes, amplitudes.reshape(-1))
 
     def test_trajectory_is_lazy(self, monkeypatch):
         # A billion steps never finish if the states are made up front; the
