@@ -139,16 +139,16 @@ def hermitian_eig(a: np.ndarray, *, vectors: bool = True,
     Returns ``(eigenvalues, eigenvectors)`` with the eigenvectors as
     columns, or only the eigenvalues when ``vectors=False``.  The input is
     symmetrized as ``(A + A^dag)/2`` before solving; inputs whose
-    anti-Hermitian part exceeds ``atol`` entrywise are rejected.  A
-    (..., d, d) stack is solved member by member in one call, and one
-    non-Hermitian member rejects the stack.
+    anti-Hermitian part exceeds ``atol`` entrywise, or is NaN, are
+    rejected.  A (..., d, d) stack is solved member by member in one call,
+    and one non-Hermitian member rejects the stack.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     a_dag = a.conj().swapaxes(-1, -2)
     defect = np.abs(a - a_dag).max() if a.size else 0.0
-    if defect > atol:
+    if not defect <= atol:
         raise ContractViolationError(
             f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {atol:.0e}")
     h = (a + a_dag) / 2

@@ -5,13 +5,19 @@ reduction (in bits), logarithmic negativity across a bipartition,
 n-partite concurrence of a qubit register, and trace distance with its
 complement ("closeness").
 
-Entropy, concurrence and trace distance take a factor ``B`` of the state,
-``rho = B @ B^dag``, not ``rho`` itself.  A pure walk state gives one
-directly (:func:`~iqwalk.linalg.reduction_factor`, the conditioning
-module), with as many columns as the traced-out space has dimensions: the
-vertex register of an n-site walk has a (2**n, 2n) factor, so every
-register metric is solved in dimension at most 2n + 1, never 2**n.  A
-caller holding a dense ``rho`` passes :func:`~iqwalk.linalg.density_factor`.
+Every metric takes a factor ``B`` of the state, ``rho = B @ B^dag``, not
+``rho`` itself.  A pure walk state gives one directly
+(:func:`~iqwalk.linalg.reduction_factor`, the conditioning module), with as
+many columns as the traced-out space has dimensions: the vertex register of
+an n-site walk has a (2**n, 2n) factor, so every register metric is solved
+in dimension at most 2n + 1, never 2**n.  A caller holding a dense ``rho``
+passes :func:`~iqwalk.linalg.density_factor`.
+
+Such a ``rho`` is Hermitian and positive semidefinite by construction, so
+the density contract of a factor is its trace ``||B||_F^2`` alone: finite
+and within ``DENSITY_ATOL`` of 1.  Each metric reads that trace off a matrix
+it forms anyway where it has one, and no eigensolve runs only to validate.
+:func:`validate_density_matrix` checks a dense ``rho`` in full.
 """
 
 from __future__ import annotations
@@ -32,6 +38,17 @@ from .linalg import (
 DENSITY_ATOL = 1e-10
 
 
+def _check_trace(tr: np.ndarray | float, atol: float = DENSITY_ATOL) -> None:
+    """Reject any trace in ``tr``, one per stack member, that is not within
+    ``atol`` of 1 (NaN and inf included).  For a factor ``B`` this is the
+    whole density contract: ``||B||_F^2`` is finite only if every entry is."""
+    tr = np.asarray(tr)
+    bad = ~(np.abs(tr - 1.0) <= atol)
+    if bad.any():
+        raise ContractViolationError(
+            f"density matrix trace is {tr[bad].flat[0]!r}, expected 1")
+
+
 def validate_density_matrix(rho: np.ndarray, *, atol: float = DENSITY_ATOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the eigenvalues
     (descending).  Raises :class:`ContractViolationError` on violation.
@@ -41,11 +58,7 @@ def validate_density_matrix(rho: np.ndarray, *, atol: float = DENSITY_ATOL) -> n
     """
     rho = np.asarray(rho)
     vals = hermitian_eig(rho, vectors=False, atol=atol)
-    tr = np.real(np.trace(rho, axis1=-2, axis2=-1))
-    bad_trace = np.abs(tr - 1.0) > atol
-    if bad_trace.any():
-        raise ContractViolationError(
-            f"density matrix trace is {tr[bad_trace].flat[0]!r}, expected 1")
+    _check_trace(np.real(np.trace(rho, axis1=-2, axis2=-1)), atol)
     low = vals.min(axis=-1)
     if (low < -atol).any():
         raise ContractViolationError(
@@ -53,41 +66,36 @@ def validate_density_matrix(rho: np.ndarray, *, atol: float = DENSITY_ATOL) -> n
     return vals
 
 
-def _factor_spectrum(factor: np.ndarray) -> np.ndarray:
-    """Eigenvalues (descending) of the smaller Gram matrix of ``B``,
-    ``B^dag B`` or ``B @ B^dag``, checked as a density matrix.
-
-    That Gram matrix has the same trace, Hermiticity and nonzero spectrum
-    as ``rho = B @ B^dag``, so the density-matrix contract and its
-    tolerance apply to ``rho`` unchanged.  A (..., D, k) stack of factors
-    gives a (..., min(D, k)) stack of spectra.
-    """
-    b = np.asarray(factor)
-    if b.ndim < 2:
-        raise ValueError(f"expected a factor matrix, got shape {b.shape}")
-    b_dag = b.conj().swapaxes(-1, -2)
-    gram = b_dag @ b if b.shape[-1] <= b.shape[-2] else b @ b_dag
-    return validate_density_matrix(gram)
-
-
 def von_neumann_entropy(factor: np.ndarray) -> float:
     """Entropy -Tr[rho log2 rho] in bits of ``rho = B @ B^dag``, with
-    0 log 0 = 0."""
-    vals = np.clip(_factor_spectrum(factor), 0.0, 1.0)
+    0 log 0 = 0, from the smaller Gram matrix (``B^dag B`` or ``B @ B^dag``):
+    it has the trace and the nonzero spectrum of ``rho``."""
+    b = np.asarray(factor)
+    if b.ndim != 2:
+        raise ValueError(f"expected a factor matrix, got shape {b.shape}")
+    b_dag = b.conj().T
+    gram = b_dag @ b if b.shape[1] <= b.shape[0] else b @ b_dag
+    _check_trace(np.real(np.trace(gram)))
+    vals = np.clip(hermitian_eig(gram, vectors=False), 0.0, 1.0)
     nz = vals[vals > 0.0]
     return float(max(0.0, -np.sum(nz * np.log2(nz))))
 
 
-def log_negativity(rho: np.ndarray,
+def log_negativity(factor: np.ndarray,
                    shape: SubsystemShape | Sequence[int],
                    transpose_part: Iterable[int]) -> float:
-    """log2 ||rho^PT||_1 = log2(1 + 2N) for the partial transpose over
-    ``transpose_part``, N being minus the sum of its negative eigenvalues.
+    """log2 ||rho^PT||_1 = log2(1 + 2N) of ``rho = B @ B^dag`` for the
+    partial transpose over ``transpose_part``, N being minus the sum of its
+    negative eigenvalues.  ``shape`` splits the rows of ``B``.
 
     Eigenvalues in ``[-PSD_CLIP, 0)`` are float noise and do not count, so
     every PPT (in particular product) state gives exactly 0.
     """
-    validate_density_matrix(rho)
+    b = np.asarray(factor)
+    if b.ndim != 2:
+        raise ValueError(f"expected a factor matrix, got shape {b.shape}")
+    rho = b @ b.conj().T
+    _check_trace(np.real(np.trace(rho)))
     pt = partial_transpose(rho, as_shape(shape), transpose_part)
     vals = hermitian_eig(pt, vectors=False)
     negativity = -vals[vals < -PSD_CLIP].sum()
@@ -124,7 +132,7 @@ def n_concurrence(factor: np.ndarray, num_qubits: int) -> float:
     if b.ndim != 2 or b.shape[0] != dim:
         raise ValueError(f"expected a factor with {dim} rows for {num_qubits} qubits, "
                          f"got shape {b.shape}")
-    _factor_spectrum(b)
+    _check_trace(np.sum(np.abs(b) ** 2))
     lam = np.linalg.svd(b.T @ _sigma_y_all(b, num_qubits), compute_uv=False)
     value = 2 * lam[0] - lam.sum()
     return float(min(1.0, max(0.0, value)))
@@ -146,8 +154,8 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-2] != b.shape[-2]:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    _factor_spectrum(a)
-    _factor_spectrum(b)
+    for factor in (a, b):
+        _check_trace(np.sum(np.abs(factor) ** 2, axis=(-2, -1)))
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     w = np.concatenate([np.broadcast_to(a, batch + a.shape[-2:]),
                         np.broadcast_to(b, batch + b.shape[-2:])], axis=-1)

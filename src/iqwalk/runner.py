@@ -174,7 +174,9 @@ def _parse_metric(metric: str, topology: GraphTopology) \
         if arg not in ("", "PC"):
             raise ValueError("only the walker-coin bipartition logneg(PC) is supported")
         return ("logneg(PC)",
-                lambda s: log_negativity(s.reduced((0, 1)), (n, 2), (1,)), {})
+                lambda s: log_negativity(reduction_factor(s.amplitudes, s.shape, (0, 1)),
+                                         (n, 2), (1,)),
+                {})
 
     if head == "concurrence":
         if arg:
@@ -401,11 +403,18 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _series_file(out_dir: Path, fig: str, graph: str, coin_index: int,
-                 suffix: str, config: WalkConfig, metric: str) -> Path:
-    series = run_metric_series(config, metric)
-    name = f"{fig}_{graph}_coin{coin_index}_{suffix}.csv"
-    return _write(out_dir / name, series_csv(series))
+# The time-series figures: graphs, coins, and the (file suffix, metric) of
+# each curve, one CSV per (graph, coin, curve).
+_SERIES_FIGURES = {
+    "fig2": (("cycle", "path"), STANDARD_COINS,
+             tuple((f"entropy_{x}", f"entropy({x})") for x in "GCP")),
+    "fig3": (("cycle", "path"), STANDARD_COINS, (("logneg_PC", "logneg(PC)"),)),
+    "fig4": (("path",), STANDARD_COINS, (("concurrence", "concurrence"),)),
+    "fig5": (("path",), STANDARD_COINS,
+             (("concurrence_mu0", "concurrence_postselected(0,0)"),
+              ("concurrence_muhalfpi", "concurrence_postselected(pi/2,0)"))),
+    "fig7": (("cycle",), BEST_CLUSTER_COINS, (("closeness_graph", "closeness(graph)"),)),
+}
 
 
 def reproduce_figure(fig_id: str, out_dir: str | Path, *,
@@ -425,40 +434,14 @@ def reproduce_figure(fig_id: str, out_dir: str | Path, *,
     _check_jobs(jobs)
     out = Path(out_dir)
     n = 4
-    cycle, path = GraphTopology("cycle", n), GraphTopology("path", n)
     files: list[Path] = []
     manifest: dict = {"figure": fig_id, "n": n, "steps": steps}
 
-    if fig_id == "fig2":
-        for topology in (cycle, path):
-            for i, coin in enumerate(STANDARD_COINS, start=1):
-                cfg = WalkConfig(topology, coin, steps)
-                for label in ("G", "C", "P"):
-                    files.append(_series_file(out, fig_id, topology.kind, i,
-                                              f"entropy_{label}", cfg, f"entropy({label})"))
-    elif fig_id == "fig3":
-        for topology in (cycle, path):
-            for i, coin in enumerate(STANDARD_COINS, start=1):
-                cfg = WalkConfig(topology, coin, steps)
-                files.append(_series_file(out, fig_id, topology.kind, i,
-                                          "logneg_PC", cfg, "logneg(PC)"))
-    elif fig_id == "fig4":
-        for i, coin in enumerate(STANDARD_COINS, start=1):
-            cfg = WalkConfig(path, coin, steps)
-            files.append(_series_file(out, fig_id, "path", i,
-                                      "concurrence", cfg, "concurrence"))
-    elif fig_id == "fig5":
-        for i, coin in enumerate(STANDARD_COINS, start=1):
-            cfg = WalkConfig(path, coin, steps)
-            for tag, mu in (("mu0", "0"), ("muhalfpi", "pi/2")):
-                files.append(_series_file(
-                    out, fig_id, "path", i, f"concurrence_{tag}",
-                    cfg, f"concurrence_postselected({mu},0)"))
-    elif fig_id == "fig6":
+    if fig_id == "fig6":
         rows = ["target,graph,delta_tilde,theta,phi1,phi2,t"]
         summary = []
         for target in ("ghz", "graph", "w"):
-            for topology in (cycle, path):
+            for topology in (GraphTopology("cycle", n), GraphTopology("path", n)):
                 spec = SweepSpec(topology, target, steps=steps)
                 res = run_sweep(spec, jobs=jobs)
                 rows.append(f"{target},{topology.kind},{_fmt(res.best_value)},"
@@ -468,11 +451,15 @@ def reproduce_figure(fig_id: str, out_dir: str | Path, *,
                                 "delta_tilde": float(_fmt(res.best_value))})
         files.append(_write(out / "fig6_sweep_summary.csv", "\n".join(rows) + "\n"))
         manifest["sweeps"] = summary
-    elif fig_id == "fig7":
-        for i, coin in enumerate(BEST_CLUSTER_COINS, start=1):
-            cfg = WalkConfig(cycle, coin, steps)
-            files.append(_series_file(out, fig_id, "cycle", i,
-                                      "closeness_graph", cfg, "closeness(graph)"))
+    else:
+        graphs, coins, curves = _SERIES_FIGURES[fig_id]
+        for kind in graphs:
+            for i, coin in enumerate(coins, start=1):
+                cfg = WalkConfig(GraphTopology(kind, n), coin, steps)
+                for suffix, metric in curves:
+                    series = run_metric_series(cfg, metric)
+                    files.append(_write(out / f"{fig_id}_{kind}_coin{i}_{suffix}.csv",
+                                        series_csv(series)))
 
     manifest["files"] = sorted(f.name for f in files)
     manifest_path = _write(out / f"{fig_id}_manifest.json",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import iqwalk.metrics
 from iqwalk import (
     ContractViolationError,
     closeness,
@@ -74,6 +75,12 @@ class TestEntropy:
             e = von_neumann_entropy(density_factor(random_density(dim, rng)))
             assert 0.0 <= e <= np.log2(dim) + 1e-12
 
+    def test_rejects_a_stack(self):
+        # one float cannot hold a stack's entropies
+        b = np.eye(2) / np.sqrt(2)
+        with pytest.raises(ValueError):
+            von_neumann_entropy(np.stack([b, b, b]))
+
     def test_schmidt_symmetry(self):
         # both reductions of a pure bipartite state have equal entropy
         from iqwalk import reduced_density
@@ -89,7 +96,7 @@ class TestLogNegativity:
     def test_product_states_are_zero(self):
         rng = np.random.default_rng(6)
         rho = np.kron(random_density(2, rng), random_density(3, rng))
-        assert log_negativity(rho, (2, 3), [1]) == 0.0
+        assert log_negativity(density_factor(rho), (2, 3), [1]) == 0.0
 
     def test_separable_mixtures_are_zero(self):
         rng = np.random.default_rng(7)
@@ -97,10 +104,10 @@ class TestLogNegativity:
         for _ in range(6):
             rho += np.kron(random_density(2, rng, rank=1), random_density(2, rng, rank=1))
         rho /= np.trace(rho).real
-        assert log_negativity(rho, (2, 2), [1]) == 0.0
+        assert log_negativity(density_factor(rho), (2, 2), [1]) == 0.0
 
     def test_bell_state_is_one(self):
-        assert abs(log_negativity(projector(ghz(2)), (2, 2), [1]) - 1.0) < 1e-12
+        assert abs(log_negativity(ghz(2).amplitudes[:, None], (2, 2), [1]) - 1.0) < 1e-12
 
     def test_ppt_float_noise_is_exactly_zero(self):
         # Rotated product states: their partial transposes carry rounding
@@ -109,13 +116,13 @@ class TestLogNegativity:
             rng = np.random.default_rng(seed)
             u = np.kron(random_unitary(2, rng), random_unitary(3, rng))
             rho = np.kron(random_density(2, rng, rank=1), random_density(3, rng, rank=1))
-            assert log_negativity(u @ rho @ u.conj().T, (2, 3), [1]) == 0.0
+            assert log_negativity(density_factor(u @ rho @ u.conj().T), (2, 3), [1]) == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             rho = random_density(8, rng)
-            assert log_negativity(rho, (2, 4), [0]) >= 0.0
+            assert log_negativity(density_factor(rho), (2, 4), [0]) >= 0.0
 
 
 class TestConcurrence:
@@ -305,3 +312,65 @@ class TestStacks:
         non_hermitian[4, 0, 1] += 0.3
         with pytest.raises(ContractViolationError, match="Hermitian"):
             validate_density_matrix(non_hermitian)
+
+
+def with_nan(a, index):
+    a = np.array(a, dtype=complex)
+    a[index] = np.nan
+    return a
+
+
+BELL = ghz(2).amplitudes[:, None]
+# Each call gets one NaN somewhere in its input; in a stack, one member only.
+NAN_CALLS = {
+    "entropy": lambda: von_neumann_entropy(with_nan(BELL, (3, 0))),
+    "logneg": lambda: log_negativity(with_nan(BELL, (3, 0)), (2, 2), [1]),
+    "concurrence": lambda: n_concurrence(with_nan(BELL, (3, 0)), 2),
+    "closeness": lambda: closeness(BELL, with_nan(BELL, (0, 0))),
+    "closeness_stack": lambda: closeness(with_nan(np.stack([BELL] * 4), (2, 3, 0)), BELL),
+    "validate": lambda: validate_density_matrix(np.full((2, 2), np.nan)),
+    "validate_stack": lambda: validate_density_matrix(
+        with_nan(np.stack([np.eye(2) / 2] * 4), (1, 0, 1))),
+    "density_factor": lambda: density_factor(
+        with_nan(with_nan(np.eye(2) / 2, (0, 1)), (1, 0))),
+}
+
+
+@pytest.mark.parametrize("call", NAN_CALLS.values(), ids=NAN_CALLS.keys())
+def test_nan_input_violates_the_contract(call):
+    with pytest.raises(ContractViolationError):
+        call()
+
+
+class TestSolveCounts:
+    """No eigensolve runs only to validate a factor: a Gram matrix is
+    Hermitian and PSD by construction, so its trace is the whole check."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+        solve = iqwalk.metrics.hermitian_eig
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(iqwalk.metrics, "hermitian_eig", counted)
+        return calls
+
+    def test_closeness_of_a_stack(self, eig_calls):
+        rng = np.random.default_rng(80)
+        closeness(random_factors(rng, 32, (16, 8)), random_pure(16, rng)[:, None])
+        assert len(eig_calls) == 1
+
+    def test_concurrence(self, eig_calls):
+        n_concurrence(random_factors(np.random.default_rng(81), 1, (16, 8))[0], 4)
+        assert len(eig_calls) == 0
+
+    def test_entropy(self, eig_calls):
+        von_neumann_entropy(random_factors(np.random.default_rng(82), 1, (16, 8))[0])
+        assert len(eig_calls) == 1
+
+    def test_logneg(self, eig_calls):
+        log_negativity(random_factors(np.random.default_rng(83), 1, (8, 16))[0], (2, 4), [1])
+        assert len(eig_calls) == 1
