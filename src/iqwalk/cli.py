@@ -140,6 +140,9 @@ def _load_config(path: str | None) -> dict:
     for key in _GRID_KEYS:
         if key in data and not isinstance(data[key], (str, list)):
             raise ValueError(f"config {key} must be a string or a list, got {data[key]!r}")
+        # An empty grid fails as --theta-grid "" does, not as the default grid.
+        if data.get(key) == []:
+            raise ValueError(f"config {key} must not be empty")
     return data
 
 

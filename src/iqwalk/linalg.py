@@ -185,10 +185,11 @@ def density_factor(rho: np.ndarray) -> np.ndarray:
     This is how a caller holding a dense density matrix reaches the metrics,
     which all take a factor.  ``rho`` must be Hermitian; eigenvalues in
     ``[-PSD_CLIP, 0)`` are clamped to zero as float noise and a more
-    negative one raises :class:`ContractViolationError`.
+    negative one raises :class:`ContractViolationError`.  A (..., d, d)
+    stack gives a (..., d, d) stack of factors.
     """
     vals, vecs = _psd_eig(rho, PSD_CLIP)
-    return vecs * np.sqrt(vals)
+    return vecs * np.sqrt(vals)[..., None, :]
 
 
 def schatten1_norm(a: np.ndarray) -> float:

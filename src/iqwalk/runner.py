@@ -10,6 +10,7 @@ reruns.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -17,13 +18,13 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .conditioning import CoinProjection, postselect_coin, unconditioned_vertex_state
 from .errors import ZeroProbabilityError
-from .linalg import reduction_factor
+from .linalg import SubsystemShape, density_factor, reduction_factor
 from .metrics import closeness, log_negativity, n_concurrence, von_neumann_entropy
 from .states import ghz, graph_state, w_state
 from .walk import (
@@ -122,8 +123,10 @@ class MetricSeries:
             raise ValueError("metric values must be finite")
 
 
-def _subsystem_indices(label: str, n: int) -> tuple[int, ...]:
-    groups = {"P": (0,), "C": (1,), "G": tuple(range(2, n + 2))}
+def _subsystem_indices(label: str) -> tuple[int, ...]:
+    """Subsystems of ``label`` in the compressed (P, C, ancilla) state of
+    :func:`_walker_states`, where the ancilla stands in for G."""
+    groups = {"P": (0,), "C": (1,), "G": (2,)}
     letters = list(label)
     if not letters or len(set(letters)) != len(letters) \
             or any(ch not in groups for ch in letters):
@@ -152,9 +155,60 @@ def reference_density(kind: str, topology: GraphTopology) -> np.ndarray:
     return np.outer(amps, amps.conj())
 
 
+@functools.lru_cache(maxsize=1)
+def _walker_factors(config: WalkConfig) -> np.ndarray:
+    """The read-only (T+1, 2n, 2n) stack of factors B_t with
+    B_t B_t^dag = rho_PC(t), the walker-coin reduction at each step.
+
+    The walk runs once; at each step rho_PC is the Gram matrix F F^dag of
+    the state as a (2n, 2**n) matrix F, and one stacked
+    :func:`density_factor` turns the Grams into factors.  Memoized for one
+    config at a time, so consecutive walker-side series on a config walk it
+    once.
+    """
+    rows = 2 * config.topology.n
+    grams = []
+    for state in trajectory(config):
+        f = state.amplitudes.reshape(rows, -1)
+        grams.append(f @ f.conj().T)
+    factors = density_factor(np.stack(grams))
+    factors.flags.writeable = False
+    return factors
+
+
+def _walker_states(config: WalkConfig) -> Iterator[PureState]:
+    """The walk compressed for the walker-side metrics: each B_t of
+    :func:`_walker_factors` read as a pure state of dims (n, 2, 2n).
+
+    It purifies rho_PC(t) with a 2n-dimensional ancilla in place of the
+    register G.  A pure state's reductions to complementary parts share
+    their nonzero spectrum, so every entropy and the walker-coin log
+    negativity of this state are those of the walk state.
+    """
+    n = config.topology.n
+    shape = SubsystemShape((n, 2, 2 * n))
+    for b in _walker_factors(config):
+        yield PureState(b.reshape(-1), shape)
+
+
+def _register_states(config: WalkConfig) -> Iterator[PureState]:
+    """The walk's full states, for the register metrics.
+
+    This walk clears the walker-side memo: only consecutive walker-side
+    series share it, so a series list run twice (perfbench repeats its
+    body, and traces it twice) does the same work each time.
+    """
+    _walker_factors.cache_clear()
+    return trajectory(config)
+
+
 def _parse_metric(metric: str, topology: GraphTopology) \
-        -> tuple[str, Callable[[PureState], float], dict]:
-    """Resolve a metric name to (canonical name, per-state evaluator, extras)."""
+        -> tuple[str, Callable[[WalkConfig], Iterable[PureState]],
+                 Callable[[PureState], float], dict]:
+    """Resolve a metric name to (canonical name, the states it reads,
+    per-state evaluator, extras).  The walker-side metrics, entropies and
+    logneg(PC), read :func:`_walker_states`; the register metrics read the
+    full states."""
     m = re.match(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$", metric)
     if not m:
         raise ValueError(f"cannot parse metric name {metric!r}")
@@ -164,16 +218,16 @@ def _parse_metric(metric: str, topology: GraphTopology) \
     if head == "entropy":
         if not arg:
             raise ValueError("entropy needs a subsystem label, e.g. entropy(G)")
-        keep = _subsystem_indices(arg, n)
+        keep = _subsystem_indices(arg)
         label = "".join(sorted(set(arg), key="PCG".index))
-        return (f"entropy({label})",
+        return (f"entropy({label})", _walker_states,
                 lambda s: von_neumann_entropy(reduction_factor(s.amplitudes, s.shape, keep)),
                 {})
 
     if head == "logneg":
         if arg not in ("", "PC"):
             raise ValueError("only the walker-coin bipartition logneg(PC) is supported")
-        return ("logneg(PC)",
+        return ("logneg(PC)", _walker_states,
                 lambda s: log_negativity(reduction_factor(s.amplitudes, s.shape, (0, 1)),
                                          (n, 2), (1,)),
                 {})
@@ -182,7 +236,7 @@ def _parse_metric(metric: str, topology: GraphTopology) \
         if arg:
             raise ValueError("concurrence takes no arguments; use "
                              "concurrence_postselected(mu,nu) for conditioning")
-        return ("concurrence",
+        return ("concurrence", _register_states,
                 lambda s: n_concurrence(unconditioned_vertex_state(s), n), {})
 
     if head == "concurrence_postselected":
@@ -200,7 +254,7 @@ def _parse_metric(metric: str, topology: GraphTopology) \
                 return 0.0
             return n_concurrence(factor, n)
 
-        return (f"concurrence_postselected({_fmt(mu)},{_fmt(nu)})",
+        return (f"concurrence_postselected({_fmt(mu)},{_fmt(nu)})", _register_states,
                 postselected, {"mu": mu, "nu": nu})
 
     if head == "closeness":
@@ -208,7 +262,7 @@ def _parse_metric(metric: str, topology: GraphTopology) \
             raise ValueError("closeness needs a reference state, e.g. closeness(graph)")
         # The target is pure: its factor is its (norm-checked) amplitude column.
         target = _reference_state(arg, topology).amplitudes[:, None]
-        return (f"closeness({arg})",
+        return (f"closeness({arg})", _register_states,
                 lambda s: closeness(unconditioned_vertex_state(s), target),
                 {"target": arg})
 
@@ -216,10 +270,14 @@ def _parse_metric(metric: str, topology: GraphTopology) \
 
 
 def run_metric_series(config: WalkConfig, metric: str) -> MetricSeries:
-    """Evaluate one metric at every step of the configured walk, each state
-    as the walk produces it."""
-    name, evaluate, extras = _parse_metric(metric, config.topology)
-    values = tuple(float(evaluate(s)) for s in trajectory(config))
+    """Evaluate one metric at every step of the configured walk.
+
+    Register metrics take each state as the walk produces it.  The
+    walker-side metrics read the walk's memoized compressed factors, so a
+    run of them on one config walks it once.
+    """
+    name, states, evaluate, extras = _parse_metric(metric, config.topology)
+    values = tuple(float(evaluate(s)) for s in states(config))
     provenance = {
         "metric": name,
         "graph": config.topology.kind,
@@ -280,21 +338,41 @@ class SweepResult:
 _SWEEP_BLOCK = 32
 
 
-def _block_closeness(task: tuple[GraphTopology, str, int, list[CoinParams]]) -> np.ndarray:
-    """Closeness to the target at every step t = 0..T of every coin in one
-    block, as a (K, T+1) array.  The block is evolved together, and each
-    step scores all K register states with one stacked :func:`closeness`;
-    only the current step's states are held."""
-    topology, target, steps, coins = task
+def _block_closeness(task: tuple[GraphTopology, tuple[str, ...], int, list[CoinParams]]) \
+        -> np.ndarray:
+    """Closeness to each target at every step t = 0..T of every coin in one
+    block, as a (targets, K, T+1) array.  The block is evolved together
+    once for all targets, and each step scores all K register states with
+    one stacked :func:`closeness` per target; only the current step's
+    states are held."""
+    topology, targets, steps, coins = task
     coin_mats = np.stack([build_coin(coin) for coin in coins])
-    # The target is pure: its factor is its (norm-checked) amplitude column.
-    target_factor = _reference_state(target, topology).amplitudes[:, None]
-    values = np.empty((len(coins), steps + 1))
+    # A target is pure: its factor is its (norm-checked) amplitude column.
+    target_factors = [_reference_state(target, topology).amplitudes[:, None]
+                      for target in targets]
+    values = np.empty((len(targets), len(coins), steps + 1))
     for t, tensor in enumerate(_walk_tensors(topology, coin_mats, steps)):
         # Each member's register factor, as unconditioned_vertex_state gives it.
         register = tensor.reshape(len(coins), 2 * topology.n, -1).swapaxes(1, 2)
-        values[:, t] = closeness(register, target_factor)
+        for i, target_factor in enumerate(target_factors):
+            values[i, :, t] = closeness(register, target_factor)
     return values
+
+
+def _closeness_grid(topology: GraphTopology, targets: tuple[str, ...], coins: list[CoinParams],
+                    steps: int, jobs: int) -> np.ndarray:
+    """Closeness to each target at every step of every coin, as a
+    (targets, K, T+1) array: the coins are evolved in blocks, and ``jobs``
+    worker processes share the blocks, at most one per CPU."""
+    workers = _check_jobs(jobs)
+    tasks = [(topology, targets, steps, coins[i:i + _SWEEP_BLOCK])
+             for i in range(0, len(coins), _SWEEP_BLOCK)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_block_closeness, tasks))
+    else:
+        blocks = [_block_closeness(task) for task in tasks]
+    return np.concatenate(blocks, axis=1)
 
 
 def _best_of(coins: list[CoinParams], values: np.ndarray, keep_table: bool) -> SweepResult:
@@ -340,16 +418,9 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> Sw
     order.  Coins are evolved and scored in blocks of stacked states;
     ``jobs`` worker processes share the blocks, at most one per CPU.
     """
-    workers = _check_jobs(jobs)
     coins = spec.coins()
-    tasks = [(spec.topology, spec.target, spec.steps, coins[i:i + _SWEEP_BLOCK])
-             for i in range(0, len(coins), _SWEEP_BLOCK)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_block_closeness, tasks))
-    else:
-        blocks = [_block_closeness(task) for task in tasks]
-    return _best_of(coins, np.concatenate(blocks), keep_table)
+    values = _closeness_grid(spec.topology, (spec.target,), coins, spec.steps, jobs)
+    return _best_of(coins, values[0], keep_table)
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +509,25 @@ def reproduce_figure(fig_id: str, out_dir: str | Path, *,
     manifest: dict = {"figure": fig_id, "n": n, "steps": steps}
 
     if fig_id == "fig6":
+        # Each graph's coins are evolved once for all three targets.
+        targets = ("ghz", "graph", "w")
+        results = {}
+        graphs = ("cycle", "path")
+        for kind in graphs:
+            spec = SweepSpec(GraphTopology(kind, n), targets[0], steps=steps)
+            coins = spec.coins()
+            values = _closeness_grid(spec.topology, targets, coins, steps, jobs)
+            for target, target_values in zip(targets, values):
+                results[target, kind] = _best_of(coins, target_values, False)
         rows = ["target,graph,delta_tilde,theta,phi1,phi2,t"]
         summary = []
-        for target in ("ghz", "graph", "w"):
-            for topology in (GraphTopology("cycle", n), GraphTopology("path", n)):
-                spec = SweepSpec(topology, target, steps=steps)
-                res = run_sweep(spec, jobs=jobs)
-                rows.append(f"{target},{topology.kind},{_fmt(res.best_value)},"
+        for target in targets:
+            for kind in graphs:
+                res = results[target, kind]
+                rows.append(f"{target},{kind},{_fmt(res.best_value)},"
                             f"{_fmt(res.best_coin.theta)},{_fmt(res.best_coin.phi1)},"
                             f"{_fmt(res.best_coin.phi2)},{res.best_t}")
-                summary.append({"target": target, "graph": topology.kind,
+                summary.append({"target": target, "graph": kind,
                                 "delta_tilde": float(_fmt(res.best_value))})
         files.append(_write(out / "fig6_sweep_summary.csv", "\n".join(rows) + "\n"))
         manifest["sweeps"] = summary

@@ -70,13 +70,20 @@ class CoinParams:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector together with its subsystem dimensions."""
+    """Normalized state vector together with its subsystem dimensions.
+
+    The amplitudes are held read-only, so a validated state cannot change
+    under its holder: a writeable input is copied, a read-only one (such as
+    a state the walk yields) is kept as it is.
+    """
 
     amplitudes: np.ndarray
     shape: SubsystemShape
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        amps = np.array(amps, dtype=complex, order="C", copy=amps.flags.writeable or None)
+        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         self.shape.check_vector(amps)
         norm = np.linalg.norm(amps)
@@ -217,8 +224,9 @@ def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
 
     Leading axes batch walks, one per coin of the (..., 2, 2) stack
     ``coin_mats``, all started from ``initial`` (``None`` selects
-    |0>_P |0>_C |+>^n).  Each step is a fresh array, so a yielded tensor
-    stays valid after the next one is produced.
+    |0>_P |0>_C |+>^n).  Each step is a fresh read-only array, so a yielded
+    tensor stays valid after the next one is produced and wraps into a
+    :class:`PureState` without a copy.
     """
     shift_rows = _shift_rows(topology)
     cz_signs = _cz_signs(topology)
@@ -228,6 +236,7 @@ def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
     yield tensor
     for _ in range(steps):
         tensor = _apply_step(tensor, coin_mats, shift_rows, cz_signs)
+        tensor.flags.writeable = False
         yield tensor
 
 

@@ -260,3 +260,16 @@ class TestDensityFactor:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractViolationError):
             density_factor(np.array([[0.5, 0.3], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("batch", [(3,), (2,), (2, 4)])
+    def test_stack_is_factored_member_by_member(self, batch):
+        # A batch of 3 3 x 3 matrices is where scaling the eigenvectors by
+        # an unaligned (..., d) vector broadcasts silently wrong.
+        rng = np.random.default_rng(72)
+        rho = np.array([random_density(3, rng, rank=1 + i % 3)
+                        for i in range(int(np.prod(batch)))]).reshape(batch + (3, 3))
+        b = density_factor(rho)
+        assert b.shape == rho.shape
+        assert np.abs(b @ b.conj().swapaxes(-1, -2) - rho).max() < 1e-12
+        for idx in np.ndindex(batch):
+            assert np.array_equal(b[idx], density_factor(rho[idx]))

@@ -9,6 +9,7 @@ import pytest
 from iqwalk import (
     CoinParams,
     GraphTopology,
+    STANDARD_COINS,
     SweepSpec,
     WalkConfig,
     default_angle_grid,
@@ -22,7 +23,11 @@ from iqwalk import (
     series_json,
 )
 from iqwalk import runner
+from iqwalk import walk as walk_module
 from iqwalk.cli import main
+from iqwalk.linalg import reduction_factor
+from iqwalk.metrics import log_negativity, von_neumann_entropy
+from iqwalk.walk import PureState, standard_initial_state, trajectory, walk_shape
 
 CYCLE4 = GraphTopology("cycle", 4)
 PATH4 = GraphTopology("path", 4)
@@ -131,6 +136,99 @@ class TestMetricSeries:
         series = run_metric_series(WalkConfig(PATH4, CoinParams(1.0, 0.2, 0.4), 40),
                                    "entropy(G)")
         assert min(series.values) >= 0.0
+
+
+WALKER_METRICS = tuple(f"entropy({x})" for x in ("P", "C", "G", "PC", "PG", "CG")) \
+    + ("logneg(PC)",)
+
+
+def full_state_series(cfg, metric):
+    """A walker-side metric from the full walk states: the reduction
+    factor of each psi(t), as the metric takes it."""
+    n = cfg.topology.n
+    groups = {"P": (0,), "C": (1,), "G": tuple(range(2, n + 2))}
+    values = []
+    for s in trajectory(cfg):
+        if metric == "logneg(PC)":
+            factor = reduction_factor(s.amplitudes, s.shape, (0, 1))
+            values.append(log_negativity(factor, (n, 2), (1,)))
+        else:
+            label = metric[len("entropy("):-1]
+            keep = sum((groups[ch] for ch in label), ())
+            values.append(von_neumann_entropy(reduction_factor(s.amplitudes, s.shape, keep)))
+    return values
+
+
+@pytest.fixture
+def walk_count(monkeypatch):
+    """Counts the walks started through ``walk._walk_tensors``, with the
+    walker-side memo emptied first."""
+    runner._walker_factors.cache_clear()
+    walks = []
+    original = walk_module._walk_tensors
+
+    def counted(*args):
+        walks.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(walk_module, "_walk_tensors", counted)
+    yield walks
+    runner._walker_factors.cache_clear()
+
+
+class TestWalkerSeries:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12])
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_matches_full_state_oracle(self, kind, n):
+        cfg = WalkConfig(GraphTopology(kind, n), CoinParams(0.7, 0.3, 1.1), 4 if n == 12 else 9)
+        for metric in WALKER_METRICS:
+            values = run_metric_series(cfg, metric).values
+            assert np.abs(np.subtract(values, full_state_series(cfg, metric))).max() <= 1e-12, \
+                metric
+
+    def test_one_walk_for_consecutive_walker_series(self, walk_count):
+        cfg = WalkConfig(PATH4, STANDARD_COINS[1], 6)
+        for metric in ("entropy(PC)", "entropy(C)", "entropy(P)", "logneg(PC)"):
+            run_metric_series(cfg, metric)
+        assert len(walk_count) == 1
+        # A register series walks the full states itself.
+        run_metric_series(cfg, "concurrence")
+        assert len(walk_count) == 2
+
+    def test_register_series_clears_the_memo(self, walk_count):
+        # Only consecutive walker-side series share a walk, so running the
+        # same list of series twice repeats the same work.
+        cfg = WalkConfig(PATH4, STANDARD_COINS[1], 6)
+        for _ in range(2):
+            run_metric_series(cfg, "concurrence")
+            run_metric_series(cfg, "entropy(G)")
+        assert len(walk_count) == 4
+
+    def test_second_config_evicts_the_first(self, walk_count):
+        first = WalkConfig(PATH4, STANDARD_COINS[1], 6)
+        second = WalkConfig(CYCLE4, STANDARD_COINS[1], 6)
+        for cfg in (first, second, first):
+            run_metric_series(cfg, "entropy(C)")
+        assert len(walk_count) == 3
+        factors = runner._walker_factors(first)
+        assert len(walk_count) == 3
+        assert factors.shape == (7, 8, 8)
+        assert not factors.flags.writeable
+        with pytest.raises(ValueError):
+            factors[0, 0, 0] = 0
+
+    def test_memo_never_sees_a_changed_initial_state(self, walk_count):
+        # The memo keys on the initial state's identity; the state copies
+        # its caller's array, so changing that array changes nothing.
+        amps = evolve(WalkConfig(PATH4, STANDARD_COINS[0], 3)).amplitudes.copy()
+        cfg = WalkConfig(PATH4, STANDARD_COINS[1], 5, initial=PureState(amps, walk_shape(PATH4)))
+        before = run_metric_series(cfg, "entropy(G)").values
+        amps[:] = standard_initial_state(PATH4).amplitudes
+        walks = len(walk_count)
+        assert run_metric_series(cfg, "entropy(G)").values == before
+        assert run_metric_series(cfg, "logneg(PC)").values \
+            == pytest.approx(full_state_series(cfg, "logneg(PC)"), abs=1e-12)
+        assert len(walk_count) == walks + 1  # the oracle's walk alone
 
 
 class TestSweep:
@@ -338,6 +436,28 @@ class TestReproduceFigure:
         body = (tmp_path / "fig7_cycle_coin2_closeness_graph.csv").read_text()
         assert "\n24,1\n" in body
 
+    def test_fig6_evolves_each_coin_once_for_all_targets(self, tmp_path, monkeypatch):
+        walked = []
+        original = runner._walk_tensors
+
+        def counted(topology, coin_mats, steps, initial=None):
+            walked.append(len(coin_mats))
+            return original(topology, coin_mats, steps, initial)
+
+        monkeypatch.setattr(runner, "_walk_tensors", counted)
+        reproduce_figure("fig6", tmp_path, steps=3)
+        assert sum(walked) == 2 * 21 * 21
+        # Each row is what a one-target sweep reports.
+        rows = (tmp_path / "fig6_sweep_summary.csv").read_text().splitlines()
+        want = ["target,graph,delta_tilde,theta,phi1,phi2,t"]
+        for target in ("ghz", "graph", "w"):
+            for topology in (CYCLE4, PATH4):
+                res = run_sweep(SweepSpec(topology, target, steps=3))
+                want.append(",".join([target, topology.kind] + [
+                    runner._fmt(x) for x in (res.best_value, *res.best_coin.astuple())]
+                    + [str(res.best_t)]))
+        assert rows == want
+
     @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4", "fig5", "fig7"])
     def test_matches_golden(self, fig, tmp_path):
         files = reproduce_figure(fig, tmp_path)[:-1]
@@ -492,6 +612,22 @@ class TestCli:
                                       "steps": 2, "table": True}))
         assert main(["sweep", "--config", str(config)]) == 0
         assert len(json.loads(capsys.readouterr().out)["table"]) == 2
+
+    @pytest.mark.parametrize("key", ["theta_grid", "phi1_grid", "phi2_grid"])
+    def test_empty_grid_exits_one(self, key, tmp_path, capsys):
+        # An empty grid list fails as the empty flag does, rather than
+        # sweeping the default grid.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"theta_grid": "0", "phi2_grid": "0", "steps": 2,
+                                      key: []}))
+        assert main(["sweep", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"iqwalk: error: config {key}" in captured.err
+        flag = "--" + key.replace("_", "-")
+        assert main(["sweep", "--theta-grid", "0", "--phi2-grid", "0", "--steps", "2",
+                     flag, ""]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_figure_out_from_config(self, tmp_path, monkeypatch, capsys):
         # The config's out is the default for --out, as for every flag;

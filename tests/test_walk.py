@@ -307,6 +307,24 @@ class TestEvolve:
         for state, amplitudes in zip(states, want):
             assert np.array_equal(state.amplitudes, amplitudes.reshape(-1))
 
+    def test_trajectory_states_are_the_read_only_tensors(self, monkeypatch):
+        # Every yielded tensor is read-only, so each trajectory state wraps
+        # it without a copy.
+        tensors = []
+        original = walk_module._walk_tensors
+
+        def recorded(*args):
+            for tensor in original(*args):
+                tensors.append(tensor)
+                yield tensor
+
+        monkeypatch.setattr(walk_module, "_walk_tensors", recorded)
+        states = list(trajectory(WalkConfig(GraphTopology("path", 5), STANDARD_COINS[2], 6)))
+        assert len(tensors) == len(states) == 7
+        for tensor, state in zip(tensors, states):
+            assert not tensor.flags.writeable
+            assert np.shares_memory(state.amplitudes, tensor)
+
     def test_trajectory_is_lazy(self, monkeypatch):
         # A billion steps never finish if the states are made up front; the
         # step counter stops such a walk at once instead.
@@ -343,6 +361,23 @@ class TestWalkConfig:
         top4, top5 = GraphTopology("cycle", 4), GraphTopology("cycle", 5)
         with pytest.raises(ValueError):
             WalkConfig(top5, CoinParams(0), 1, initial=standard_initial_state(top4))
+
+    def test_state_does_not_alias_a_writeable_input(self):
+        # Zeroing the caller's array afterwards leaves the validated state
+        # as it was, and the state's own amplitudes cannot be written.
+        shape = walk_shape(GraphTopology("cycle", 4))
+        a = standard_initial_state(GraphTopology("cycle", 4)).amplitudes.copy()
+        state = PureState(a, shape)
+        a[:] = 0
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-15)
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0
+
+    def test_read_only_input_is_not_copied(self):
+        a = standard_initial_state(GraphTopology("cycle", 4)).amplitudes
+        assert not a.flags.writeable
+        assert PureState(a, walk_shape(GraphTopology("cycle", 4))).amplitudes is a
 
     def test_rejects_unnormalized_state(self):
         for amps in (np.ones(128), np.full(128, np.nan)):
