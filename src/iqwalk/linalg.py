@@ -52,7 +52,8 @@ class SubsystemShape:
                              f"{self.dims} (total {self.total})")
 
     def check_matrix(self, mat: np.ndarray) -> None:
-        if mat.shape != (self.total, self.total):
+        """Check a matrix, or each member of a (..., d, d) stack."""
+        if mat.shape[-2:] != (self.total, self.total):
             raise ValueError(f"matrix of shape {mat.shape} does not match subsystem dims "
                              f"{self.dims} (total {self.total})")
 
@@ -79,7 +80,8 @@ def partial_transpose(rho: np.ndarray,
     """Transpose the indices of the subsystems listed in ``part``.
 
     Hermiticity and trace of the input are preserved; the output has the
-    same shape as ``rho``.
+    same shape as ``rho``.  A (..., d, d) stack is transposed member by
+    member.
     """
     shape = as_shape(shape)
     rho = np.asarray(rho)
@@ -87,12 +89,13 @@ def partial_transpose(rho: np.ndarray,
     k = len(shape)
     part_idx = _normalize_subset(part, k, "part")
 
-    tensor = rho.reshape(shape.dims + shape.dims)
-    perm = list(range(2 * k))
+    batch = rho.shape[:-2]
+    tensor = rho.reshape(batch + shape.dims + shape.dims)
+    perm = list(range(len(batch) + 2 * k))
     for i in part_idx:
+        i += len(batch)
         perm[i], perm[k + i] = perm[k + i], perm[i]
-    d = shape.total
-    return tensor.transpose(perm).reshape(d, d)
+    return tensor.transpose(perm).reshape(rho.shape)
 
 
 def reduction_factor(amplitudes: np.ndarray,

@@ -66,40 +66,54 @@ def validate_density_matrix(rho: np.ndarray, *, atol: float = DENSITY_ATOL) -> n
     return vals
 
 
-def von_neumann_entropy(factor: np.ndarray) -> float:
+def _factor(factor: np.ndarray) -> np.ndarray:
+    b = np.asarray(factor)
+    if b.ndim < 2:
+        raise ValueError(f"expected a factor matrix or a stack of them, got shape {b.shape}")
+    return b
+
+
+def _scalar_or_stack(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.ndim == 0 else values
+
+
+def von_neumann_entropy(factor: np.ndarray) -> float | np.ndarray:
     """Entropy -Tr[rho log2 rho] in bits of ``rho = B @ B^dag``, with
     0 log 0 = 0, from the smaller Gram matrix (``B^dag B`` or ``B @ B^dag``):
-    it has the trace and the nonzero spectrum of ``rho``."""
-    b = np.asarray(factor)
-    if b.ndim != 2:
-        raise ValueError(f"expected a factor matrix, got shape {b.shape}")
-    b_dag = b.conj().T
-    gram = b_dag @ b if b.shape[1] <= b.shape[0] else b @ b_dag
-    _check_trace(np.real(np.trace(gram)))
+    it has the trace and the nonzero spectrum of ``rho``.
+
+    A (..., d, k) stack of factors gives an array of entropies in one
+    stacked eigensolve, and one bad member rejects the stack; a matrix
+    gives a float.
+    """
+    b = _factor(factor)
+    b_dag = b.conj().swapaxes(-1, -2)
+    gram = b_dag @ b if b.shape[-1] <= b.shape[-2] else b @ b_dag
+    _check_trace(np.real(np.trace(gram, axis1=-2, axis2=-1)))
     vals = np.clip(hermitian_eig(gram, vectors=False), 0.0, 1.0)
-    nz = vals[vals > 0.0]
-    return float(max(0.0, -np.sum(nz * np.log2(nz))))
+    total = -np.sum(vals * np.log2(np.where(vals > 0.0, vals, 1.0)), axis=-1)
+    # Not np.maximum, which keeps the -0.0 of an all-zero sum.
+    return _scalar_or_stack(np.where(total > 0.0, total, 0.0))
 
 
 def log_negativity(factor: np.ndarray,
                    shape: SubsystemShape | Sequence[int],
-                   transpose_part: Iterable[int]) -> float:
+                   transpose_part: Iterable[int]) -> float | np.ndarray:
     """log2 ||rho^PT||_1 = log2(1 + 2N) of ``rho = B @ B^dag`` for the
     partial transpose over ``transpose_part``, N being minus the sum of its
     negative eigenvalues.  ``shape`` splits the rows of ``B``.
 
     Eigenvalues in ``[-PSD_CLIP, 0)`` are float noise and do not count, so
-    every PPT (in particular product) state gives exactly 0.
+    every PPT (in particular product) state gives exactly 0.  Takes stacks
+    as :func:`von_neumann_entropy` does.
     """
-    b = np.asarray(factor)
-    if b.ndim != 2:
-        raise ValueError(f"expected a factor matrix, got shape {b.shape}")
-    rho = b @ b.conj().T
-    _check_trace(np.real(np.trace(rho)))
+    b = _factor(factor)
+    rho = b @ b.conj().swapaxes(-1, -2)
+    _check_trace(np.real(np.trace(rho, axis1=-2, axis2=-1)))
     pt = partial_transpose(rho, as_shape(shape), transpose_part)
     vals = hermitian_eig(pt, vectors=False)
-    negativity = -vals[vals < -PSD_CLIP].sum()
-    return float(np.log2(1.0 + 2.0 * negativity))
+    negativity = -np.sum(np.where(vals < -PSD_CLIP, vals, 0.0), axis=-1)
+    return _scalar_or_stack(np.log2(1.0 + 2.0 * negativity))
 
 
 def _sigma_y_all(b: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -163,7 +177,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     signs = np.concatenate([np.ones(a.shape[-1]), -np.ones(b.shape[-1])])
     eps = np.abs(hermitian_eig((r * signs) @ r.conj().swapaxes(-1, -2), vectors=False))
     distance = np.minimum(1.0, 0.5 * np.where(eps > PSD_CLIP, eps, 0.0).sum(axis=-1))
-    return float(distance) if distance.ndim == 0 else distance
+    return _scalar_or_stack(distance)
 
 
 def closeness(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

@@ -18,13 +18,13 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .conditioning import CoinProjection, postselect_coin, unconditioned_vertex_state
 from .errors import ZeroProbabilityError
-from .linalg import SubsystemShape, density_factor, reduction_factor
+from .linalg import density_factor
 from .metrics import closeness, log_negativity, n_concurrence, von_neumann_entropy
 from .states import ghz, graph_state, w_state
 from .walk import (
@@ -34,6 +34,7 @@ from .walk import (
     WalkConfig,
     _walk_tensors,
     build_coin,
+    standard_initial_state,
     trajectory,
 )
 
@@ -125,7 +126,7 @@ class MetricSeries:
 
 def _subsystem_indices(label: str) -> tuple[int, ...]:
     """Subsystems of ``label`` in the compressed (P, C, ancilla) state of
-    :func:`_walker_states`, where the ancilla stands in for G."""
+    :func:`_walker_reduction`, where the ancilla stands in for G."""
     groups = {"P": (0,), "C": (1,), "G": (2,)}
     letters = list(label)
     if not letters or len(set(letters)) != len(letters) \
@@ -155,60 +156,87 @@ def reference_density(kind: str, topology: GraphTopology) -> np.ndarray:
     return np.outer(amps, amps.conj())
 
 
+# Register columns walked together by :func:`_walker_factors`: at n = 12 a
+# block's (2n, 1024) complex step tensor is 384 KiB, small enough to stay
+# in cache through all T steps.  n <= 10 is a single block.
+_REGISTER_BLOCK = 1024
+
+
 @functools.lru_cache(maxsize=1)
 def _walker_factors(config: WalkConfig) -> np.ndarray:
     """The read-only (T+1, 2n, 2n) stack of factors B_t with
     B_t B_t^dag = rho_PC(t), the walker-coin reduction at each step.
 
-    The walk runs once; at each step rho_PC is the Gram matrix F F^dag of
-    the state as a (2n, 2**n) matrix F, and one stacked
-    :func:`density_factor` turns the Grams into factors.  Memoized for one
-    config at a time, so consecutive walker-side series on a config walk it
-    once.
+    rho_PC is the Gram matrix F F^dag of the state as a (2n, 2**n) matrix
+    F, a sum over the register columns of F, and the CZ is diagonal in the
+    register basis, so each column evolves on its own.  The walk therefore
+    runs in blocks of ``_REGISTER_BLOCK`` columns, each through all T steps,
+    adding its share of every step's Gram into one stack; no full state is
+    held.  The trace of each Gram is ||psi(t)||^2, checked as
+    :class:`PureState` checks a norm, and one stacked :func:`density_factor`
+    turns the Grams into factors.  Memoized for one config at a time, so
+    consecutive walker-side series on a config walk it once.
     """
-    rows = 2 * config.topology.n
-    grams = []
-    for state in trajectory(config):
-        f = state.amplitudes.reshape(rows, -1)
-        grams.append(f @ f.conj().T)
-    factors = density_factor(np.stack(grams))
+    topology = config.topology
+    coin = build_coin(config.coin)
+    initial = config.initial if config.initial is not None \
+        else standard_initial_state(topology)
+    rows = 2 * topology.n
+    grams = np.zeros((config.steps + 1, rows, rows), dtype=complex)
+    for lo in range(0, 2 ** topology.n, _REGISTER_BLOCK):
+        block = slice(lo, lo + _REGISTER_BLOCK)
+        for gram, tensor in zip(grams, _walk_tensors(topology, coin, config.steps, initial,
+                                                     columns=block)):
+            f = tensor.reshape(rows, -1)
+            gram += f @ f.conj().T
+    norms = np.sqrt(np.trace(grams, axis1=1, axis2=2).real)
+    # Written so that a NaN norm fails the check too.
+    bad = ~(np.abs(norms - 1.0) <= 1e-10)
+    if bad.any():
+        raise ValueError(f"state is not normalized: ||psi|| = {norms[bad][0]:.12g}")
+    factors = density_factor(grams)
     factors.flags.writeable = False
     return factors
 
 
-def _walker_states(config: WalkConfig) -> Iterator[PureState]:
-    """The walk compressed for the walker-side metrics: each B_t of
-    :func:`_walker_factors` read as a pure state of dims (n, 2, 2n).
+def _walker_reduction(factors: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Factors of the reductions to ``keep`` of the states whose (T+1, 2n,
+    2n) factor stack is ``factors``, each B_t read as a pure state of dims
+    (n, 2, 2n).
 
-    It purifies rho_PC(t) with a 2n-dimensional ancilla in place of the
-    register G.  A pure state's reductions to complementary parts share
+    That state purifies rho_PC(t) with a 2n-dimensional ancilla in place of
+    the register G.  A pure state's reductions to complementary parts share
     their nonzero spectrum, so every entropy and the walker-coin log
     negativity of this state are those of the walk state.
     """
-    n = config.topology.n
-    shape = SubsystemShape((n, 2, 2 * n))
-    for b in _walker_factors(config):
-        yield PureState(b.reshape(-1), shape)
+    count, rows, _ = factors.shape
+    dims = (rows // 2, 2, rows)
+    rest = tuple(i for i in range(3) if i not in keep)
+    tensor = factors.reshape((count,) + dims).transpose((0,) + tuple(1 + i for i in keep + rest))
+    return tensor.reshape(count, math.prod(dims[i] for i in keep), -1)
 
 
-def _register_states(config: WalkConfig) -> Iterator[PureState]:
-    """The walk's full states, for the register metrics.
+def _per_state(evaluate: Callable[[PureState], float]) \
+        -> Callable[[WalkConfig], list[float]]:
+    """A register metric's series: ``evaluate`` on each full state as the
+    walk produces it.
 
     This walk clears the walker-side memo: only consecutive walker-side
     series share it, so a series list run twice (perfbench repeats its
     body, and traces it twice) does the same work each time.
     """
-    _walker_factors.cache_clear()
-    return trajectory(config)
+    def series(config: WalkConfig) -> list[float]:
+        _walker_factors.cache_clear()
+        return [evaluate(s) for s in trajectory(config)]
+    return series
 
 
 def _parse_metric(metric: str, topology: GraphTopology) \
-        -> tuple[str, Callable[[WalkConfig], Iterable[PureState]],
-                 Callable[[PureState], float], dict]:
-    """Resolve a metric name to (canonical name, the states it reads,
-    per-state evaluator, extras).  The walker-side metrics, entropies and
-    logneg(PC), read :func:`_walker_states`; the register metrics read the
-    full states."""
+        -> tuple[str, Callable[[WalkConfig], Iterable[float]], dict]:
+    """Resolve a metric name to (canonical name, the function from a config
+    to the series' values, extras).  The walker-side metrics, entropies and
+    logneg(PC), are one stacked call on :func:`_walker_factors`; the
+    register metrics evaluate each full state."""
     m = re.match(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$", metric)
     if not m:
         raise ValueError(f"cannot parse metric name {metric!r}")
@@ -220,24 +248,24 @@ def _parse_metric(metric: str, topology: GraphTopology) \
             raise ValueError("entropy needs a subsystem label, e.g. entropy(G)")
         keep = _subsystem_indices(arg)
         label = "".join(sorted(set(arg), key="PCG".index))
-        return (f"entropy({label})", _walker_states,
-                lambda s: von_neumann_entropy(reduction_factor(s.amplitudes, s.shape, keep)),
+        return (f"entropy({label})",
+                lambda config: von_neumann_entropy(
+                    _walker_reduction(_walker_factors(config), keep)),
                 {})
 
     if head == "logneg":
         if arg not in ("", "PC"):
             raise ValueError("only the walker-coin bipartition logneg(PC) is supported")
-        return ("logneg(PC)", _walker_states,
-                lambda s: log_negativity(reduction_factor(s.amplitudes, s.shape, (0, 1)),
-                                         (n, 2), (1,)),
+        return ("logneg(PC)",
+                lambda config: log_negativity(_walker_factors(config), (n, 2), (1,)),
                 {})
 
     if head == "concurrence":
         if arg:
             raise ValueError("concurrence takes no arguments; use "
                              "concurrence_postselected(mu,nu) for conditioning")
-        return ("concurrence", _register_states,
-                lambda s: n_concurrence(unconditioned_vertex_state(s), n), {})
+        return ("concurrence",
+                _per_state(lambda s: n_concurrence(unconditioned_vertex_state(s), n)), {})
 
     if head == "concurrence_postselected":
         if not arg:
@@ -254,16 +282,16 @@ def _parse_metric(metric: str, topology: GraphTopology) \
                 return 0.0
             return n_concurrence(factor, n)
 
-        return (f"concurrence_postselected({_fmt(mu)},{_fmt(nu)})", _register_states,
-                postselected, {"mu": mu, "nu": nu})
+        return (f"concurrence_postselected({_fmt(mu)},{_fmt(nu)})", _per_state(postselected),
+                {"mu": mu, "nu": nu})
 
     if head == "closeness":
         if not arg:
             raise ValueError("closeness needs a reference state, e.g. closeness(graph)")
         # The target is pure: its factor is its (norm-checked) amplitude column.
         target = _reference_state(arg, topology).amplitudes[:, None]
-        return (f"closeness({arg})", _register_states,
-                lambda s: closeness(unconditioned_vertex_state(s), target),
+        return (f"closeness({arg})",
+                _per_state(lambda s: closeness(unconditioned_vertex_state(s), target)),
                 {"target": arg})
 
     raise ValueError(f"unknown metric {metric!r}")
@@ -274,10 +302,11 @@ def run_metric_series(config: WalkConfig, metric: str) -> MetricSeries:
 
     Register metrics take each state as the walk produces it.  The
     walker-side metrics read the walk's memoized compressed factors, so a
-    run of them on one config walks it once.
+    run of them on one config walks it once, and each solves all its steps
+    in one stacked call.
     """
-    name, states, evaluate, extras = _parse_metric(metric, config.topology)
-    values = tuple(float(evaluate(s)) for s in states(config))
+    name, series, extras = _parse_metric(metric, config.topology)
+    values = tuple(float(v) for v in series(config))
     provenance = {
         "metric": name,
         "graph": config.topology.kind,

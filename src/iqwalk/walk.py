@@ -9,6 +9,7 @@ coin and the vertex qubit at the walker's new position.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -19,7 +20,8 @@ from .linalg import SubsystemShape, reduced_density
 
 # Ceiling on the site count for dense simulation; at n = 12 one walk state
 # holds 98304 amplitudes (1.5 MiB).  A walk holds one state at a time, a
-# sweep one block of states.
+# sweep one block of states, and the walker-side series one block of
+# register columns (runner._REGISTER_BLOCK) plus a (T+1, 2n, 2n) stack.
 MAX_SITES = 12
 
 GRAPH_KINDS = ("path", "cycle")
@@ -73,8 +75,9 @@ class PureState:
     """Normalized state vector together with its subsystem dimensions.
 
     The amplitudes are held read-only, so a validated state cannot change
-    under its holder: a writeable input is copied, a read-only one (such as
-    a state the walk yields) is kept as it is.
+    under its holder: an input through which, or under which, memory can be
+    written is copied; a read-only array on read-only memory (such as a
+    state the walk yields) is kept as it is.
     """
 
     amplitudes: np.ndarray
@@ -82,7 +85,8 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes)
-        amps = np.array(amps, dtype=complex, order="C", copy=amps.flags.writeable or None)
+        writeable = any(a.flags.writeable for a in _base_chain(amps))
+        amps = np.array(amps, dtype=complex, order="C", copy=writeable or None)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         self.shape.check_vector(amps)
@@ -98,6 +102,14 @@ class PureState:
     def reduced(self, keep) -> np.ndarray:
         """Reduced density matrix on the subsystems in ``keep``."""
         return reduced_density(self.amplitudes, self.shape, keep)
+
+
+def _base_chain(a: np.ndarray) -> Iterator[np.ndarray]:
+    """``a`` and the ndarrays it is a view of, down to the one that owns
+    the memory."""
+    while isinstance(a, np.ndarray):
+        yield a
+        a = a.base
 
 
 def walk_shape(topology: GraphTopology) -> SubsystemShape:
@@ -127,11 +139,9 @@ def standard_initial_state(topology: GraphTopology) -> PureState:
     """|0>_P |0>_C (x) |+>^(n): walker at site 0, coin 0, all vertex qubits
     in the +1 eigenstate of sigma_x."""
     n = topology.n
-    pos0 = np.zeros(n, dtype=complex)
-    pos0[0] = 1.0
-    coin0 = np.array([1.0, 0.0], dtype=complex)
-    plus = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
-    amps = np.kron(np.kron(pos0, coin0), plus)
+    amps = np.zeros(n * 2 * 2 ** n, dtype=complex)
+    amps[:2 ** n] = 2.0 ** (-n / 2)   # the (p, c) = (0, 0) block
+    amps.flags.writeable = False
     return PureState(amps, walk_shape(topology))
 
 
@@ -169,6 +179,7 @@ def build_shift(topology: GraphTopology) -> np.ndarray:
     return s
 
 
+@functools.lru_cache(maxsize=1)
 def _cz_signs(topology: GraphTopology) -> np.ndarray:
     """The position-controlled CZ as a (2n, 2 * 2**n) table of +-1 signs.
 
@@ -177,12 +188,16 @@ def _cz_signs(topology: GraphTopology) -> np.ndarray:
     qubit at the walker's position is 1.  Each sign appears twice, for the
     real and the imaginary part, so that the table scales the ``float64``
     view of a (..., 2n, 2**n) complex tensor in place.
+
+    Memoized for the last topology and read-only, like :func:`_shift_rows`,
+    so a walk in column blocks builds it once.
     """
     n = topology.n
     # bits[p, g]: vertex qubit p of register state g (big-endian).
     bits = (np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
     signs = np.ones((n, 2, 2 ** n, 2))
     signs[:, 1] -= 2 * bits[..., None]
+    signs.flags.writeable = False
     return signs.reshape(2 * n, -1)
 
 
@@ -193,10 +208,13 @@ def interaction_diagonal(topology: GraphTopology) -> np.ndarray:
     return _cz_signs(topology)[:, 0::2].reshape(-1)
 
 
+@functools.lru_cache(maxsize=1)
 def _shift_rows(topology: GraphTopology) -> np.ndarray:
     """The shift as a row gather: ``(S @ x)[r] = x[rows[r]]``, read off the
     permutation matrix :func:`build_shift`."""
-    return build_shift(topology).real.argmax(axis=1)
+    rows = build_shift(topology).real.argmax(axis=1)
+    rows.flags.writeable = False
+    return rows
 
 
 def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray,
@@ -219,24 +237,31 @@ def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray
 
 
 def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
-                  initial: PureState | None = None) -> Iterator[np.ndarray]:
+                  initial: PureState | None = None, *,
+                  columns: slice = slice(None)) -> Iterator[np.ndarray]:
     """Yield the state tensor of shape (..., n, 2, 2**n) at t = 0..steps.
 
     Leading axes batch walks, one per coin of the (..., 2, 2) stack
     ``coin_mats``, all started from ``initial`` (``None`` selects
-    |0>_P |0>_C |+>^n).  Each step is a fresh read-only array, so a yielded
-    tensor stays valid after the next one is produced and wraps into a
-    :class:`PureState` without a copy.
+    |0>_P |0>_C |+>^n).  Each step is a fresh array, marked read-only down
+    to the memory it owns, so a yielded tensor stays valid after the next
+    one is produced and wraps into a :class:`PureState` without a copy.
+
+    The CZ is diagonal in the register basis, so each register column g
+    evolves on its own: ``columns`` walks only that slice of the last axis,
+    and the tensors are (..., n, 2, len(columns)).
     """
+    lo, hi, _ = columns.indices(2 ** topology.n)
     shift_rows = _shift_rows(topology)
-    cz_signs = _cz_signs(topology)
+    cz_signs = _cz_signs(topology)[:, 2 * lo:2 * hi]
     state = initial if initial is not None else standard_initial_state(topology)
-    start = state.amplitudes.reshape(topology.n, 2, -1)
+    start = state.amplitudes.reshape(topology.n, 2, -1)[..., lo:hi]
     tensor = np.broadcast_to(start, coin_mats.shape[:-2] + start.shape)
     yield tensor
     for _ in range(steps):
         tensor = _apply_step(tensor, coin_mats, shift_rows, cz_signs)
-        tensor.flags.writeable = False
+        for a in _base_chain(tensor):
+            a.flags.writeable = False
         yield tensor
 
 

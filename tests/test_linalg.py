@@ -114,6 +114,16 @@ class TestPartialTranspose:
         vals = np.sort(np.linalg.eigvalsh(pt))
         assert np.abs(vals - [-0.5, 0.5, 0.5, 0.5]).max() < 1e-12
 
+    def test_stack_is_transposed_member_by_member(self):
+        rng = np.random.default_rng(24)
+        rhos = np.stack([random_density(12, rng) for _ in range(6)]).reshape(2, 3, 12, 12)
+        pts = partial_transpose(rhos, (2, 3, 2), part=[0, 2])
+        assert pts.shape == rhos.shape
+        for i, j in itertools.product(range(2), range(3)):
+            assert np.array_equal(pts[i, j], partial_transpose(rhos[i, j], (2, 3, 2), [0, 2]))
+        with pytest.raises(ValueError):
+            partial_transpose(rhos, (2, 2, 2), part=[1])
+
     def test_involution_and_invariants(self):
         rng = np.random.default_rng(23)
         rho = random_density(12, rng)

@@ -75,11 +75,9 @@ class TestEntropy:
             e = von_neumann_entropy(density_factor(random_density(dim, rng)))
             assert 0.0 <= e <= np.log2(dim) + 1e-12
 
-    def test_rejects_a_stack(self):
-        # one float cannot hold a stack's entropies
-        b = np.eye(2) / np.sqrt(2)
+    def test_rejects_a_vector(self):
         with pytest.raises(ValueError):
-            von_neumann_entropy(np.stack([b, b, b]))
+            von_neumann_entropy(np.ones(2) / np.sqrt(2))
 
     def test_schmidt_symmetry(self):
         # both reductions of a pure bipartite state have equal entropy
@@ -291,6 +289,56 @@ class TestStacks:
         for k in range(5):
             assert np.abs(vals[k] - validate_density_matrix(rhos[k])).max() < 1e-14
 
+    @pytest.mark.parametrize("shape", [(16, 8), (4, 12)])
+    def test_stacked_entropies_are_the_scalar_entropies(self, shape):
+        # Both Gram matrices: B^dag B for a tall factor, B B^dag for a wide one.
+        b = random_factors(np.random.default_rng(73), 6, shape)
+        entropies = von_neumann_entropy(b)
+        assert entropies.shape == (6,)
+        for k in range(6):
+            single = von_neumann_entropy(b[k])
+            assert isinstance(single, float)
+            assert abs(entropies[k] - single) < 1e-14
+        grid = von_neumann_entropy(b.reshape((2, 3) + shape))
+        assert np.abs(grid.reshape(-1) - entropies).max() < 1e-14
+
+    def test_stacked_log_negativities_are_the_scalar_ones(self):
+        b = random_factors(np.random.default_rng(74), 6, (8, 5))
+        values = log_negativity(b, (2, 4), [1])
+        assert values.shape == (6,)
+        assert values.min() > 0.0
+        for k in range(6):
+            single = log_negativity(b[k], (2, 4), [1])
+            assert isinstance(single, float)
+            assert abs(values[k] - single) < 1e-14
+        grid = log_negativity(b.reshape(3, 2, 8, 5), (2, 4), [1])
+        assert np.abs(grid.reshape(-1) - values).max() < 1e-14
+
+    def test_pure_and_ppt_members_give_positive_zero(self):
+        # A stacked sum over zero eigenvalues must not come out as -0.0,
+        # which the CSV files would print as "-0".
+        product = np.kron(random_pure(2, np.random.default_rng(75)), [1.0, 0.0])[:, None]
+        stack = np.stack([product, BELL])
+        entropies = von_neumann_entropy(stack)     # both pure
+        logneg = log_negativity(stack, (2, 2), [1])
+        assert entropies.tolist() == [0.0, 0.0] and not np.signbit(entropies).any()
+        assert logneg[0] == 0.0 and not np.signbit(logneg[0])
+        assert abs(logneg[1] - 1.0) < 1e-12
+        assert not np.signbit(von_neumann_entropy(product))
+
+    @pytest.mark.parametrize("metric", [von_neumann_entropy,
+                                        lambda b: log_negativity(b, (2, 4), [1])],
+                             ids=["entropy", "logneg"])
+    def test_one_bad_member_rejects_a_metric_stack(self, metric):
+        b = random_factors(np.random.default_rng(76), 5, (8, 4))
+        metric(b)
+        non_unit = b.copy()
+        non_unit[3] *= 1.1                                   # trace 1.21
+        with pytest.raises(ContractViolationError, match="trace"):
+            metric(non_unit)
+        with pytest.raises(ContractViolationError):
+            metric(with_nan(b, (1, 2, 0)))
+
     def test_one_bad_member_rejects_the_stack(self):
         rng = np.random.default_rng(72)
         a = random_factors(rng, 5, (8, 4))
@@ -325,6 +373,9 @@ BELL = ghz(2).amplitudes[:, None]
 NAN_CALLS = {
     "entropy": lambda: von_neumann_entropy(with_nan(BELL, (3, 0))),
     "logneg": lambda: log_negativity(with_nan(BELL, (3, 0)), (2, 2), [1]),
+    "entropy_stack": lambda: von_neumann_entropy(with_nan(np.stack([BELL] * 4), (2, 3, 0))),
+    "logneg_stack": lambda: log_negativity(with_nan(np.stack([BELL] * 4), (2, 3, 0)),
+                                           (2, 2), [1]),
     "concurrence": lambda: n_concurrence(with_nan(BELL, (3, 0)), 2),
     "closeness": lambda: closeness(BELL, with_nan(BELL, (0, 0))),
     "closeness_stack": lambda: closeness(with_nan(np.stack([BELL] * 4), (2, 3, 0)), BELL),

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from iqwalk.cli import main
 from iqwalk.linalg import reduction_factor
 from iqwalk.metrics import log_negativity, von_neumann_entropy
 from iqwalk.walk import PureState, standard_initial_state, trajectory, walk_shape
+from oracles import random_pure
 
 CYCLE4 = GraphTopology("cycle", 4)
 PATH4 = GraphTopology("path", 4)
@@ -159,32 +161,93 @@ def full_state_series(cfg, metric):
     return values
 
 
+def assert_walker_series_match_oracle(cfg):
+    for metric in WALKER_METRICS:
+        values = run_metric_series(cfg, metric).values
+        assert np.abs(np.subtract(values, full_state_series(cfg, metric))).max() <= 1e-12, metric
+
+
 @pytest.fixture
 def walk_count(monkeypatch):
-    """Counts the walks started through ``walk._walk_tensors``, with the
-    walker-side memo emptied first."""
+    """Counts the walks of a config started through ``walk._walk_tensors``,
+    under each name the runner and the walk module call it by, with the
+    walker-side memo emptied first.  A walk in column blocks counts once:
+    only its first block, the one from column 0, is counted."""
     runner._walker_factors.cache_clear()
     walks = []
     original = walk_module._walk_tensors
 
-    def counted(*args):
-        walks.append(1)
-        return original(*args)
+    def counted(*args, **kwargs):
+        if kwargs.get("columns", slice(None)).start in (None, 0):
+            walks.append(1)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(walk_module, "_walk_tensors", counted)
+    for module in (walk_module, runner):
+        monkeypatch.setattr(module, "_walk_tensors", counted)
     yield walks
     runner._walker_factors.cache_clear()
 
 
 class TestWalkerSeries:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        # A factor stack memoized by another test, or with another block
+        # size, must not stand in for the one under test.
+        runner._walker_factors.cache_clear()
+        yield
+        runner._walker_factors.cache_clear()
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12])
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     def test_matches_full_state_oracle(self, kind, n):
         cfg = WalkConfig(GraphTopology(kind, n), CoinParams(0.7, 0.3, 1.1), 4 if n == 12 else 9)
-        for metric in WALKER_METRICS:
-            values = run_metric_series(cfg, metric).values
-            assert np.abs(np.subtract(values, full_state_series(cfg, metric))).max() <= 1e-12, \
-                metric
+        assert_walker_series_match_oracle(cfg)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_column_blocks_match_full_state_oracle(self, kind, n, monkeypatch):
+        # Blocks of 4 register columns: up to 16 blocks, each walked through
+        # all steps on its own, sum to the same Grams.
+        monkeypatch.setattr(runner, "_REGISTER_BLOCK", 4)
+        cfg = WalkConfig(GraphTopology(kind, n), CoinParams(0.7, 0.3, 1.1), 9)
+        assert_walker_series_match_oracle(cfg)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_column_blocks_from_an_entangled_initial_state(self, kind, monkeypatch):
+        monkeypatch.setattr(runner, "_REGISTER_BLOCK", 4)
+        topology = GraphTopology(kind, 5)
+        initial = PureState(random_pure(5 * 2 * 2 ** 5, np.random.default_rng(90)),
+                            walk_shape(topology))
+        cfg = WalkConfig(topology, STANDARD_COINS[3], 9, initial=initial)
+        assert_walker_series_match_oracle(cfg)
+        assert run_metric_series(cfg, "entropy(G)").values[0] > 0.5
+
+    def test_twelve_sites_in_full_blocks_match_full_state_oracle(self):
+        # 4 blocks of runner._REGISTER_BLOCK = 1024 columns, T = 24.
+        cfg = WalkConfig(GraphTopology("cycle", 12), STANDARD_COINS[2], 24)
+        assert 2 ** 12 // runner._REGISTER_BLOCK == 4
+        assert_walker_series_match_oracle(cfg)
+
+    def test_factors_never_hold_a_full_state_per_step(self):
+        # A walk state at n = 12 is 1.5 MiB, and 25 of them are 37.5 MiB;
+        # the blocked walk peaks at about 4.5 MiB with cold tables.
+        walk_module._cz_signs.cache_clear()
+        walk_module._shift_rows.cache_clear()
+        cfg = WalkConfig(GraphTopology("cycle", 12), STANDARD_COINS[0], 24)
+        tracemalloc.start()
+        try:
+            runner._walker_factors(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+
+    def test_unnormalized_initial_state_is_rejected(self):
+        # The per-step norm check reads ||psi(t)||^2 off each Gram's trace.
+        initial = standard_initial_state(PATH4)
+        object.__setattr__(initial, "amplitudes", 1.1 * initial.amplitudes)
+        with pytest.raises(ValueError, match="not normalized"):
+            runner._walker_factors(WalkConfig(PATH4, STANDARD_COINS[0], 3, initial=initial))
 
     def test_one_walk_for_consecutive_walker_series(self, walk_count):
         cfg = WalkConfig(PATH4, STANDARD_COINS[1], 6)
@@ -420,6 +483,16 @@ class TestReproduceFigure:
         reproduce_figure("fig7", tmp_path / "b", steps=8)
         for name in ("fig7_cycle_coin2_closeness_graph.csv", "fig7_manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("fig", ["fig2", "fig3"])
+    def test_no_value_prints_as_negative_zero(self, fig, tmp_path):
+        # t = 0 is a product state: every entropy and the log negativity
+        # are 0, and must print as "0", not "-0".
+        for path in reproduce_figure(fig, tmp_path, steps=3):
+            if path.suffix == ".csv":
+                rows = path.read_text().splitlines()[2:]
+                assert rows[0] == "0,0", path.name
+                assert not any(row.split(",")[1].startswith("-") for row in rows), path.name
 
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(ValueError):

@@ -374,6 +374,14 @@ class TestWalkConfig:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0
 
+    def test_state_does_not_alias_a_read_only_view_of_a_writeable_array(self):
+        a = standard_initial_state(GraphTopology("cycle", 4)).amplitudes.copy()
+        v = a.view()
+        v.flags.writeable = False
+        state = PureState(v, walk_shape(GraphTopology("cycle", 4)))
+        a[:] = 0
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-15)
+
     def test_read_only_input_is_not_copied(self):
         a = standard_initial_state(GraphTopology("cycle", 4)).amplitudes
         assert not a.flags.writeable
