@@ -1,4 +1,6 @@
-"""Post-selection of the vertex register on a coin measurement outcome.
+"""Post-selection of the vertex register on a coin measurement outcome: the
+reference route from one full walk state to the register metrics, which
+the runner's series reach from blocked-walk statistics instead.
 
 The walker position is discarded (traced out) and the coin is projected
 onto |Sigma> = cos(mu)|0> + exp(-i nu) sin(mu)|1>, leaving a renormalized

@@ -116,18 +116,21 @@ def log_negativity(factor: np.ndarray,
     return _scalar_or_stack(np.log2(1.0 + 2.0 * negativity))
 
 
-def _sigma_y_all(b: np.ndarray, num_qubits: int) -> np.ndarray:
-    """sigma_y^(x n) @ b without forming the operator.
+def _sigma_y_phase(num_qubits: int) -> np.ndarray:
+    """phase[g] = i^n (-1)^popcount(g) of sigma_y^(x n) |g> = phase[g] |~g>.
+    ~g reverses the big-endian basis order, so sigma_y^(x n) @ b is
+    ``(phase[:, None] * b)[::-1]`` without forming the operator."""
+    parity = ((np.arange(2 ** num_qubits)[:, None] >> np.arange(num_qubits)) & 1).sum(axis=1) % 2
+    return 1j ** num_qubits * (1 - 2 * parity)
 
-    sigma_y^(x n) |g> = i^n (-1)^popcount(g) |~g>, and ~g reverses the
-    big-endian basis order.
-    """
-    g = np.arange(2 ** num_qubits)
-    parity = np.zeros_like(g)
-    for k in range(num_qubits):
-        parity ^= (g >> k) & 1
-    phase = 1j ** num_qubits * (1 - 2 * parity)
-    return (phase[:, None] * b)[::-1]
+
+def _concurrence_from_sy(m: np.ndarray, trace: np.ndarray | float) -> np.ndarray:
+    """:func:`n_concurrence` of a (..., k, k) stack of M = B^T Sy B, with
+    tr(rho) = ||B||_F^2 of each as its density contract."""
+    _check_trace(trace)
+    lam = np.linalg.svd(m, compute_uv=False)
+    value = 2 * lam[..., 0] - lam.sum(axis=-1)
+    return np.where(value > 0.0, np.minimum(value, 1.0), 0.0)
 
 
 def n_concurrence(factor: np.ndarray, num_qubits: int) -> float:
@@ -146,10 +149,18 @@ def n_concurrence(factor: np.ndarray, num_qubits: int) -> float:
     if b.ndim != 2 or b.shape[0] != dim:
         raise ValueError(f"expected a factor with {dim} rows for {num_qubits} qubits, "
                          f"got shape {b.shape}")
-    _check_trace(np.sum(np.abs(b) ** 2))
-    lam = np.linalg.svd(b.T @ _sigma_y_all(b, num_qubits), compute_uv=False)
-    value = 2 * lam[0] - lam.sum()
-    return float(min(1.0, max(0.0, value)))
+    sy_b = (_sigma_y_phase(num_qubits)[:, None] * b)[::-1]
+    return float(_concurrence_from_sy(b.T @ sy_b, np.sum(np.abs(b) ** 2)))
+
+
+def _trace_distance_from_r(r: np.ndarray, split: int) -> np.ndarray:
+    """:func:`trace_distance` from a stack of R's of W = [A, B] = QR, A the
+    first ``split`` columns; as R^dag R = W^dag W, R holds both traces."""
+    for part in (r[..., :split], r[..., split:]):
+        _check_trace(np.sum(np.abs(part) ** 2, axis=(-2, -1)))
+    signs = np.concatenate([np.ones(split), -np.ones(r.shape[-1] - split)])
+    eps = np.abs(hermitian_eig((r * signs) @ r.conj().swapaxes(-1, -2), vectors=False))
+    return np.minimum(1.0, 0.5 * np.where(eps > PSD_CLIP, eps, 0.0).sum(axis=-1))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -168,16 +179,10 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-2] != b.shape[-2]:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    for factor in (a, b):
-        _check_trace(np.sum(np.abs(factor) ** 2, axis=(-2, -1)))
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     w = np.concatenate([np.broadcast_to(a, batch + a.shape[-2:]),
                         np.broadcast_to(b, batch + b.shape[-2:])], axis=-1)
-    r = np.linalg.qr(w, mode="r")
-    signs = np.concatenate([np.ones(a.shape[-1]), -np.ones(b.shape[-1])])
-    eps = np.abs(hermitian_eig((r * signs) @ r.conj().swapaxes(-1, -2), vectors=False))
-    distance = np.minimum(1.0, 0.5 * np.where(eps > PSD_CLIP, eps, 0.0).sum(axis=-1))
-    return _scalar_or_stack(distance)
+    return _scalar_or_stack(_trace_distance_from_r(np.linalg.qr(w, mode="r"), a.shape[-1]))
 
 
 def closeness(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

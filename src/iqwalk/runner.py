@@ -15,17 +15,16 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .conditioning import CoinProjection, postselect_coin, unconditioned_vertex_state
-from .errors import ZeroProbabilityError
+from .conditioning import ZERO_PROBABILITY, CoinProjection
 from .linalg import density_factor
-from .metrics import closeness, log_negativity, n_concurrence, von_neumann_entropy
+from .metrics import _concurrence_from_sy, _sigma_y_phase, _trace_distance_from_r
+from .metrics import log_negativity, von_neumann_entropy
 from .states import ghz, graph_state, w_state
 from .walk import (
     CoinParams,
@@ -35,7 +34,6 @@ from .walk import (
     _walk_tensors,
     build_coin,
     standard_initial_state,
-    trajectory,
 )
 
 # The four coin parameter sets used by every time-series figure dataset
@@ -156,47 +154,86 @@ def reference_density(kind: str, topology: GraphTopology) -> np.ndarray:
     return np.outer(amps, amps.conj())
 
 
-# Register columns walked together by :func:`_walker_factors`: at n = 12 a
-# block's (2n, 1024) complex step tensor is 384 KiB, small enough to stay
-# in cache through all T steps.  n <= 10 is a single block.
+# Register columns walked together: at n = 12 a block's (2n, 1024) step
+# tensor (384 KiB) stays in cache through all T steps; n <= 10 is one block.
 _REGISTER_BLOCK = 1024
 
 
-@functools.lru_cache(maxsize=1)
-def _walker_factors(config: WalkConfig) -> np.ndarray:
-    """The read-only (T+1, 2n, 2n) stack of factors B_t with
-    B_t B_t^dag = rho_PC(t), the walker-coin reduction at each step.
+def _column_walks(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
+                  initial: PureState | None) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
+    """Per register column block [lo, lo+h) + [2**n-lo-h, 2**n-lo), 2h =
+    ``_REGISTER_BLOCK``, its columns and walk tensors at t = 0..T.  Reversing
+    a block maps each g to ~g = 2**n-1-g: sigma_y^(x n) stays in it."""
+    size = 2 ** topology.n
+    half = max(1, _REGISTER_BLOCK // 2)
+    initial = initial if initial is not None else standard_initial_state(topology)
+    for lo in range(0, size // 2, half):
+        hi = min(lo + half, size // 2)
+        columns = np.r_[lo:hi, size - hi:size - lo]
+        yield columns, _walk_tensors(topology, coin_mats, steps, initial, columns=columns)
 
-    rho_PC is the Gram matrix F F^dag of the state as a (2n, 2**n) matrix
-    F, a sum over the register columns of F, and the CZ is diagonal in the
-    register basis, so each column evolves on its own.  The walk therefore
-    runs in blocks of ``_REGISTER_BLOCK`` columns, each through all T steps,
-    adding its share of every step's Gram into one stack; no full state is
-    held.  The trace of each Gram is ||psi(t)||^2, checked as
-    :class:`PureState` checks a norm, and one stacked :func:`density_factor`
-    turns the Grams into factors.  Memoized for one config at a time, so
-    consecutive walker-side series on a config walk it once.
-    """
+
+# The config, the series served and the statistics of the last walk.
+_last_walk: list = [None, set(), None]
+
+
+def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple:
+    """(T+1, 2n, 2n) stacks of factors of G_t = F F^dag = rho_PC(t), of G_t,
+    and with ``with_sy`` of M_t = B^T Sy B (B = F^T), F being psi(t) as a
+    (2n, 2**n) matrix: sums over column blocks, tr G_t = ||psi(t)||^2
+    checked.  Consecutive distinct series on a config share a walk; a
+    series already served walks again, as does one needing a missing M."""
+    config_walked, served, stats = _last_walk
+    if config == config_walked and series not in served and (stats[2] is not None or not with_sy):
+        served.add(series)
+        return stats
     topology = config.topology
-    coin = build_coin(config.coin)
-    initial = config.initial if config.initial is not None \
-        else standard_initial_state(topology)
     rows = 2 * topology.n
     grams = np.zeros((config.steps + 1, rows, rows), dtype=complex)
-    for lo in range(0, 2 ** topology.n, _REGISTER_BLOCK):
-        block = slice(lo, lo + _REGISTER_BLOCK)
-        for gram, tensor in zip(grams, _walk_tensors(topology, coin, config.steps, initial,
-                                                     columns=block)):
+    sy = np.zeros_like(grams) if with_sy else None
+    phase = _sigma_y_phase(topology.n) if with_sy else None
+    for columns, tensors in _column_walks(topology, build_coin(config.coin), config.steps,
+                                          config.initial):
+        for t, tensor in enumerate(tensors):
             f = tensor.reshape(rows, -1)
-            gram += f @ f.conj().T
+            grams[t] += f @ f.conj().T
+            if with_sy:
+                sy[t] += f @ (f * phase[columns])[:, ::-1].T
     norms = np.sqrt(np.trace(grams, axis1=1, axis2=2).real)
     # Written so that a NaN norm fails the check too.
     bad = ~(np.abs(norms - 1.0) <= 1e-10)
     if bad.any():
         raise ValueError(f"state is not normalized: ||psi|| = {norms[bad][0]:.12g}")
-    factors = density_factor(grams)
-    factors.flags.writeable = False
-    return factors
+    _last_walk[:] = config, {series}, (density_factor(grams), grams, sy)
+    return _last_walk[2]
+
+
+def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
+                      initial: PureState | None, targets: tuple[str, ...]) -> np.ndarray:
+    """Closeness to each target at t = 0..T of the walks of the (..., 2, 2)
+    coins ``coin_mats``, as a (targets, ..., T+1) array, from one blocked
+    walk: per target and step, R of W = [B, g] is built as
+    R <- qr([R; W_block]) and solved for all walks in the last block."""
+    rows = 2 * topology.n
+    # A target is pure: its factor is its (norm-checked) amplitude column.
+    amplitudes = [_reference_state(target, topology).amplitudes for target in targets]
+    values = np.empty((len(targets),) + coin_mats.shape[:-2] + (steps + 1,))
+    held = [[None] * (steps + 1) for _ in targets]
+    blocks = list(_column_walks(topology, coin_mats, steps, initial))
+    for b, (columns, tensors) in enumerate(blocks, start=1):
+        for t, tensor in enumerate(tensors):
+            register = tensor.reshape(tensor.shape[:-3] + (rows, -1)).swapaxes(-1, -2)
+            for i, amps in enumerate(amplitudes):
+                target = np.broadcast_to(amps[columns, None], register.shape[:-1] + (1,))
+                w = np.concatenate([register, target], axis=-1)
+                if held[i][t] is not None:
+                    w = np.concatenate([held[i][t], w], axis=-2)
+                r = np.linalg.qr(w, mode="r")
+                if b < len(blocks):
+                    held[i][t] = r
+                else:
+                    values[i, ..., t] = 1.0 - _trace_distance_from_r(r, rows)
+    return values
 
 
 def _walker_reduction(factors: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -216,27 +253,12 @@ def _walker_reduction(factors: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return tensor.reshape(count, math.prod(dims[i] for i in keep), -1)
 
 
-def _per_state(evaluate: Callable[[PureState], float]) \
-        -> Callable[[WalkConfig], list[float]]:
-    """A register metric's series: ``evaluate`` on each full state as the
-    walk produces it.
-
-    This walk clears the walker-side memo: only consecutive walker-side
-    series share it, so a series list run twice (perfbench repeats its
-    body, and traces it twice) does the same work each time.
-    """
-    def series(config: WalkConfig) -> list[float]:
-        _walker_factors.cache_clear()
-        return [evaluate(s) for s in trajectory(config)]
-    return series
-
-
 def _parse_metric(metric: str, topology: GraphTopology) \
         -> tuple[str, Callable[[WalkConfig], Iterable[float]], dict]:
     """Resolve a metric name to (canonical name, the function from a config
-    to the series' values, extras).  The walker-side metrics, entropies and
-    logneg(PC), are one stacked call on :func:`_walker_factors`; the
-    register metrics evaluate each full state."""
+    to the series' values, extras).  Every metric but closeness is one
+    stacked call on the walk's :func:`_statistics`; closeness walks with
+    the target by :func:`_closeness_values`."""
     m = re.match(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$", metric)
     if not m:
         raise ValueError(f"cannot parse metric name {metric!r}")
@@ -247,51 +269,54 @@ def _parse_metric(metric: str, topology: GraphTopology) \
         if not arg:
             raise ValueError("entropy needs a subsystem label, e.g. entropy(G)")
         keep = _subsystem_indices(arg)
-        label = "".join(sorted(set(arg), key="PCG".index))
-        return (f"entropy({label})",
-                lambda config: von_neumann_entropy(
-                    _walker_reduction(_walker_factors(config), keep)),
-                {})
+        name = "entropy({})".format("".join(sorted(set(arg), key="PCG".index)))
+        return (name, lambda config: von_neumann_entropy(
+                    _walker_reduction(_statistics(config, name)[0], keep)), {})
 
     if head == "logneg":
         if arg not in ("", "PC"):
             raise ValueError("only the walker-coin bipartition logneg(PC) is supported")
-        return ("logneg(PC)",
-                lambda config: log_negativity(_walker_factors(config), (n, 2), (1,)),
-                {})
+        return ("logneg(PC)", lambda config: log_negativity(
+                    _statistics(config, "logneg(PC)")[0], (n, 2), (1,)), {})
 
     if head == "concurrence":
         if arg:
             raise ValueError("concurrence takes no arguments; use "
                              "concurrence_postselected(mu,nu) for conditioning")
-        return ("concurrence",
-                _per_state(lambda s: n_concurrence(unconditioned_vertex_state(s), n)), {})
+
+        def unconditioned(config: WalkConfig) -> np.ndarray:
+            _, grams, sy = _statistics(config, "concurrence", with_sy=True)
+            return _concurrence_from_sy(sy, np.trace(grams, axis1=1, axis2=2).real)
+
+        return "concurrence", unconditioned, {}
 
     if head == "concurrence_postselected":
         if not arg:
             raise ValueError("concurrence_postselected needs (mu,nu)")
         mu, nu = parse_angles(arg, 2)
-        proj = CoinProjection(mu, nu)
+        name = f"concurrence_postselected({_fmt(mu)},{_fmt(nu)})"
+        # Pi = 1_n (x) <Sigma| projects the coin of the (P, C) rows.
+        proj = np.kron(np.eye(n), CoinProjection(mu, nu).ket().conj())
 
-        def postselected(s: PureState) -> float:
-            # A (numerically) impossible outcome contributes no conditional
-            # state; the series records 0 there.
-            try:
-                factor, _ = postselect_coin(s, proj)
-            except ZeroProbabilityError:
-                return 0.0
-            return n_concurrence(factor, n)
+        def postselected(config: WalkConfig) -> np.ndarray:
+            _, grams, sy = _statistics(config, name, with_sy=True)
+            prob = np.einsum("ij,tjk,ik->t", proj, grams, proj.conj()).real
+            # A (numerically) impossible outcome has no conditional state; the
+            # series records 0 there.  Elsewhere its trace is tr(Pi G Pi^dag) / p.
+            kept = ~(prob < ZERO_PROBABILITY)
+            values = np.zeros(len(prob))
+            values[kept] = _concurrence_from_sy(proj @ sy[kept] @ proj.T / prob[kept, None, None],
+                                                prob[kept] / prob[kept])
+            return values
 
-        return (f"concurrence_postselected({_fmt(mu)},{_fmt(nu)})", _per_state(postselected),
-                {"mu": mu, "nu": nu})
+        return name, postselected, {"mu": mu, "nu": nu}
 
     if head == "closeness":
         if not arg:
             raise ValueError("closeness needs a reference state, e.g. closeness(graph)")
-        # The target is pure: its factor is its (norm-checked) amplitude column.
-        target = _reference_state(arg, topology).amplitudes[:, None]
         return (f"closeness({arg})",
-                _per_state(lambda s: closeness(unconditioned_vertex_state(s), target)),
+                lambda config: _closeness_values(topology, build_coin(config.coin), config.steps,
+                                                 config.initial, (arg,))[0],
                 {"target": arg})
 
     raise ValueError(f"unknown metric {metric!r}")
@@ -300,11 +325,9 @@ def _parse_metric(metric: str, topology: GraphTopology) \
 def run_metric_series(config: WalkConfig, metric: str) -> MetricSeries:
     """Evaluate one metric at every step of the configured walk.
 
-    Register metrics take each state as the walk produces it.  The
-    walker-side metrics read the walk's memoized compressed factors, so a
-    run of them on one config walks it once, and each solves all its steps
-    in one stacked call.
-    """
+    The walk runs in blocks of register columns and holds no full state;
+    consecutive distinct series on one config share it (closeness walks on
+    its own), and each series solves all its steps in one stacked call."""
     name, series, extras = _parse_metric(metric, config.topology)
     values = tuple(float(v) for v in series(config))
     provenance = {
@@ -361,46 +384,28 @@ class SweepResult:
     table: tuple[tuple[float, float, float, int, float], ...] | None = None
 
 
-# Coins evolved together as one (K, n, 2, 2**n) tensor by a sweep: enough to
-# amortize the per-call overhead of the stacked solves, few enough that a
-# block's states stay small next to the rest of the process.
+# Coins walked together by a sweep: enough to amortize the per-call overhead
+# of the stacked solves, few enough that a block's states stay small next to
+# the rest of the process.
 _SWEEP_BLOCK = 32
-
-
-def _block_closeness(task: tuple[GraphTopology, tuple[str, ...], int, list[CoinParams]]) \
-        -> np.ndarray:
-    """Closeness to each target at every step t = 0..T of every coin in one
-    block, as a (targets, K, T+1) array.  The block is evolved together
-    once for all targets, and each step scores all K register states with
-    one stacked :func:`closeness` per target; only the current step's
-    states are held."""
-    topology, targets, steps, coins = task
-    coin_mats = np.stack([build_coin(coin) for coin in coins])
-    # A target is pure: its factor is its (norm-checked) amplitude column.
-    target_factors = [_reference_state(target, topology).amplitudes[:, None]
-                      for target in targets]
-    values = np.empty((len(targets), len(coins), steps + 1))
-    for t, tensor in enumerate(_walk_tensors(topology, coin_mats, steps)):
-        # Each member's register factor, as unconditioned_vertex_state gives it.
-        register = tensor.reshape(len(coins), 2 * topology.n, -1).swapaxes(1, 2)
-        for i, target_factor in enumerate(target_factors):
-            values[i, :, t] = closeness(register, target_factor)
-    return values
 
 
 def _closeness_grid(topology: GraphTopology, targets: tuple[str, ...], coins: list[CoinParams],
                     steps: int, jobs: int) -> np.ndarray:
     """Closeness to each target at every step of every coin, as a
-    (targets, K, T+1) array: the coins are evolved in blocks, and ``jobs``
+    (targets, K, T+1) array: the coins are walked in blocks, and ``jobs``
     worker processes share the blocks, at most one per CPU."""
     workers = _check_jobs(jobs)
-    tasks = [(topology, targets, steps, coins[i:i + _SWEEP_BLOCK])
-             for i in range(0, len(coins), _SWEEP_BLOCK)]
+    coin_blocks = [np.stack([build_coin(coin) for coin in coins[i:i + _SWEEP_BLOCK]])
+                   for i in range(0, len(coins), _SWEEP_BLOCK)]
+    block_values = functools.partial(_closeness_values, topology, steps=steps, initial=None,
+                                     targets=targets)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_block_closeness, tasks))
+            blocks = list(pool.map(block_values, coin_blocks))
     else:
-        blocks = [_block_closeness(task) for task in tasks]
+        blocks = [block_values(coin_mats) for coin_mats in coin_blocks]
     return np.concatenate(blocks, axis=1)
 
 
@@ -523,11 +528,12 @@ def reproduce_figure(fig_id: str, out_dir: str | Path, *,
 
     fig2: entropy of the vertex, coin, and walker reductions, both graphs,
     four standard coins.  fig3: walker-coin log negativity, both graphs.
-    fig4: vertex concurrence on the path graph (the cycle series is the
-    degenerate all-zero one).  fig5: conditional vertex concurrence on the
-    path graph for the two computational-basis coin projections.  fig6:
-    grid-sweep closeness maxima for every target and both graphs.  fig7:
-    cluster-state closeness on the cycle for the four best coins.
+    fig4: vertex concurrence on the path graph, which is float noise (at
+    most 3e-17 at T = 100; the cycle's reaches about 0.75).  fig5:
+    conditional vertex concurrence on the path graph for the two
+    computational-basis coin projections.  fig6: grid-sweep closeness maxima
+    for every target and both graphs.  fig7: cluster-state closeness on the
+    cycle for the four best coins.
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {fig_id!r}; pick from {FIGURE_IDS}")

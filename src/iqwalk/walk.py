@@ -19,9 +19,9 @@ import numpy as np
 from .linalg import SubsystemShape, reduced_density
 
 # Ceiling on the site count for dense simulation; at n = 12 one walk state
-# holds 98304 amplitudes (1.5 MiB).  A walk holds one state at a time, a
-# sweep one block of states, and the walker-side series one block of
-# register columns (runner._REGISTER_BLOCK) plus a (T+1, 2n, 2n) stack.
+# holds 98304 amplitudes (1.5 MiB).  A walk holds one state at a time; every
+# series and sweep holds one block of register columns
+# (runner._REGISTER_BLOCK) plus stacks of O(T n^2) statistics per walk.
 MAX_SITES = 12
 
 GRAPH_KINDS = ("path", "cycle")
@@ -238,7 +238,7 @@ def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray
 
 def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
                   initial: PureState | None = None, *,
-                  columns: slice = slice(None)) -> Iterator[np.ndarray]:
+                  columns: slice | np.ndarray = slice(None)) -> Iterator[np.ndarray]:
     """Yield the state tensor of shape (..., n, 2, 2**n) at t = 0..steps.
 
     Leading axes batch walks, one per coin of the (..., 2, 2) stack
@@ -248,14 +248,14 @@ def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
     one is produced and wraps into a :class:`PureState` without a copy.
 
     The CZ is diagonal in the register basis, so each register column g
-    evolves on its own: ``columns`` walks only that slice of the last axis,
-    and the tensors are (..., n, 2, len(columns)).
+    evolves on its own: ``columns``, a slice or index array, walks only those
+    columns of the last axis, and the tensors are (..., n, 2, len(columns)).
     """
-    lo, hi, _ = columns.indices(2 ** topology.n)
+    rows = 2 * topology.n
     shift_rows = _shift_rows(topology)
-    cz_signs = _cz_signs(topology)[:, 2 * lo:2 * hi]
+    cz_signs = _cz_signs(topology).reshape(rows, -1, 2)[:, columns].reshape(rows, -1)
     state = initial if initial is not None else standard_initial_state(topology)
-    start = state.amplitudes.reshape(topology.n, 2, -1)[..., lo:hi]
+    start = state.amplitudes.reshape(topology.n, 2, -1)[..., columns]
     tensor = np.broadcast_to(start, coin_mats.shape[:-2] + start.shape)
     yield tensor
     for _ in range(steps):

@@ -339,6 +339,19 @@ class TestStacks:
         with pytest.raises(ContractViolationError):
             metric(with_nan(b, (1, 2, 0)))
 
+    def test_stacked_concurrence_keeps_the_trace_contract(self):
+        # The core under n_concurrence takes M = B^T Sy B and tr(B B^dag) of
+        # each member; one bad trace rejects the stack.
+        b = random_factors(np.random.default_rng(77), 5, (8, 3))
+        m = b.swapaxes(-1, -2) @ sigma_y_all(3) @ b
+        traces = np.sum(np.abs(b) ** 2, axis=(-2, -1))
+        values = iqwalk.metrics._concurrence_from_sy(m, traces)
+        assert values.shape == (5,)
+        assert np.abs(values - [n_concurrence(member, 3) for member in b]).max() <= 1e-12
+        for bad in (1.1, np.nan):
+            with pytest.raises(ContractViolationError, match="trace"):
+                iqwalk.metrics._concurrence_from_sy(m, np.where(np.arange(5) == 3, bad, traces))
+
     def test_one_bad_member_rejects_the_stack(self):
         rng = np.random.default_rng(72)
         a = random_factors(rng, 5, (8, 4))
@@ -377,6 +390,8 @@ NAN_CALLS = {
     "logneg_stack": lambda: log_negativity(with_nan(np.stack([BELL] * 4), (2, 3, 0)),
                                            (2, 2), [1]),
     "concurrence": lambda: n_concurrence(with_nan(BELL, (3, 0)), 2),
+    "concurrence_stack": lambda: iqwalk.metrics._concurrence_from_sy(
+        np.zeros((4, 1, 1)), with_nan(np.ones(4), 2)),
     "closeness": lambda: closeness(BELL, with_nan(BELL, (0, 0))),
     "closeness_stack": lambda: closeness(with_nan(np.stack([BELL] * 4), (2, 3, 0)), BELL),
     "validate": lambda: validate_density_matrix(np.full((2, 2), np.nan)),

@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -26,8 +29,10 @@ from iqwalk import (
 from iqwalk import runner
 from iqwalk import walk as walk_module
 from iqwalk.cli import main
+from iqwalk.conditioning import CoinProjection, postselect_coin, unconditioned_vertex_state
+from iqwalk.errors import ContractViolationError, ZeroProbabilityError
 from iqwalk.linalg import reduction_factor
-from iqwalk.metrics import log_negativity, von_neumann_entropy
+from iqwalk.metrics import closeness, log_negativity, n_concurrence, von_neumann_entropy
 from iqwalk.walk import PureState, standard_initial_state, trajectory, walk_shape
 from oracles import random_pure
 
@@ -168,34 +173,33 @@ def assert_walker_series_match_oracle(cfg):
 
 
 @pytest.fixture
-def walk_count(monkeypatch):
+def fresh_memo(monkeypatch):
+    """An empty memo of the last walk: statistics walked by another test, or
+    with another block size, must not stand in for the ones under test."""
+    monkeypatch.setattr(runner, "_last_walk", [None, set(), None])
+
+
+@pytest.fixture
+def walk_count(monkeypatch, fresh_memo):
     """Counts the walks of a config started through ``walk._walk_tensors``,
-    under each name the runner and the walk module call it by, with the
-    walker-side memo emptied first.  A walk in column blocks counts once:
-    only its first block, the one from column 0, is counted."""
-    runner._walker_factors.cache_clear()
+    under each name the runner and the walk module call it by, from an
+    empty memo.  A walk in column blocks counts once: only its first block,
+    the one from column 0, is counted."""
     walks = []
     original = walk_module._walk_tensors
 
-    def counted(*args, **kwargs):
-        if kwargs.get("columns", slice(None)).start in (None, 0):
+    def counted(*args, columns=slice(None), **kwargs):
+        if isinstance(columns, slice) or columns[0] == 0:
             walks.append(1)
-        return original(*args, **kwargs)
+        return original(*args, columns=columns, **kwargs)
 
     for module in (walk_module, runner):
         monkeypatch.setattr(module, "_walk_tensors", counted)
-    yield walks
-    runner._walker_factors.cache_clear()
+    return walks
 
 
+@pytest.mark.usefixtures("fresh_memo")
 class TestWalkerSeries:
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        # A factor stack memoized by another test, or with another block
-        # size, must not stand in for the one under test.
-        runner._walker_factors.cache_clear()
-        yield
-        runner._walker_factors.cache_clear()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12])
     @pytest.mark.parametrize("kind", ["path", "cycle"])
@@ -228,44 +232,61 @@ class TestWalkerSeries:
         assert 2 ** 12 // runner._REGISTER_BLOCK == 4
         assert_walker_series_match_oracle(cfg)
 
-    def test_factors_never_hold_a_full_state_per_step(self):
+    def test_factors_never_hold_a_full_state_per_step(self, monkeypatch):
         # A walk state at n = 12 is 1.5 MiB, and 25 of them are 37.5 MiB;
-        # the blocked walk peaks at about 4.5 MiB with cold tables.
-        walk_module._cz_signs.cache_clear()
-        walk_module._shift_rows.cache_clear()
+        # each blocked series peaks at about 5.1-5.7 MiB with cold tables,
+        # and a register series that holds one full state per step at 7.5.
         cfg = WalkConfig(GraphTopology("cycle", 12), STANDARD_COINS[0], 24)
-        tracemalloc.start()
-        try:
-            runner._walker_factors(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * 2 ** 20
+        for metric in ("entropy(G)", "concurrence", "closeness(graph)"):
+            monkeypatch.setattr(runner, "_last_walk", [None, set(), None])
+            walk_module._cz_signs.cache_clear()
+            walk_module._shift_rows.cache_clear()
+            tracemalloc.start()
+            try:
+                run_metric_series(cfg, metric)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * 2 ** 20, metric
 
     def test_unnormalized_initial_state_is_rejected(self):
-        # The per-step norm check reads ||psi(t)||^2 off each Gram's trace.
+        # The statistics read ||psi(t)||^2 off each Gram's trace, and the
+        # closeness reads ||B||_F^2 off each R.
         initial = standard_initial_state(PATH4)
         object.__setattr__(initial, "amplitudes", 1.1 * initial.amplitudes)
-        with pytest.raises(ValueError, match="not normalized"):
-            runner._walker_factors(WalkConfig(PATH4, STANDARD_COINS[0], 3, initial=initial))
+        cfg = WalkConfig(PATH4, STANDARD_COINS[0], 3, initial=initial)
+        for metric in ("entropy(G)", "concurrence"):
+            with pytest.raises(ValueError, match="not normalized"):
+                run_metric_series(cfg, metric)
+        with pytest.raises(ContractViolationError, match="density matrix trace"):
+            run_metric_series(cfg, "closeness(graph)")
 
     def test_one_walk_for_consecutive_walker_series(self, walk_count):
         cfg = WalkConfig(PATH4, STANDARD_COINS[1], 6)
         for metric in ("entropy(PC)", "entropy(C)", "entropy(P)", "logneg(PC)"):
             run_metric_series(cfg, metric)
         assert len(walk_count) == 1
-        # A register series walks the full states itself.
-        run_metric_series(cfg, "concurrence")
+        # The first series that needs M walks again, and the walk serves
+        # the register and walker-side series that follow it.
+        for metric in ("concurrence", "concurrence_postselected(0,0)",
+                       "concurrence_postselected(pi/2,0)", "entropy(G)"):
+            run_metric_series(cfg, metric)
         assert len(walk_count) == 2
+        # Closeness walks with its target on its own.
+        run_metric_series(cfg, "closeness(graph)")
+        assert len(walk_count) == 3
 
-    def test_register_series_clears_the_memo(self, walk_count):
-        # Only consecutive walker-side series share a walk, so running the
-        # same list of series twice repeats the same work.
-        cfg = WalkConfig(PATH4, STANDARD_COINS[1], 6)
+    def test_register_n8_series_run_twice_walk_equally_often(self, walk_count):
+        # The register_n8 benchmark's list: a series already served walks
+        # again, so the second round repeats the first, walk for walk.
+        cfg = WalkConfig(GraphTopology("path", 8), STANDARD_COINS[2], 24)
+        rounds = []
         for _ in range(2):
-            run_metric_series(cfg, "concurrence")
-            run_metric_series(cfg, "entropy(G)")
-        assert len(walk_count) == 4
+            before = len(walk_count)
+            values = [run_metric_series(cfg, metric).values for metric in REGISTER_N8_METRICS]
+            rounds.append((len(walk_count) - before, values))
+        assert rounds[0] == rounds[1]
+        assert rounds[0][0] == 2   # the statistics, and the closeness walk
 
     def test_second_config_evicts_the_first(self, walk_count):
         first = WalkConfig(PATH4, STANDARD_COINS[1], 6)
@@ -273,16 +294,15 @@ class TestWalkerSeries:
         for cfg in (first, second, first):
             run_metric_series(cfg, "entropy(C)")
         assert len(walk_count) == 3
-        factors = runner._walker_factors(first)
+        run_metric_series(first, "entropy(P)")
         assert len(walk_count) == 3
-        assert factors.shape == (7, 8, 8)
-        assert not factors.flags.writeable
-        with pytest.raises(ValueError):
-            factors[0, 0, 0] = 0
+        run_metric_series(second, "entropy(P)")
+        assert len(walk_count) == 4
 
     def test_memo_never_sees_a_changed_initial_state(self, walk_count):
         # The memo keys on the initial state's identity; the state copies
-        # its caller's array, so changing that array changes nothing.
+        # its caller's array, so changing that array changes nothing, in a
+        # new walk or in the memo.
         amps = evolve(WalkConfig(PATH4, STANDARD_COINS[0], 3)).amplitudes.copy()
         cfg = WalkConfig(PATH4, STANDARD_COINS[1], 5, initial=PureState(amps, walk_shape(PATH4)))
         before = run_metric_series(cfg, "entropy(G)").values
@@ -291,7 +311,83 @@ class TestWalkerSeries:
         assert run_metric_series(cfg, "entropy(G)").values == before
         assert run_metric_series(cfg, "logneg(PC)").values \
             == pytest.approx(full_state_series(cfg, "logneg(PC)"), abs=1e-12)
-        assert len(walk_count) == walks + 1  # the oracle's walk alone
+        assert len(walk_count) == walks + 2  # entropy(G) again, and the oracle
+
+
+REGISTER_N8_METRICS = ("concurrence", "concurrence_postselected(0,0)",
+                       "concurrence_postselected(pi/2,0)", "closeness(graph)", "entropy(G)")
+REGISTER_METRICS = ("concurrence", "concurrence_postselected(0,0)",
+                    "concurrence_postselected(pi/2,0)", "concurrence_postselected(pi/3,pi/5)",
+                    "closeness(ghz)", "closeness(w)", "closeness(graph)")
+
+
+def register_oracle(cfg, metric):
+    """A register metric from the full walk states, through the conditioning
+    functions, one metric call per state."""
+    n = cfg.topology.n
+    values = []
+    for s in trajectory(cfg):
+        if metric == "concurrence":
+            values.append(n_concurrence(unconditioned_vertex_state(s), n))
+        elif metric.startswith("concurrence_postselected"):
+            mu, nu = runner.parse_angles(metric[len("concurrence_postselected("):-1], 2)
+            try:
+                factor, _ = postselect_coin(s, CoinProjection(mu, nu))
+            except ZeroProbabilityError:
+                values.append(0.0)
+                continue
+            values.append(n_concurrence(factor, n))
+        else:
+            target = runner._reference_state(metric[len("closeness("):-1], cfg.topology)
+            values.append(closeness(unconditioned_vertex_state(s), target.amplitudes[:, None]))
+    return values
+
+
+def assert_register_series_match_oracle(cfg):
+    for metric in REGISTER_METRICS:
+        values = run_metric_series(cfg, metric).values
+        assert np.abs(np.subtract(values, register_oracle(cfg, metric))).max() <= 1e-12, metric
+
+
+@pytest.mark.usefixtures("fresh_memo")
+class TestRegisterSeries:
+    @pytest.mark.parametrize("block", [1024, 2, 6], ids=["one-block", "pairs", "six"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_column_blocks_match_full_state_oracle(self, kind, n, block, monkeypatch):
+        # Blocks of 2 are every mirror pair (g, ~g) on its own; with blocks
+        # of 6 the last block is the one whose mirror range meets column
+        # 2**(n-1), and with 1024 all columns are one block.
+        monkeypatch.setattr(runner, "_REGISTER_BLOCK", block)
+        cfg = WalkConfig(GraphTopology(kind, n), CoinParams(0.7, 0.3, 1.1), 9)
+        assert_register_series_match_oracle(cfg)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_column_blocks_from_an_entangled_initial_state(self, kind, monkeypatch):
+        monkeypatch.setattr(runner, "_REGISTER_BLOCK", 4)
+        topology = GraphTopology(kind, 5)
+        initial = PureState(random_pure(5 * 2 * 2 ** 5, np.random.default_rng(91)),
+                            walk_shape(topology))
+        cfg = WalkConfig(topology, STANDARD_COINS[3], 9, initial=initial)
+        assert_register_series_match_oracle(cfg)
+        assert run_metric_series(cfg, "entropy(G)").values[0] > 0.5
+
+    def test_zero_probability_step_is_exactly_zero(self):
+        # At t = 0 the coin is |0>: the outcome mu = pi/2 (|1>) is impossible.
+        cfg = WalkConfig(PATH4, STANDARD_COINS[1], 4)
+        with pytest.raises(ZeroProbabilityError):
+            postselect_coin(standard_initial_state(PATH4), CoinProjection(math.pi / 2))
+        values = run_metric_series(cfg, "concurrence_postselected(pi/2,0)").values
+        assert values[0] == 0.0 and not math.copysign(1.0, values[0]) < 0
+        oracle = register_oracle(cfg, "concurrence_postselected(pi/2,0)")
+        assert oracle[0] == 0.0
+        assert np.abs(np.subtract(values, oracle)).max() <= 1e-12
+
+    def test_twelve_sites_in_full_blocks_match_full_state_oracle(self):
+        # 4 blocks of runner._REGISTER_BLOCK = 1024 columns.
+        cfg = WalkConfig(GraphTopology("cycle", 12), STANDARD_COINS[2], 4)
+        assert 2 ** 12 // runner._REGISTER_BLOCK == 4
+        assert_register_series_match_oracle(cfg)
 
 
 class TestSweep:
@@ -376,17 +472,26 @@ class TestSweep:
         assert run_sweep(spec, jobs=2, keep_table=True) == result
 
     def test_non_finite_closeness_raises(self, monkeypatch):
-        scalar_closeness = runner.closeness
+        distances = runner._trace_distance_from_r
 
-        def poisoned(a, b):
-            values = scalar_closeness(a, b)
+        def poisoned(r, split):
+            values = distances(r, split)
             values[-1] = np.nan
             return values
 
-        monkeypatch.setattr(runner, "closeness", poisoned)
+        monkeypatch.setattr(runner, "_trace_distance_from_r", poisoned)
         spec = SweepSpec(CYCLE4, "graph", thetas=(0.9, 1.2), phi2s=(0.4,), steps=2)
         with pytest.raises(ValueError, match="finite"):
             run_sweep(spec)
+
+    def test_import_leaves_the_process_pool_out(self):
+        # Only a sweep with jobs > 1 imports concurrent.futures.
+        code = ("import sys, iqwalk, iqwalk.cli; "
+                "print(any(m.startswith('concurrent') for m in sys.modules))")
+        src = str(Path(runner.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_default_grid(self):
         assert len(default_angle_grid()) == 21
@@ -419,7 +524,7 @@ class TestSweep:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = SweepSpec(CYCLE4, "graph", thetas=(0.9, 1.2), phi2s=(0.4,), steps=2)
         assert run_sweep(spec, jobs=64) == run_sweep(spec)
@@ -513,9 +618,9 @@ class TestReproduceFigure:
         walked = []
         original = runner._walk_tensors
 
-        def counted(topology, coin_mats, steps, initial=None):
+        def counted(topology, coin_mats, steps, initial=None, **kwargs):
             walked.append(len(coin_mats))
-            return original(topology, coin_mats, steps, initial)
+            return original(topology, coin_mats, steps, initial, **kwargs)
 
         monkeypatch.setattr(runner, "_walk_tensors", counted)
         reproduce_figure("fig6", tmp_path, steps=3)
