@@ -128,8 +128,10 @@ def reduced_density(amplitudes: np.ndarray,
     projector.
 
     Equivalent to tracing the subsystems outside ``keep`` out of
-    ``outer(psi, psi.conj())``, but works directly on the amplitude vector,
-    which is what keeps larger site counts tractable.
+    ``outer(psi, psi.conj())``, but works directly on the amplitude vector.
+    It is the dense reference behind :meth:`PureState.reduced`: no series
+    or sweep calls it, since they reduce each block of register columns to
+    O(n^2) statistics instead of forming a register density matrix.
     """
     f = reduction_factor(amplitudes, shape, keep)
     return f @ f.conj().T

@@ -33,7 +33,6 @@ from .walk import (
     WalkConfig,
     _walk_tensors,
     build_coin,
-    standard_initial_state,
 )
 
 # The four coin parameter sets used by every time-series figure dataset
@@ -166,7 +165,6 @@ def _column_walks(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
     a block maps each g to ~g = 2**n-1-g: sigma_y^(x n) stays in it."""
     size = 2 ** topology.n
     half = max(1, _REGISTER_BLOCK // 2)
-    initial = initial if initial is not None else standard_initial_state(topology)
     for lo in range(0, size // 2, half):
         hi = min(lo + half, size // 2)
         columns = np.r_[lo:hi, size - hi:size - lo]
@@ -303,6 +301,11 @@ def _parse_metric(metric: str, topology: GraphTopology) \
             prob = np.einsum("ij,tjk,ik->t", proj, grams, proj.conj()).real
             # A (numerically) impossible outcome has no conditional state; the
             # series records 0 there.  Elsewhere its trace is tr(Pi G Pi^dag) / p.
+            # Projecting the unprojected statistics and then dividing by p
+            # loses relative precision as eps / p, where projecting the
+            # amplitudes first (postselect_coin) loses eps / sqrt(p): the two
+            # differ by 1.3e-13 at p = 1e-4, 4.0e-9 at p = 1e-8 and 3.2e-5 at
+            # p = 1e-12.  The standard and grid coins keep p >= 4.7e-5.
             kept = ~(prob < ZERO_PROBABILITY)
             values = np.zeros(len(prob))
             values[kept] = _concurrence_from_sy(proj @ sy[kept] @ proj.T / prob[kept, None, None],

@@ -12,9 +12,6 @@ import numpy as np
 from .linalg import SubsystemShape
 from .walk import GraphTopology, PureState
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 def _qubit_state(amps: np.ndarray, n: int) -> PureState:
     # Global phase convention: first nonzero amplitude real positive.
@@ -66,6 +63,8 @@ def stabilizer_expectations(state: PureState, topology: GraphTopology) -> np.nda
 
     For the exact graph state of ``topology`` every entry is +1; this is
     the ground-truth check used to certify constructed cluster states.
+    No operator is formed: on the state as an n-axis tensor, X_i flips
+    axis i and each Z_j signs the 1 half of axis j.
     """
     n = topology.n
     neighbours: list[set[int]] = [set() for _ in range(n)]
@@ -73,15 +72,11 @@ def stabilizer_expectations(state: PureState, topology: GraphTopology) -> np.nda
         neighbours[i].add(j)
         neighbours[j].add(i)
 
-    psi = state.amplitudes
+    psi = state.amplitudes.reshape((2,) * n)
     values = np.empty(n)
     for i in range(n):
-        ops = [np.eye(2, dtype=complex)] * n
-        ops[i] = _PAULI_X
+        k_psi = np.flip(psi, axis=i).copy()
         for j in neighbours[i]:
-            ops[j] = _PAULI_Z
-        k_i = ops[0]
-        for op in ops[1:]:
-            k_i = np.kron(k_i, op)
-        values[i] = np.real(np.vdot(psi, k_i @ psi))
+            k_psi[(slice(None),) * j + (1,)] *= -1
+        values[i] = np.real(np.vdot(psi, k_psi))
     return values

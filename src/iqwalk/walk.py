@@ -9,7 +9,6 @@ coin and the vertex qubit at the walker's new position.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -19,9 +18,10 @@ import numpy as np
 from .linalg import SubsystemShape, reduced_density
 
 # Ceiling on the site count for dense simulation; at n = 12 one walk state
-# holds 98304 amplitudes (1.5 MiB).  A walk holds one state at a time; every
-# series and sweep holds one block of register columns
-# (runner._REGISTER_BLOCK) plus stacks of O(T n^2) statistics per walk.
+# holds 98304 amplitudes (1.5 MiB).  `evolve` and `trajectory` hold one state
+# at a time; every series and sweep holds one block of register columns
+# (runner._REGISTER_BLOCK) with its own sign table and start, plus stacks of
+# O(T n^2) statistics per walk, and no table 2**n columns wide.
 MAX_SITES = 12
 
 GRAPH_KINDS = ("path", "cycle")
@@ -74,19 +74,15 @@ class CoinParams:
 class PureState:
     """Normalized state vector together with its subsystem dimensions.
 
-    The amplitudes are held read-only, so a validated state cannot change
-    under its holder: an input through which, or under which, memory can be
-    written is copied; a read-only array on read-only memory (such as a
-    state the walk yields) is kept as it is.
+    The amplitudes are a read-only copy of the input, so a validated state
+    cannot change under its holder.
     """
 
     amplitudes: np.ndarray
     shape: SubsystemShape
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes)
-        writeable = any(a.flags.writeable for a in _base_chain(amps))
-        amps = np.array(amps, dtype=complex, order="C", copy=writeable or None)
+        amps = np.array(self.amplitudes, dtype=complex, order="C")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         self.shape.check_vector(amps)
@@ -102,14 +98,6 @@ class PureState:
     def reduced(self, keep) -> np.ndarray:
         """Reduced density matrix on the subsystems in ``keep``."""
         return reduced_density(self.amplitudes, self.shape, keep)
-
-
-def _base_chain(a: np.ndarray) -> Iterator[np.ndarray]:
-    """``a`` and the ndarrays it is a view of, down to the one that owns
-    the memory."""
-    while isinstance(a, np.ndarray):
-        yield a
-        a = a.base
 
 
 def walk_shape(topology: GraphTopology) -> SubsystemShape:
@@ -135,14 +123,19 @@ class WalkConfig:
                              f"Hilbert space {walk_shape(self.topology).dims}")
 
 
+def _standard_start(n: int, width: int) -> np.ndarray:
+    """|0>_P |0>_C (x) |+>^(n) on ``width`` of its register columns, as an
+    (n, 2, width) tensor: each column is 2**(-n/2) in row (p, c) = (0, 0)."""
+    start = np.zeros((n, 2, width), dtype=complex)
+    start[0, 0] = 2.0 ** (-n / 2)
+    return start
+
+
 def standard_initial_state(topology: GraphTopology) -> PureState:
     """|0>_P |0>_C (x) |+>^(n): walker at site 0, coin 0, all vertex qubits
     in the +1 eigenstate of sigma_x."""
     n = topology.n
-    amps = np.zeros(n * 2 * 2 ** n, dtype=complex)
-    amps[:2 ** n] = 2.0 ** (-n / 2)   # the (p, c) = (0, 0) block
-    amps.flags.writeable = False
-    return PureState(amps, walk_shape(topology))
+    return PureState(_standard_start(n, 2 ** n).reshape(-1), walk_shape(topology))
 
 
 def build_coin(coin: CoinParams) -> np.ndarray:
@@ -179,25 +172,22 @@ def build_shift(topology: GraphTopology) -> np.ndarray:
     return s
 
 
-@functools.lru_cache(maxsize=1)
-def _cz_signs(topology: GraphTopology) -> np.ndarray:
-    """The position-controlled CZ as a (2n, 2 * 2**n) table of +-1 signs.
+def _cz_signs(topology: GraphTopology, columns: slice | np.ndarray = slice(None)) -> np.ndarray:
+    """The position-controlled CZ on the register columns ``columns`` (a
+    slice or index array over the 2**n basis states) as a (2n, 2 * width)
+    table of +-1 signs.
 
-    Row ``p*2 + c`` holds, for each register basis state g, the sign that
-    |p>_P |c>_C |g> picks up: -1 exactly when the coin is 1 and the vertex
-    qubit at the walker's position is 1.  Each sign appears twice, for the
-    real and the imaginary part, so that the table scales the ``float64``
-    view of a (..., 2n, 2**n) complex tensor in place.
-
-    Memoized for the last topology and read-only, like :func:`_shift_rows`,
-    so a walk in column blocks builds it once.
+    Row ``p*2 + c`` holds, for each register basis state g of the block,
+    the sign that |p>_P |c>_C |g> picks up: -1 exactly when the coin is 1
+    and the vertex qubit at the walker's position is 1.  Each sign appears
+    twice, for the real and the imaginary part, so that the table scales
+    the ``float64`` view of a (..., 2n, width) complex tensor in place.
     """
     n = topology.n
-    # bits[p, g]: vertex qubit p of register state g (big-endian).
-    bits = (np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    signs = np.ones((n, 2, 2 ** n, 2))
+    # bits[p, j]: vertex qubit p of the block's j-th register state (big-endian).
+    bits = (np.arange(2 ** n)[columns] >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    signs = np.ones((n, 2, bits.shape[1], 2))
     signs[:, 1] -= 2 * bits[..., None]
-    signs.flags.writeable = False
     return signs.reshape(2 * n, -1)
 
 
@@ -208,13 +198,10 @@ def interaction_diagonal(topology: GraphTopology) -> np.ndarray:
     return _cz_signs(topology)[:, 0::2].reshape(-1)
 
 
-@functools.lru_cache(maxsize=1)
 def _shift_rows(topology: GraphTopology) -> np.ndarray:
     """The shift as a row gather: ``(S @ x)[r] = x[rows[r]]``, read off the
     permutation matrix :func:`build_shift`."""
-    rows = build_shift(topology).real.argmax(axis=1)
-    rows.flags.writeable = False
-    return rows
+    return build_shift(topology).real.argmax(axis=1)
 
 
 def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray,
@@ -243,25 +230,25 @@ def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
 
     Leading axes batch walks, one per coin of the (..., 2, 2) stack
     ``coin_mats``, all started from ``initial`` (``None`` selects
-    |0>_P |0>_C |+>^n).  Each step is a fresh array, marked read-only down
-    to the memory it owns, so a yielded tensor stays valid after the next
-    one is produced and wraps into a :class:`PureState` without a copy.
+    |0>_P |0>_C |+>^n).  Each step is a fresh array, so a yielded tensor
+    stays valid after the next one is produced.
 
     The CZ is diagonal in the register basis, so each register column g
     evolves on its own: ``columns``, a slice or index array, walks only those
     columns of the last axis, and the tensors are (..., n, 2, len(columns)).
+    The sign table and the standard start are built for those columns alone.
     """
-    rows = 2 * topology.n
+    n = topology.n
     shift_rows = _shift_rows(topology)
-    cz_signs = _cz_signs(topology).reshape(rows, -1, 2)[:, columns].reshape(rows, -1)
-    state = initial if initial is not None else standard_initial_state(topology)
-    start = state.amplitudes.reshape(topology.n, 2, -1)[..., columns]
+    cz_signs = _cz_signs(topology, columns)
+    if initial is None:
+        start = _standard_start(n, cz_signs.shape[1] // 2)
+    else:
+        start = initial.amplitudes.reshape(n, 2, -1)[..., columns]
     tensor = np.broadcast_to(start, coin_mats.shape[:-2] + start.shape)
     yield tensor
     for _ in range(steps):
         tensor = _apply_step(tensor, coin_mats, shift_rows, cz_signs)
-        for a in _base_chain(tensor):
-            a.flags.writeable = False
         yield tensor
 
 

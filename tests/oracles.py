@@ -84,6 +84,25 @@ def sigma_y_all(num_qubits: int) -> np.ndarray:
     return big_sy
 
 
+def graph_stabilizer_expectations(psi: np.ndarray, num_qubits: int, edges) -> np.ndarray:
+    """<psi| K_i |psi> for each graph-state stabilizer K_i = X_i prod_{j~i}
+    Z_j of the graph ``edges``, each K_i a dense 2^n x 2^n Kronecker chain."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    values = np.empty(num_qubits)
+    for i in range(num_qubits):
+        ops = [np.eye(2, dtype=complex)] * num_qubits
+        ops[i] = x
+        for a, b in edges:
+            if i in (a, b):
+                ops[b if a == i else a] = z
+        k_i = ops[0]
+        for op in ops[1:]:
+            k_i = np.kron(k_i, op)
+        values[i] = np.real(np.vdot(psi, k_i @ psi))
+    return values
+
+
 def concurrence_direct(rho: np.ndarray, num_qubits: int, rank: int | None = None) -> float:
     """n-concurrence via direct (non-Hermitian) diagonalization of the
     operator rho . Sy rho* Sy.

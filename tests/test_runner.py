@@ -233,21 +233,19 @@ class TestWalkerSeries:
         assert_walker_series_match_oracle(cfg)
 
     def test_factors_never_hold_a_full_state_per_step(self, monkeypatch):
-        # A walk state at n = 12 is 1.5 MiB, and 25 of them are 37.5 MiB;
-        # each blocked series peaks at about 5.1-5.7 MiB with cold tables,
-        # and a register series that holds one full state per step at 7.5.
+        # A walk state at n = 12 is 1.5 MiB, as is a sign table or a start
+        # state 2**12 columns wide, and 25 states are 37.5 MiB.  Each blocked
+        # series holds one block and its statistics, about 2.1-2.7 MiB.
         cfg = WalkConfig(GraphTopology("cycle", 12), STANDARD_COINS[0], 24)
         for metric in ("entropy(G)", "concurrence", "closeness(graph)"):
             monkeypatch.setattr(runner, "_last_walk", [None, set(), None])
-            walk_module._cz_signs.cache_clear()
-            walk_module._shift_rows.cache_clear()
             tracemalloc.start()
             try:
                 run_metric_series(cfg, metric)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 6 * 2 ** 20, metric
+            assert peak < 3 * 2 ** 20, metric
 
     def test_unnormalized_initial_state_is_rejected(self):
         # The statistics read ||psi(t)||^2 off each Gram's trace, and the

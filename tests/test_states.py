@@ -1,5 +1,7 @@
 from functools import reduce
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from iqwalk import (
     von_neumann_entropy,
     w_state,
 )
-from oracles import wootters_concurrence
+from iqwalk.linalg import SubsystemShape
+from iqwalk.walk import PureState
+from oracles import graph_stabilizer_expectations, random_pure, wootters_concurrence
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -87,6 +91,31 @@ class TestGraphState:
         top = GraphTopology(kind, n)
         values = stabilizer_expectations(graph_state(top), top)
         assert np.abs(values - 1.0).max() < 1e-10
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_stabilizers_match_dense_operators_on_random_states(self, kind, n):
+        top = GraphTopology(kind, n)
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            psi = random_pure(2 ** n, rng)
+            got = stabilizer_expectations(PureState(psi, SubsystemShape((2,) * n)), top)
+            want = graph_stabilizer_expectations(psi, n, top.edges)
+            assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_twelve_site_graph_state_without_dense_operators(self, kind):
+        # One dense K_i at n = 12 would be 256 MiB; the state is 64 KiB.
+        top = GraphTopology(kind, 12)
+        state = graph_state(top)
+        tracemalloc.start()
+        try:
+            values = stabilizer_expectations(state, top)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.abs(values - 1.0).max() < 1e-12
+        assert peak < 2 ** 20
 
     def test_cycle_and_path_differ(self):
         c4 = graph_state(GraphTopology("cycle", 4))

@@ -17,8 +17,10 @@ from iqwalk import (
     trajectory,
     walk_shape,
 )
+import iqwalk.runner as runner
 import iqwalk.walk as walk_module
 from iqwalk.walk import MAX_SITES, _apply_step, _cz_signs, _shift_rows, interaction_diagonal
+from oracles import random_pure
 
 
 def random_coins(count, seed=2024):
@@ -307,24 +309,6 @@ class TestEvolve:
         for state, amplitudes in zip(states, want):
             assert np.array_equal(state.amplitudes, amplitudes.reshape(-1))
 
-    def test_trajectory_states_are_the_read_only_tensors(self, monkeypatch):
-        # Every yielded tensor is read-only, so each trajectory state wraps
-        # it without a copy.
-        tensors = []
-        original = walk_module._walk_tensors
-
-        def recorded(*args):
-            for tensor in original(*args):
-                tensors.append(tensor)
-                yield tensor
-
-        monkeypatch.setattr(walk_module, "_walk_tensors", recorded)
-        states = list(trajectory(WalkConfig(GraphTopology("path", 5), STANDARD_COINS[2], 6)))
-        assert len(tensors) == len(states) == 7
-        for tensor, state in zip(tensors, states):
-            assert not tensor.flags.writeable
-            assert np.shares_memory(state.amplitudes, tensor)
-
     def test_trajectory_is_lazy(self, monkeypatch):
         # A billion steps never finish if the states are made up front; the
         # step counter stops such a walk at once instead.
@@ -350,6 +334,49 @@ class TestEvolve:
             rho = state.reduced(range(2, 7))
             plus = np.full(32, 2.0 ** -2.5)
             assert np.abs(rho - np.outer(plus, plus)).max() < 1e-12
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("start", ["standard", "explicit"])
+    @pytest.mark.parametrize("register_block", [8, 6])
+    def test_block_walk_is_the_full_walks_columns(self, kind, n, start, register_block,
+                                                  monkeypatch):
+        # A block builds its own sign table and, from the standard start,
+        # its own start columns.  Blocks as runner._column_walks builds
+        # them, [lo, lo+h) with its mirror, plus a strided slice; one coin
+        # and a (2, 3) coin stack.  The table and the start equal the full
+        # walk's columns bitwise, and so does every step of a block whose
+        # width is a multiple of 4, as every runner block is.
+        # The coin matmul rounds the last width % 4 columns of a narrower
+        # block on another path of the BLAS kernel, a few ulp apart.
+        top = GraphTopology(kind, n)
+        initial = None
+        if start == "explicit":
+            initial = PureState(random_pure(n * 2 * 2 ** n, np.random.default_rng(n)),
+                                walk_shape(top))
+        monkeypatch.setattr(runner, "_REGISTER_BLOCK", register_block)
+        stack = np.stack([build_coin(c) for c in random_coins(6)]).reshape(2, 3, 2, 2)
+        table = _cz_signs(top).reshape(2 * n, -1, 2)
+        for coin_mats in (stack[0, 0], stack):
+            full = list(walk_module._walk_tensors(top, coin_mats, 8, initial))
+            blocks = [columns for columns, _ in runner._column_walks(top, coin_mats, 8, initial)]
+            assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(2 ** n))
+            strided = slice(1, None, register_block // 2)
+            for columns in blocks + [strided]:
+                signs = _cz_signs(top, columns)
+                assert np.array_equal(signs, table[:, columns].reshape(2 * n, -1))
+                walked = list(walk_module._walk_tensors(top, coin_mats, 8, initial,
+                                                        columns=columns))
+                assert len(walked) == len(full) == 9
+                assert np.array_equal(walked[0], full[0][..., columns])
+                bitwise = signs.shape[1] // 2 % 4 == 0
+                for block, whole in zip(walked[1:], full[1:]):
+                    if bitwise:
+                        assert np.array_equal(block, whole[..., columns])
+                    else:
+                        assert np.abs(block - whole[..., columns]).max() <= 1e-15
 
 
 class TestWalkConfig:
@@ -382,10 +409,12 @@ class TestWalkConfig:
         a[:] = 0
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
-    def test_read_only_input_is_not_copied(self):
+    def test_read_only_input_is_copied(self):
         a = standard_initial_state(GraphTopology("cycle", 4)).amplitudes
         assert not a.flags.writeable
-        assert PureState(a, walk_shape(GraphTopology("cycle", 4))).amplitudes is a
+        state = PureState(a, walk_shape(GraphTopology("cycle", 4)))
+        assert not np.shares_memory(state.amplitudes, a)
+        assert np.array_equal(state.amplitudes, a)
 
     def test_rejects_unnormalized_state(self):
         for amps in (np.ones(128), np.full(128, np.nan)):
