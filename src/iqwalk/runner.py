@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .conditioning import ZERO_PROBABILITY, CoinProjection
-from .linalg import density_factor
-from .metrics import _concurrence_from_sy, _sigma_y_phase, _trace_distance_from_r
+from .linalg import PSD_CLIP, density_factor
+from .metrics import _check_trace, _concurrence_from_sy, _sigma_y_phase, _trace_distance_from_r
 from .metrics import log_negativity, von_neumann_entropy
 from .states import ghz, graph_state, w_state
 from .walk import (
@@ -155,6 +155,9 @@ def reference_density(kind: str, topology: GraphTopology) -> np.ndarray:
 
 # Register columns walked together: at n = 12 a block's (2n, 1024) step
 # tensor (384 KiB) stays in cache through all T steps; n <= 10 is one block.
+# Every block's width must be a multiple of 4: the coin matmul rounds a
+# row's last width % 4 columns on another BLAS path, so other widths would
+# move values in the last bits with the block size.
 _REGISTER_BLOCK = 1024
 
 
@@ -207,30 +210,67 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
 
 
 def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
-                      initial: PureState | None, targets: tuple[str, ...]) -> np.ndarray:
+                      initial: PureState | None, targets: tuple[str, ...], *,
+                      skip_untied: bool = False) -> np.ndarray:
     """Closeness to each target at t = 0..T of the walks of the (..., 2, 2)
     coins ``coin_mats``, as a (targets, ..., T+1) array, from one blocked
     walk: per target and step, R of W = [B, g] is built as
-    R <- qr([R; W_block]) and solved for all walks in the last block."""
+    R <- qr([R; W_block]) and solved for all walks in the last block.
+
+    ``skip_untied`` is for sweeps, which need exact values only where a step
+    can tie with its walk's maximum.  The fidelity F = ||B^dag g||^2 bounds
+    closeness (D >= 1 - F, Fuchs-van de Graaf), and clipping eigenvalues
+    within ``PSD_CLIP`` of 0 raises a computed value by at most slack / 2,
+    slack = (2n+1) ``PSD_CLIP``.  A step with F below its walk's best value
+    so far minus ``TIE_ATOL`` and slack is provably untied: its last-block QR
+    and eigensolve are skipped and the array holds F there, an upper bound
+    that never ties.  Every step's density trace is still checked.
+    """
     rows = 2 * topology.n
+    batch = coin_mats.shape[:-2]
     # A target is pure: its factor is its (norm-checked) amplitude column.
     amplitudes = [_reference_state(target, topology).amplitudes for target in targets]
-    values = np.empty((len(targets),) + coin_mats.shape[:-2] + (steps + 1,))
+    values = np.empty((len(targets),) + batch + (steps + 1,))
     held = [[None] * (steps + 1) for _ in targets]
+    if skip_untied:
+        # Per step, g^dag B (B^dag g conjugated, so B is never conjugated) and ||B||_F^2.
+        overlaps = np.zeros((len(targets), steps + 1) + batch + (rows,), dtype=complex)
+        traces = np.zeros((steps + 1,) + batch)
+        best = np.full((len(targets),) + batch, -np.inf)
+        slack = (rows + 1) * PSD_CLIP
     blocks = list(_column_walks(topology, coin_mats, steps, initial))
     for b, (columns, tensors) in enumerate(blocks, start=1):
+        last = b == len(blocks)
         for t, tensor in enumerate(tensors):
-            register = tensor.reshape(tensor.shape[:-3] + (rows, -1)).swapaxes(-1, -2)
+            register = tensor.reshape(batch + (rows, -1)).swapaxes(-1, -2)
+            if skip_untied:
+                traces[t] += np.sum(np.abs(register) ** 2, axis=(-2, -1))
+                if last:
+                    _check_trace(traces[t])
             for i, amps in enumerate(amplitudes):
-                target = np.broadcast_to(amps[columns, None], register.shape[:-1] + (1,))
-                w = np.concatenate([register, target], axis=-1)
+                keep = ...
+                if skip_untied:
+                    overlaps[i, t] += amps[columns].conj() @ register
+                    if last:
+                        fidelity = np.sum(np.abs(overlaps[i, t]) ** 2, axis=-1)
+                        # Written so that a NaN fidelity is not kept.
+                        keep = fidelity >= best[i] - TIE_ATOL - slack
+                        values[i, ..., t] = fidelity
+                        if not keep.any():
+                            continue
+                w = register[keep]
+                target = np.broadcast_to(amps[columns, None], w.shape[:-1] + (1,))
+                w = np.concatenate([w, target], axis=-1)
                 if held[i][t] is not None:
-                    w = np.concatenate([held[i][t], w], axis=-2)
+                    w = np.concatenate([held[i][t][keep], w], axis=-2)
                 r = np.linalg.qr(w, mode="r")
-                if b < len(blocks):
+                if not last:
                     held[i][t] = r
-                else:
-                    values[i, ..., t] = 1.0 - _trace_distance_from_r(r, rows)
+                    continue
+                value = 1.0 - _trace_distance_from_r(r, rows)
+                values[i, ..., t][keep] = value
+                if skip_untied:
+                    best[i][keep] = np.maximum(best[i][keep], value)
     return values
 
 
@@ -396,13 +436,15 @@ _SWEEP_BLOCK = 32
 def _closeness_grid(topology: GraphTopology, targets: tuple[str, ...], coins: list[CoinParams],
                     steps: int, jobs: int) -> np.ndarray:
     """Closeness to each target at every step of every coin, as a
-    (targets, K, T+1) array: the coins are walked in blocks, and ``jobs``
-    worker processes share the blocks, at most one per CPU."""
+    (targets, K, T+1) array, with an upper bound at the steps that provably
+    cannot tie (see :func:`_closeness_values`): the coins are walked in
+    blocks, and ``jobs`` worker processes share the blocks, at most one per
+    CPU."""
     workers = _check_jobs(jobs)
     coin_blocks = [np.stack([build_coin(coin) for coin in coins[i:i + _SWEEP_BLOCK]])
                    for i in range(0, len(coins), _SWEEP_BLOCK)]
     block_values = functools.partial(_closeness_values, topology, steps=steps, initial=None,
-                                     targets=targets)
+                                     targets=targets, skip_untied=True)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -454,6 +496,11 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> Sw
     smallest (theta, phi1, phi2).  The result is independent of evaluation
     order.  Coins are evolved and scored in blocks of stacked states;
     ``jobs`` worker processes share the blocks, at most one per CPU.
+
+    Only steps that can tie are solved exactly: where a coin's fidelity to
+    the target proves a step untied with the coin's maximum, the sweep's
+    value at that step is the fidelity, an upper bound that never ties or
+    wins (see :func:`_closeness_values`), so the result is unchanged.
     """
     coins = spec.coins()
     values = _closeness_grid(spec.topology, (spec.target,), coins, spec.steps, jobs)

@@ -31,9 +31,9 @@ from iqwalk import walk as walk_module
 from iqwalk.cli import main
 from iqwalk.conditioning import CoinProjection, postselect_coin, unconditioned_vertex_state
 from iqwalk.errors import ContractViolationError, ZeroProbabilityError
-from iqwalk.linalg import reduction_factor
+from iqwalk.linalg import PSD_CLIP, reduction_factor
 from iqwalk.metrics import closeness, log_negativity, n_concurrence, von_neumann_entropy
-from iqwalk.walk import PureState, standard_initial_state, trajectory, walk_shape
+from iqwalk.walk import PureState, build_coin, standard_initial_state, trajectory, walk_shape
 from oracles import random_pure
 
 CYCLE4 = GraphTopology("cycle", 4)
@@ -388,6 +388,20 @@ class TestRegisterSeries:
         assert_register_series_match_oracle(cfg)
 
 
+def assert_sweep_matches_per_coin_series(spec, result):
+    """Each table row is the tie rule applied to the coin's closeness series."""
+    for coin, (theta, phi1, phi2, t, value) in zip(spec.coins(), result.table):
+        assert (theta, phi1, phi2) == coin.astuple()
+        values = run_metric_series(WalkConfig(spec.topology, coin, spec.steps),
+                                   f"closeness({spec.target})").values
+        tied = np.asarray(values) >= max(values) - runner.TIE_ATOL
+        want_t = int(np.argmax(tied))
+        while want_t + 1 < len(values) and tied[want_t + 1]:
+            want_t += 1
+        assert t == want_t
+        assert abs(value - values[want_t]) < 1e-12
+
+
 class TestSweep:
     def test_degenerate_single_point(self):
         spec = SweepSpec(CYCLE4, "graph", thetas=(0.9,), phi2s=(0.4,), steps=1)
@@ -457,16 +471,7 @@ class TestSweep:
                          phi2s=tuple(k * math.pi / 7 for k in range(8)), steps=12)
         result = run_sweep(spec, keep_table=True)
         assert len(result.table) == 40
-        for coin, (theta, phi1, phi2, t, value) in zip(spec.coins(), result.table):
-            assert (theta, phi1, phi2) == coin.astuple()
-            values = run_metric_series(WalkConfig(topology, coin, spec.steps),
-                                       f"closeness({target})").values
-            tied = np.asarray(values) >= max(values) - runner.TIE_ATOL
-            want_t = int(np.argmax(tied))
-            while want_t + 1 < len(values) and tied[want_t + 1]:
-                want_t += 1
-            assert t == want_t
-            assert abs(value - values[want_t]) < 1e-12
+        assert_sweep_matches_per_coin_series(spec, result)
         assert run_sweep(spec, jobs=2, keep_table=True) == result
 
     def test_non_finite_closeness_raises(self, monkeypatch):
@@ -527,6 +532,155 @@ class TestSweep:
         spec = SweepSpec(CYCLE4, "graph", thetas=(0.9, 1.2), phi2s=(0.4,), steps=2)
         assert run_sweep(spec, jobs=64) == run_sweep(spec)
         assert workers == [2]
+
+
+# The paper's fig6 grid at every other point, as the fig6 benchmark sweeps it.
+FIG6_GRID = tuple(k * math.pi / 10 for k in range(11))
+
+
+@pytest.fixture
+def solved_members(monkeypatch):
+    """Counts the (coin, t) members whose closeness is solved, i.e. passed
+    to ``runner._trace_distance_from_r``."""
+    solved = []
+    original = runner._trace_distance_from_r
+
+    def counted(r, split):
+        solved.append(math.prod(r.shape[:-2]))
+        return original(r, split)
+
+    monkeypatch.setattr(runner, "_trace_distance_from_r", counted)
+    return solved
+
+
+class TestUntiedSkip:
+    """A sweep skips the solve of every (coin, t) whose fidelity
+    F = ||B^dag g||^2 proves it cannot tie with the coin's maximum."""
+
+    @staticmethod
+    def slack(n):
+        return (2 * n + 1) * PSD_CLIP
+
+    @staticmethod
+    def assert_skips_untied(exact, swept, slack):
+        # Members that differ from the exact values were skipped: untied,
+        # and the stored value bounds the exact one.
+        skipped = swept != exact
+        line = np.broadcast_to(exact.max(axis=-1, keepdims=True) - runner.TIE_ATOL, exact.shape)
+        assert (exact[skipped] < line[skipped]).all()
+        assert (exact[skipped] <= swept[skipped] + slack).all()
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_fidelity_bounds_closeness(self, kind, n):
+        # 1 - D <= F, up to the eigenvalues within PSD_CLIP of 0 that the
+        # trace distance drops: random register factors of rank 2n and 1,
+        # and states within 1e-13 of the target, where sweeps tie.
+        topology = GraphTopology(kind, n)
+        rng = np.random.default_rng(n)
+        dim, rows = 2 ** n, 2 * n
+        for target in runner.TARGET_KINDS:
+            g = runner._reference_state(target, topology).amplitudes
+            pure = np.zeros((dim, rows), dtype=complex)
+            pure[:, 0] = g + 1e-13 * random_pure(dim, rng)
+            mixed = np.zeros((dim, rows), dtype=complex)
+            mixed[:, 0] = g
+            mixed[:, 1] = 1e-13 ** 0.5 * random_pure(dim, rng)
+            factors = [random_pure(dim * rows, rng).reshape(dim, rows) for _ in range(4)]
+            factors += [np.outer(random_pure(dim, rng), random_pure(rows, rng)), pure, mixed]
+            for b in factors:
+                b = b / np.linalg.norm(b)
+                fidelity = np.sum(np.abs(b.conj().T @ g) ** 2)
+                assert closeness(b, g[:, None]) <= fidelity + self.slack(n) / 2 + 1e-15
+
+    @pytest.mark.parametrize("topology", [CYCLE4, PATH4], ids=["cycle", "path"])
+    def test_skipped_steps_are_untied(self, topology):
+        # Solved members are bitwise the exact values; every other member is
+        # untied in the exact values and holds an upper bound of them.
+        spec = SweepSpec(topology, "graph", thetas=FIG6_GRID, phi2s=FIG6_GRID, steps=24)
+        coin_mats = np.stack([build_coin(coin) for coin in spec.coins()])
+        exact = runner._closeness_values(topology, coin_mats, 24, None, runner.TARGET_KINDS)
+        swept = runner._closeness_values(topology, coin_mats, 24, None, runner.TARGET_KINDS,
+                                         skip_untied=True)
+        assert (swept != exact).sum() > exact.size // 3
+        self.assert_skips_untied(exact, swept, self.slack(4))
+
+    @pytest.mark.parametrize("target", ["ghz", "w", "graph"])
+    def test_steps_within_the_slack_are_solved(self, target, monkeypatch):
+        # B_t = sqrt(1 - e) g e_0^T + sqrt(e) h e_1^T with h orthogonal to g
+        # has F = 1 - e and D = e.  For e < PSD_CLIP the trace distance
+        # clips both eigenvalues +-e, so the exact value is 1 while F sits
+        # below it by e: these steps tie, and only the slack keeps them.
+        g = runner._reference_state(target, CYCLE4).amplitudes
+        h = random_pure(16, np.random.default_rng(4))
+        h -= np.vdot(g, h) * g
+        h /= np.linalg.norm(h)
+        eps = (0.5, 4e-13, 3e-13, 0.1, 2e-13, 1e-13)
+        tensors = []
+        for e in eps:
+            b = np.zeros((16, 8), dtype=complex)
+            b[:, 0], b[:, 1] = (1 - e) ** 0.5 * g, e ** 0.5 * h
+            tensors.append(b.T.reshape(1, 4, 2, 16))
+        monkeypatch.setattr(runner, "_column_walks",
+                            lambda *args: iter([(np.arange(16), iter(tensors))]))
+        coin_mats = np.eye(2)[None]
+        exact = runner._closeness_values(CYCLE4, coin_mats, 5, None, (target,))
+        swept = runner._closeness_values(CYCLE4, coin_mats, 5, None, (target,),
+                                         skip_untied=True)
+        assert (exact[0, 0, [1, 2, 4, 5]] == 1.0).all()
+        self.assert_skips_untied(exact, swept, self.slack(4))
+
+    def test_fig6_grid_solves_at_most_half(self, solved_members):
+        # The six (target, graph) sweeps of the fig6 benchmark.
+        for topology in (CYCLE4, PATH4):
+            for target in runner.TARGET_KINDS:
+                run_sweep(SweepSpec(topology, target, thetas=FIG6_GRID, phi2s=FIG6_GRID,
+                                    steps=24))
+        assert sum(solved_members) <= 6 * 121 * 25 // 2
+        # A series solves every step.
+        solved_members.clear()
+        run_metric_series(WalkConfig(CYCLE4, CLUSTER_COIN, 24), "closeness(ghz)")
+        assert sum(solved_members) == 25
+
+    @pytest.mark.parametrize("target", ["ghz", "graph"])
+    def test_several_blocks_match_per_coin_series(self, target, monkeypatch, solved_members):
+        # n = 5 in four column blocks of 8: the earlier blocks' R's are kept
+        # for every coin, and only the last block's solves are skipped.
+        monkeypatch.setattr(runner, "_REGISTER_BLOCK", 8)
+        grid = tuple(k * math.pi / 4 for k in range(5))
+        spec = SweepSpec(GraphTopology("cycle", 5), target, thetas=grid, phi2s=grid, steps=16)
+        result = run_sweep(spec, keep_table=True)
+        assert sum(solved_members) < 25 * 17
+        assert_sweep_matches_per_coin_series(spec, result)
+
+    def test_skipped_step_keeps_the_trace_contract(self, monkeypatch):
+        # Scale one coin's state off-norm at a step the sweep skips, with a
+        # margin that keeps it skipped: the sweep must still reject it.
+        grid = tuple(k * math.pi / 4 for k in range(5))
+        spec = SweepSpec(CYCLE4, "graph", thetas=grid, phi2s=grid, steps=24)
+        coin_mats = np.stack([build_coin(coin) for coin in spec.coins()])
+        exact = runner._closeness_values(CYCLE4, coin_mats, 24, None, ("graph",))[0]
+        swept = runner._closeness_values(CYCLE4, coin_mats, 24, None, ("graph",),
+                                         skip_untied=True)[0]
+        margin = np.where(swept != exact, exact.max(axis=1, keepdims=True) - swept, -np.inf)
+        coin, step = np.unravel_index(margin.argmax(), margin.shape)
+        assert margin[coin, step] > 1e-3
+        original = runner._column_walks
+
+        def off_norm(tensors):
+            for t, tensor in enumerate(tensors):
+                if t == step:
+                    tensor = tensor.copy()
+                    tensor[coin] *= 1 + 1e-6
+                yield tensor
+
+        def walks(*args):
+            for columns, tensors in original(*args):
+                yield columns, off_norm(tensors)
+
+        monkeypatch.setattr(runner, "_column_walks", walks)
+        with pytest.raises(ContractViolationError, match="trace"):
+            run_sweep(spec)
 
 
 class TestSerialization:

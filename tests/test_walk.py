@@ -378,6 +378,16 @@ class TestColumnBlocks:
                     else:
                         assert np.abs(block - whole[..., columns]).max() <= 1e-15
 
+    @pytest.mark.parametrize("n", range(2, MAX_SITES + 1))
+    def test_runner_blocks_are_multiples_of_four(self, n):
+        # The rule above that keeps a block's columns bitwise those of the
+        # full walk, at the runner's own block size.
+        top = GraphTopology("cycle", n)
+        widths = [len(columns) for columns, _ in
+                  runner._column_walks(top, build_coin(CoinParams(0.3)), 1, None)]
+        assert sum(widths) == 2 ** n
+        assert all(width % 4 == 0 for width in widths)
+
 
 class TestWalkConfig:
     def test_rejects_negative_steps(self):
