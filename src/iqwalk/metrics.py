@@ -153,12 +153,13 @@ def n_concurrence(factor: np.ndarray, num_qubits: int) -> float:
     return float(_concurrence_from_sy(b.T @ sy_b, np.sum(np.abs(b) ** 2)))
 
 
-def _trace_distance_from_r(r: np.ndarray, split: int) -> np.ndarray:
-    """:func:`trace_distance` from a stack of R's of W = [A, B] = QR, A the
-    first ``split`` columns; as R^dag R = W^dag W, R holds both traces."""
+def _trace_distance_from_r(r: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """:func:`trace_distance` from a stack of R's of W = [A, B] = QR, with
+    J = diag(``signs``): +1 on A's columns, then -1 on B's.  As R^dag R =
+    W^dag W, R holds both traces."""
+    split = int(np.count_nonzero(signs > 0))
     for part in (r[..., :split], r[..., split:]):
         _check_trace(np.sum(np.abs(part) ** 2, axis=(-2, -1)))
-    signs = np.concatenate([np.ones(split), -np.ones(r.shape[-1] - split)])
     eps = np.abs(hermitian_eig((r * signs) @ r.conj().swapaxes(-1, -2), vectors=False))
     return np.minimum(1.0, 0.5 * np.where(eps > PSD_CLIP, eps, 0.0).sum(axis=-1))
 
@@ -182,7 +183,8 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     w = np.concatenate([np.broadcast_to(a, batch + a.shape[-2:]),
                         np.broadcast_to(b, batch + b.shape[-2:])], axis=-1)
-    return _scalar_or_stack(_trace_distance_from_r(np.linalg.qr(w, mode="r"), a.shape[-1]))
+    signs = np.concatenate([np.ones(a.shape[-1]), -np.ones(b.shape[-1])])
+    return _scalar_or_stack(_trace_distance_from_r(np.linalg.qr(w, mode="r"), signs))
 
 
 def closeness(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

@@ -27,6 +27,7 @@ from .metrics import _check_trace, _concurrence_from_sy, _sigma_y_phase, _trace_
 from .metrics import log_negativity, von_neumann_entropy
 from .states import ghz, graph_state, w_state
 from .walk import (
+    MAX_SITES,
     CoinParams,
     GraphTopology,
     PureState,
@@ -215,62 +216,72 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
     """Closeness to each target at t = 0..T of the walks of the (..., 2, 2)
     coins ``coin_mats``, as a (targets, ..., T+1) array, from one blocked
     walk: per target and step, R of W = [B, g] is built as
-    R <- qr([R; W_block]) and solved for all walks in the last block.
+    R <- qr([R; W_block]) and solved for all walks in the last block.  A
+    step's sums over the earlier blocks are dropped once it is solved, so a
+    walk in one column block holds no statistics from step to step.
 
     ``skip_untied`` is for sweeps, which need exact values only where a step
-    can tie with its walk's maximum.  The fidelity F = ||B^dag g||^2 bounds
-    closeness (D >= 1 - F, Fuchs-van de Graaf), and clipping eigenvalues
-    within ``PSD_CLIP`` of 0 raises a computed value by at most slack / 2,
-    slack = (2n+1) ``PSD_CLIP``.  A step with F below its walk's best value
-    so far minus ``TIE_ATOL`` and slack is provably untied: its last-block QR
-    and eigensolve are skipped and the array holds F there, an upper bound
-    that never ties.  Every step's density trace is still checked.
+    can tie with its walk's maximum.  With the fidelity F = ||B^dag g||^2
+    and the trace defect d = ||B||_F^2 - 1, closeness is at most F - d/2:
+    gg^dag - rho has trace -d, so D = max_P tr P(gg^dag - rho) + d/2, and
+    P = gg^dag gives D >= 1 - F + d/2 (Fuchs-van de Graaf at d = 0).
+    Clipping eigenvalues within ``PSD_CLIP`` of 0 raises a computed value by
+    at most slack / 2, slack = (2n+1) ``PSD_CLIP``.  A step whose bound is
+    below its walk's best value so far minus ``TIE_ATOL`` and slack is
+    provably untied: its last-block QR and eigensolve are skipped and the
+    array holds the bound there, which never ties.  Every step's density
+    trace is still checked.
     """
     rows = 2 * topology.n
     batch = coin_mats.shape[:-2]
     # A target is pure: its factor is its (norm-checked) amplitude column.
     amplitudes = [_reference_state(target, topology).amplitudes for target in targets]
+    signs = np.concatenate([np.ones(rows), [-1.0]])
     values = np.empty((len(targets),) + batch + (steps + 1,))
-    held = [[None] * (steps + 1) for _ in targets]
-    if skip_untied:
-        # Per step, g^dag B (B^dag g conjugated, so B is never conjugated) and ||B||_F^2.
-        overlaps = np.zeros((len(targets), steps + 1) + batch + (rows,), dtype=complex)
-        traces = np.zeros((steps + 1,) + batch)
-        best = np.full((len(targets),) + batch, -np.inf)
-        slack = (rows + 1) * PSD_CLIP
+    best = np.full((len(targets),) + batch, -np.inf)
+    slack = (rows + 1) * PSD_CLIP
+    # Per step, sums over the blocks walked so far: ||B||_F^2, and per target
+    # g^dag B (B^dag g conjugated, so B is never conjugated) and the R.
+    earlier: list = [None] * (steps + 1)
     blocks = list(_column_walks(topology, coin_mats, steps, initial))
     for b, (columns, tensors) in enumerate(blocks, start=1):
         last = b == len(blocks)
+        block_targets = [(amps[columns, None], amps[columns].conj()) for amps in amplitudes]
         for t, tensor in enumerate(tensors):
             register = tensor.reshape(batch + (rows, -1)).swapaxes(-1, -2)
+            trace, overlaps, held = earlier[t] or (0.0, [0.0] * len(targets),
+                                                   [None] * len(targets))
+            earlier[t] = None
             if skip_untied:
-                traces[t] += np.sum(np.abs(register) ** 2, axis=(-2, -1))
+                trace = trace + np.sum(np.abs(register) ** 2, axis=(-2, -1))
                 if last:
-                    _check_trace(traces[t])
-            for i, amps in enumerate(amplitudes):
+                    _check_trace(trace)
+            for i, (column, conj) in enumerate(block_targets):
                 keep = ...
                 if skip_untied:
-                    overlaps[i, t] += amps[columns].conj() @ register
+                    overlaps[i] = overlaps[i] + conj @ register
                     if last:
-                        fidelity = np.sum(np.abs(overlaps[i, t]) ** 2, axis=-1)
-                        # Written so that a NaN fidelity is not kept.
-                        keep = fidelity >= best[i] - TIE_ATOL - slack
-                        values[i, ..., t] = fidelity
+                        fidelity = np.sum(np.abs(overlaps[i]) ** 2, axis=-1)
+                        bound = fidelity - 0.5 * (trace - 1.0)
+                        # Written so that a NaN bound is not kept.
+                        keep = bound >= best[i] - TIE_ATOL - slack
+                        values[i, ..., t] = bound
                         if not keep.any():
                             continue
                 w = register[keep]
-                target = np.broadcast_to(amps[columns, None], w.shape[:-1] + (1,))
-                w = np.concatenate([w, target], axis=-1)
-                if held[i][t] is not None:
-                    w = np.concatenate([held[i][t][keep], w], axis=-2)
+                w = np.concatenate([w, np.broadcast_to(column, w.shape[:-1] + (1,))], axis=-1)
+                if held[i] is not None:
+                    w = np.concatenate([held[i][keep], w], axis=-2)
                 r = np.linalg.qr(w, mode="r")
                 if not last:
-                    held[i][t] = r
+                    held[i] = r
                     continue
-                value = 1.0 - _trace_distance_from_r(r, rows)
+                value = 1.0 - _trace_distance_from_r(r, signs)
                 values[i, ..., t][keep] = value
                 if skip_untied:
                     best[i][keep] = np.maximum(best[i][keep], value)
+            if not last:
+                earlier[t] = trace, overlaps, held
     return values
 
 
@@ -427,30 +438,42 @@ class SweepResult:
     table: tuple[tuple[float, float, float, int, float], ...] | None = None
 
 
-# Coins walked together by a sweep: enough to amortize the per-call overhead
-# of the stacked solves, few enough that a block's states stay small next to
-# the rest of the process.
-_SWEEP_BLOCK = 32
+# Complex entries of the largest step array a sweep block may walk: 32
+# coins of an n = MAX_SITES walk in full register column blocks (12 MiB).
+_SWEEP_STEP_ENTRIES = 32 * 2 * MAX_SITES * _REGISTER_BLOCK
+
+
+def _sweep_blocks(coin_count: int, n: int, workers: int) -> list[slice]:
+    """The coin ranges a sweep walks as one block each: every worker's
+    contiguous share of the grid, ceil(K / ``workers``) coins, cut further
+    only where a block's (coins, 2n, columns) step array would have more
+    than ``_SWEEP_STEP_ENTRIES`` entries.  An n = 4 grid is one block per
+    worker; n = 12 keeps blocks of 32 coins."""
+    per_coin = 2 * n * min(2 ** n, _REGISTER_BLOCK)
+    size = max(1, min(-(-coin_count // workers), _SWEEP_STEP_ENTRIES // per_coin))
+    return [slice(lo, lo + size) for lo in range(0, coin_count, size)]
 
 
 def _closeness_grid(topology: GraphTopology, targets: tuple[str, ...], coins: list[CoinParams],
                     steps: int, jobs: int) -> np.ndarray:
     """Closeness to each target at every step of every coin, as a
     (targets, K, T+1) array, with an upper bound at the steps that provably
-    cannot tie (see :func:`_closeness_values`): the coins are walked in
-    blocks, and ``jobs`` worker processes share the blocks, at most one per
-    CPU."""
+    cannot tie (see :func:`_closeness_values`).  The coins are walked in the
+    blocks of :func:`_sweep_blocks`, one stacked solve per step, target and
+    block; ``jobs`` worker processes, at most one per CPU and one per block,
+    share the blocks, and a single block runs in this process."""
     workers = _check_jobs(jobs)
-    coin_blocks = [np.stack([build_coin(coin) for coin in coins[i:i + _SWEEP_BLOCK]])
-                   for i in range(0, len(coins), _SWEEP_BLOCK)]
+    coin_mats = np.stack([build_coin(coin) for coin in coins])
+    coin_blocks = [coin_mats[block] for block in _sweep_blocks(len(coins), topology.n, workers)]
     block_values = functools.partial(_closeness_values, topology, steps=steps, initial=None,
                                      targets=targets, skip_untied=True)
+    workers = min(workers, len(coin_blocks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(block_values, coin_blocks))
     else:
-        blocks = [block_values(coin_mats) for coin_mats in coin_blocks]
+        blocks = [block_values(block) for block in coin_blocks]
     return np.concatenate(blocks, axis=1)
 
 
@@ -494,13 +517,16 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> Sw
     71-72), which reports t = 24.  Across coins, every coin tied with the best
     value is a candidate, and the earliest t wins, then the lexicographically
     smallest (theta, phi1, phi2).  The result is independent of evaluation
-    order.  Coins are evolved and scored in blocks of stacked states;
-    ``jobs`` worker processes share the blocks, at most one per CPU.
+    order.  Coins are evolved and scored as blocks of stacked states, one
+    block per worker's share of the grid unless a block's step array would
+    outgrow that of 32 coins at n = 12 (see :func:`_sweep_blocks`);
+    ``jobs`` worker processes share the blocks, at most one per CPU and one
+    per block.
 
     Only steps that can tie are solved exactly: where a coin's fidelity to
-    the target proves a step untied with the coin's maximum, the sweep's
-    value at that step is the fidelity, an upper bound that never ties or
-    wins (see :func:`_closeness_values`), so the result is unchanged.
+    the target and its trace prove a step untied with the coin's maximum,
+    the sweep's value at that step is their upper bound, which never ties
+    or wins (see :func:`_closeness_values`), so the result is unchanged.
     """
     coins = spec.coins()
     values = _closeness_grid(spec.topology, (spec.target,), coins, spec.steps, jobs)

@@ -21,7 +21,9 @@ from .linalg import SubsystemShape, reduced_density
 # holds 98304 amplitudes (1.5 MiB).  `evolve` and `trajectory` hold one state
 # at a time; every series and sweep holds one block of register columns
 # (runner._REGISTER_BLOCK) with its own sign table and start, plus stacks of
-# O(T n^2) statistics per walk, and no table 2**n columns wide.
+# O(T n^2) statistics per walk, and no table 2**n columns wide.  A sweep
+# walks a block of coins at once, with at most 12 MiB per step array
+# (runner._SWEEP_STEP_ENTRIES).
 MAX_SITES = 12
 
 GRAPH_KINDS = ("path", "cycle")

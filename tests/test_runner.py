@@ -402,6 +402,38 @@ def assert_sweep_matches_per_coin_series(spec, result):
         assert abs(value - values[want_t]) < 1e-12
 
 
+def sweep_blocks_of(coins, n, monkeypatch):
+    """Cap a sweep block's step array at ``coins`` coins of an n-site walk."""
+    per_coin = 2 * n * min(2 ** n, runner._REGISTER_BLOCK)
+    monkeypatch.setattr(runner, "_SWEEP_STEP_ENTRIES", coins * per_coin)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Runs a sweep's process pool in this process on a 2-CPU host and
+    records each pool's (max_workers, tasks)."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            started.append((self.max_workers, len(tasks)))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return started
+
+
 class TestSweep:
     def test_degenerate_single_point(self):
         spec = SweepSpec(CYCLE4, "graph", thetas=(0.9,), phi2s=(0.4,), steps=1)
@@ -465,8 +497,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("target", ["ghz", "w", "graph"])
     @pytest.mark.parametrize("topology", [CYCLE4, PATH4], ids=["cycle", "path"])
-    def test_blocks_match_per_coin_series(self, topology, target):
-        # 40 coins: one full block and an uneven last one
+    def test_blocks_match_per_coin_series(self, topology, target, monkeypatch):
+        # 40 coins: one full block of 32 and an uneven last one
+        sweep_blocks_of(32, topology.n, monkeypatch)
         spec = SweepSpec(topology, target, thetas=tuple(k * math.pi / 5 for k in range(5)),
                          phi2s=tuple(k * math.pi / 7 for k in range(8)), steps=12)
         result = run_sweep(spec, keep_table=True)
@@ -477,8 +510,8 @@ class TestSweep:
     def test_non_finite_closeness_raises(self, monkeypatch):
         distances = runner._trace_distance_from_r
 
-        def poisoned(r, split):
-            values = distances(r, split)
+        def poisoned(r, signs):
+            values = distances(r, signs)
             values[-1] = np.nan
             return values
 
@@ -511,27 +544,20 @@ class TestSweep:
             with pytest.raises(ValueError, match="jobs"):
                 run_sweep(spec, jobs=jobs)
 
-    def test_jobs_capped_at_cpu_count(self, monkeypatch):
-        workers = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_jobs_capped_at_cpu_count(self, pools):
         spec = SweepSpec(CYCLE4, "graph", thetas=(0.9, 1.2), phi2s=(0.4,), steps=2)
         assert run_sweep(spec, jobs=64) == run_sweep(spec)
-        assert workers == [2]
+        assert pools == [(2, 2)]
+
+    def test_no_more_workers_than_blocks(self, pools):
+        # One coin is one block: no pool.  Three coins in two shares of at
+        # most two coins are two blocks, one per worker.
+        single = SweepSpec(CYCLE4, "graph", thetas=(0.9,), phi2s=(0.4,), steps=2)
+        assert run_sweep(single, jobs=2) == run_sweep(single)
+        assert pools == []
+        spec = SweepSpec(CYCLE4, "graph", thetas=(0.9, 1.2, 1.5), phi2s=(0.4,), steps=2)
+        assert run_sweep(spec, jobs=2, keep_table=True) == run_sweep(spec, keep_table=True)
+        assert pools == [(2, 2)]
 
 
 # The paper's fig6 grid at every other point, as the fig6 benchmark sweeps it.
@@ -545,9 +571,9 @@ def solved_members(monkeypatch):
     solved = []
     original = runner._trace_distance_from_r
 
-    def counted(r, split):
+    def counted(r, signs):
         solved.append(math.prod(r.shape[:-2]))
-        return original(r, split)
+        return original(r, signs)
 
     monkeypatch.setattr(runner, "_trace_distance_from_r", counted)
     return solved
@@ -630,6 +656,27 @@ class TestUntiedSkip:
         assert (exact[0, 0, [1, 2, 4, 5]] == 1.0).all()
         self.assert_skips_untied(exact, swept, self.slack(4))
 
+    @pytest.mark.parametrize("target", ["ghz", "w", "graph"])
+    def test_bound_counts_the_trace_defect(self, target, monkeypatch):
+        # B_t = sqrt(1 - 8e-11) g e_0^T at t = 0 and 1 keeps the trace
+        # contract with tr rho = 1 - 8e-11 = F, and D = 4e-11: both steps
+        # tie at 1 - 4e-11.  F alone sits 4e-11 below that, more than the
+        # slack; the bound F - (tr rho - 1) / 2 does not.
+        g = runner._reference_state(target, CYCLE4).amplitudes
+        b = np.zeros((16, 8), dtype=complex)
+        b[:, 0] = (1 - 8e-11) ** 0.5 * g
+        tensors = [b.T.reshape(1, 4, 2, 16)] * 2
+        monkeypatch.setattr(runner, "_column_walks",
+                            lambda *args: iter([(np.arange(16), iter(tensors))]))
+        coin_mats = np.eye(2)[None]
+        exact = runner._closeness_values(CYCLE4, coin_mats, 1, None, (target,))
+        swept = runner._closeness_values(CYCLE4, coin_mats, 1, None, (target,),
+                                         skip_untied=True)
+        coins = [CLUSTER_COIN]
+        assert runner._best_of(coins, exact[0], False).best_t == 1
+        assert runner._best_of(coins, swept[0], False) == runner._best_of(coins, exact[0], False)
+        self.assert_skips_untied(exact, swept, self.slack(4))
+
     def test_fig6_grid_solves_at_most_half(self, solved_members):
         # The six (target, graph) sweeps of the fig6 benchmark.
         for topology in (CYCLE4, PATH4):
@@ -681,6 +728,72 @@ class TestUntiedSkip:
         monkeypatch.setattr(runner, "_column_walks", walks)
         with pytest.raises(ContractViolationError, match="trace"):
             run_sweep(spec)
+
+
+class TestSweepBlocks:
+    """A sweep walks each worker's share of the grid as one block, cut only
+    where a block's step array would outgrow ``_SWEEP_STEP_ENTRIES``."""
+
+    @pytest.mark.parametrize("topology", [CYCLE4, PATH4, GraphTopology("cycle", 5)],
+                             ids=["cycle", "path", "cycle5"])
+    def test_block_size_moves_no_bit(self, topology, monkeypatch):
+        # n = 5 walks in four register blocks of 8 columns.
+        if topology.n == 5:
+            monkeypatch.setattr(runner, "_REGISTER_BLOCK", 8)
+        grid = tuple(k * math.pi / 5 for k in range(5))
+        spec = SweepSpec(topology, "graph", thetas=grid,
+                         phi2s=tuple(k * math.pi / 7 for k in range(8)), steps=12)
+        coins = spec.coins()
+        whole = runner._closeness_values(topology, np.stack([build_coin(c) for c in coins]),
+                                         12, None, runner.TARGET_KINDS, skip_untied=True)
+        tables = set()
+        for size in (1, 7, 32, len(coins)):
+            sweep_blocks_of(size, topology.n, monkeypatch)
+            assert len(runner._sweep_blocks(len(coins), topology.n, 1)) == -(-len(coins) // size)
+            grid_values = runner._closeness_grid(topology, runner.TARGET_KINDS, coins, 12, 1)
+            assert np.array_equal(grid_values, whole)
+            tables.add(run_sweep(spec, keep_table=True))
+        assert len(tables) == 1
+
+    def test_one_block_per_worker_share(self):
+        for count in (1, 2, 121, 441):
+            for workers in (1, 2, 3):
+                blocks = runner._sweep_blocks(count, 4, workers)
+                assert len(blocks) == min(count, workers)
+                assert [i for block in blocks for i in range(count)[block]] == list(range(count))
+
+    def test_twelve_sites_keep_blocks_within_the_cap(self):
+        # The cap is 32 coins of an n = 12 walk: 12 MiB per step array.
+        assert runner._SWEEP_STEP_ENTRIES * 16 == 12 * 2 ** 20
+        columns = min(2 ** 12, runner._REGISTER_BLOCK)
+        for count in (1, 33, 441):
+            for workers in (1, 2):
+                blocks = runner._sweep_blocks(count, 12, workers)
+                sizes = [len(range(count)[block]) for block in blocks]
+                assert max(sizes) * 24 * columns <= runner._SWEEP_STEP_ENTRIES
+                assert sum(sizes) == count
+        assert len(runner._sweep_blocks(441, 12, 1)) == 14
+
+    def test_one_column_block_holds_no_step_statistics(self):
+        # 121 coins at n = 4, T = 24 and 240: only the (3, 121, T+1) values
+        # grow with T.  Held per-step overlaps alone would grow by 5 MiB.
+        coin_mats = np.stack([build_coin(coin) for coin in
+                              SweepSpec(CYCLE4, "graph", thetas=FIG6_GRID,
+                                        phi2s=FIG6_GRID).coins()])
+        peaks = []
+        for steps in (24, 240):
+            tracemalloc.start()
+            try:
+                runner._closeness_values(CYCLE4, coin_mats, steps, None, runner.TARGET_KINDS,
+                                         skip_untied=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 3 * 121 * 216 * 8
+
+    def test_fig6_grid_is_one_solve_per_step(self, solved_members):
+        run_sweep(SweepSpec(CYCLE4, "graph", thetas=FIG6_GRID, phi2s=FIG6_GRID, steps=24))
+        assert len(solved_members) <= 25
 
 
 class TestSerialization:
