@@ -20,12 +20,10 @@ from iqwalk import (
     SweepSpec,
     WalkConfig,
     evolve,
-    hermitian_eig,
-    reference_density,
+    graph_state,
     run_metric_series,
     run_sweep,
     stabilizer_expectations,
-    unconditioned_vertex_state,
 )
 
 cycle = GraphTopology("cycle", 4)
@@ -45,16 +43,18 @@ best = run_sweep(SweepSpec(cycle, "graph", thetas=(coin.theta,), phi2s=(coin.phi
 print(f"\nbest closeness {best.best_value:.12f} at t={best.best_t}")
 
 # Certify: the register at t=24 is pure and satisfies all four stabilizers
-# X_i Z_{i-1} Z_{i+1} of the 4-cycle graph state.
+# X_i Z_{i-1} Z_{i+1} of the 4-cycle graph state.  With walker and coin
+# traced out, the register is rho = B B^dag, B the walk state as a (16, 8)
+# matrix: B's squared singular values are rho's eigenvalues and its left
+# singular vectors rho's eigenvectors.
 state = evolve(WalkConfig(cycle, coin, 24))
-factor = unconditioned_vertex_state(state)   # rho = factor @ factor^dag
-rho = factor @ factor.conj().T
-eigenvalues, eigenvectors = hermitian_eig(rho)
-print(f"register purity at t=24: {np.sum(eigenvalues ** 2):.12f}")
+factor = state.amplitudes.reshape(2 * cycle.n, -1).T
+vectors, singular_values, _ = np.linalg.svd(factor, full_matrices=False)
+print(f"register purity at t=24: {np.sum(singular_values ** 4):.12f}")
 
-register = PureState(eigenvectors[:, 0], SubsystemShape((2, 2, 2, 2)))
+register = PureState(vectors[:, 0], SubsystemShape((2, 2, 2, 2)))
 print("stabilizer expectations:", np.round(stabilizer_expectations(register, cycle), 12))
 
-target = reference_density("graph", cycle)
-overlap = np.real(np.trace(rho @ target))
+# <C4| rho |C4> = ||B^dag |C4>||^2.
+overlap = np.sum(np.abs(graph_state(cycle).amplitudes.conj() @ factor) ** 2)
 print(f"overlap <C4| rho |C4> = {overlap:.12f}")

@@ -1,25 +1,9 @@
 """Interacting discrete-time quantum walks and their entanglement diagnostics."""
 
-from .conditioning import CoinProjection, postselect_coin, unconditioned_vertex_state
+from .conditioning import CoinProjection
 from .errors import ContractViolationError, ZeroProbabilityError
-from .linalg import (
-    SubsystemShape,
-    density_factor,
-    hermitian_eig,
-    matrix_sqrt_psd,
-    partial_transpose,
-    reduced_density,
-    reduction_factor,
-    schatten1_norm,
-)
-from .metrics import (
-    closeness,
-    log_negativity,
-    n_concurrence,
-    trace_distance,
-    validate_density_matrix,
-    von_neumann_entropy,
-)
+from .linalg import SubsystemShape, density_factor, hermitian_eig, partial_transpose
+from .metrics import closeness, log_negativity, n_concurrence, trace_distance, von_neumann_entropy
 from .runner import (
     BEST_CLUSTER_COINS,
     STANDARD_COINS,
@@ -28,7 +12,6 @@ from .runner import (
     SweepSpec,
     default_angle_grid,
     parse_angle,
-    reference_density,
     reproduce_figure,
     run_metric_series,
     run_sweep,
@@ -73,26 +56,18 @@ __all__ = [
     "graph_state",
     "hermitian_eig",
     "log_negativity",
-    "matrix_sqrt_psd",
     "n_concurrence",
     "parse_angle",
     "partial_transpose",
-    "postselect_coin",
-    "reduced_density",
-    "reduction_factor",
-    "reference_density",
     "reproduce_figure",
     "run_metric_series",
     "run_sweep",
-    "schatten1_norm",
     "series_csv",
     "series_json",
     "stabilizer_expectations",
     "standard_initial_state",
     "trace_distance",
     "trajectory",
-    "unconditioned_vertex_state",
-    "validate_density_matrix",
     "von_neumann_entropy",
     "w_state",
     "walk_shape",

@@ -241,7 +241,7 @@ def _cmd_sweep(args) -> int:
 
     spec = SweepSpec(GraphTopology(graph, sites), target,
                      thetas=_grid(args, config, "theta_grid"),
-                     phi1s=_grid(args, config, "phi1_grid") or (0.0,),
+                     phi1s=_grid(args, config, "phi1_grid"),
                      phi2s=_grid(args, config, "phi2_grid"),
                      steps=steps)
     result = run_sweep(spec, jobs=jobs, keep_table=keep_table or fmt == "csv")

@@ -137,14 +137,14 @@ def reduced_density(amplitudes: np.ndarray,
     return f @ f.conj().T
 
 
-def hermitian_eig(a: np.ndarray, *, vectors: bool = True,
-                  atol: float = HERMITIAN_ATOL) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a: np.ndarray, *,
+                  vectors: bool = True) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(eigenvalues, eigenvectors)`` with the eigenvectors as
     columns, or only the eigenvalues when ``vectors=False``.  The input is
     symmetrized as ``(A + A^dag)/2`` before solving; inputs whose
-    anti-Hermitian part exceeds ``atol`` entrywise, or is NaN, are
+    anti-Hermitian part exceeds ``HERMITIAN_ATOL`` entrywise, or is NaN, are
     rejected.  A (..., d, d) stack is solved member by member in one call,
     and one non-Hermitian member rejects the stack.
     """
@@ -153,9 +153,9 @@ def hermitian_eig(a: np.ndarray, *, vectors: bool = True,
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     a_dag = a.conj().swapaxes(-1, -2)
     defect = np.abs(a - a_dag).max() if a.size else 0.0
-    if not defect <= atol:
+    if not defect <= HERMITIAN_ATOL:
         raise ContractViolationError(
-            f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {atol:.0e}")
+            f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {HERMITIAN_ATOL:.0e}")
     h = (a + a_dag) / 2
     if vectors:
         vals, vecs = np.linalg.eigh(h)
@@ -163,21 +163,21 @@ def hermitian_eig(a: np.ndarray, *, vectors: bool = True,
     return np.linalg.eigvalsh(h)[..., ::-1].copy()
 
 
-def _psd_eig(a: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarray]:
+def _psd_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = hermitian_eig(a)
-    if vals.size and vals.min() < -clip:
+    if vals.size and vals.min() < -PSD_CLIP:
         raise ContractViolationError(
-            f"matrix is not PSD: smallest eigenvalue {vals.min():.3e} < -{clip:.0e}")
+            f"matrix is not PSD: smallest eigenvalue {vals.min():.3e} < -{PSD_CLIP:.0e}")
     return np.clip(vals, 0.0, None), vecs
 
 
-def matrix_sqrt_psd(a: np.ndarray, *, clip: float = PSD_CLIP) -> np.ndarray:
+def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``[-clip, 0)`` are clamped to zero as float noise; an
-    eigenvalue below ``-clip`` raises :class:`ContractViolationError`.
+    Eigenvalues in ``[-PSD_CLIP, 0)`` are clamped to zero as float noise; a
+    more negative one raises :class:`ContractViolationError`.
     """
-    vals, vecs = _psd_eig(a, clip)
+    vals, vecs = _psd_eig(a)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return (root + root.conj().T) / 2
 
@@ -193,7 +193,7 @@ def density_factor(rho: np.ndarray) -> np.ndarray:
     negative one raises :class:`ContractViolationError`.  A (..., d, d)
     stack gives a (..., d, d) stack of factors.
     """
-    vals, vecs = _psd_eig(rho, PSD_CLIP)
+    vals, vecs = _psd_eig(rho)
     return vecs * np.sqrt(vals)[..., None, :]
 
 

@@ -27,29 +27,23 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import (
-    PSD_CLIP,
-    SubsystemShape,
-    as_shape,
-    hermitian_eig,
-    partial_transpose,
-)
+from .linalg import PSD_CLIP, SubsystemShape, hermitian_eig, partial_transpose
 
 DENSITY_ATOL = 1e-10
 
 
-def _check_trace(tr: np.ndarray | float, atol: float = DENSITY_ATOL) -> None:
+def _check_trace(tr: np.ndarray | float) -> None:
     """Reject any trace in ``tr``, one per stack member, that is not within
-    ``atol`` of 1 (NaN and inf included).  For a factor ``B`` this is the
-    whole density contract: ``||B||_F^2`` is finite only if every entry is."""
+    ``DENSITY_ATOL`` of 1 (NaN and inf included).  For a factor ``B`` this is
+    the whole density contract: ``||B||_F^2`` is finite only if every entry is."""
     tr = np.asarray(tr)
-    bad = ~(np.abs(tr - 1.0) <= atol)
+    bad = ~(np.abs(tr - 1.0) <= DENSITY_ATOL)
     if bad.any():
         raise ContractViolationError(
             f"density matrix trace is {tr[bad].flat[0]!r}, expected 1")
 
 
-def validate_density_matrix(rho: np.ndarray, *, atol: float = DENSITY_ATOL) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the eigenvalues
     (descending).  Raises :class:`ContractViolationError` on violation.
 
@@ -57,12 +51,12 @@ def validate_density_matrix(rho: np.ndarray, *, atol: float = DENSITY_ATOL) -> n
     the stack, and the eigenvalues come back as a (..., d) array.
     """
     rho = np.asarray(rho)
-    vals = hermitian_eig(rho, vectors=False, atol=atol)
-    _check_trace(np.real(np.trace(rho, axis1=-2, axis2=-1)), atol)
+    vals = hermitian_eig(rho, vectors=False)
+    _check_trace(np.real(np.trace(rho, axis1=-2, axis2=-1)))
     low = vals.min(axis=-1)
-    if (low < -atol).any():
+    if (low < -DENSITY_ATOL).any():
         raise ContractViolationError(
-            f"density matrix has eigenvalue {low.min():.3e} < -{atol:.0e}")
+            f"density matrix has eigenvalue {low.min():.3e} < -{DENSITY_ATOL:.0e}")
     return vals
 
 
@@ -110,7 +104,7 @@ def log_negativity(factor: np.ndarray,
     b = _factor(factor)
     rho = b @ b.conj().swapaxes(-1, -2)
     _check_trace(np.real(np.trace(rho, axis1=-2, axis2=-1)))
-    pt = partial_transpose(rho, as_shape(shape), transpose_part)
+    pt = partial_transpose(rho, shape, transpose_part)
     vals = hermitian_eig(pt, vectors=False)
     negativity = -np.sum(np.where(vals < -PSD_CLIP, vals, 0.0), axis=-1)
     return _scalar_or_stack(np.log2(1.0 + 2.0 * negativity))

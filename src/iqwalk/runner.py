@@ -111,15 +111,16 @@ class MetricSeries:
     """A metric evaluated at every step t = 0..T of one walk."""
 
     metric: str
-    times: tuple[int, ...]
     values: tuple[float, ...]
     provenance: dict
 
     def __post_init__(self):
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("metric values must be finite")
+
+    @property
+    def times(self) -> tuple[int, ...]:
+        return tuple(range(len(self.values)))
 
 
 def _subsystem_indices(label: str) -> tuple[int, ...]:
@@ -201,11 +202,7 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
             grams[t] += f @ f.conj().T
             if with_sy:
                 sy[t] += f @ (f * phase[columns])[:, ::-1].T
-    norms = np.sqrt(np.trace(grams, axis1=1, axis2=2).real)
-    # Written so that a NaN norm fails the check too.
-    bad = ~(np.abs(norms - 1.0) <= 1e-10)
-    if bad.any():
-        raise ValueError(f"state is not normalized: ||psi|| = {norms[bad][0]:.12g}")
+    _check_trace(np.trace(grams, axis1=1, axis2=2).real)
     _last_walk[:] = config, {series}, (density_factor(grams), grams, sy)
     return _last_walk[2]
 
@@ -393,7 +390,7 @@ def run_metric_series(config: WalkConfig, metric: str) -> MetricSeries:
         "phi2": config.coin.phi2,
         **extras,
     }
-    return MetricSeries(name, tuple(range(len(values))), values, provenance)
+    return MetricSeries(name, values, provenance)
 
 
 def default_angle_grid() -> tuple[float, ...]:

@@ -13,22 +13,13 @@ from .linalg import SubsystemShape
 from .walk import GraphTopology, PureState
 
 
-def _qubit_state(amps: np.ndarray, n: int) -> PureState:
-    # Global phase convention: first nonzero amplitude real positive.
-    idx = np.flatnonzero(np.abs(amps) > 1e-14)
-    if idx.size:
-        pivot = amps[idx[0]]
-        amps = amps * (abs(pivot) / pivot)
-    return PureState(amps, SubsystemShape((2,) * n))
-
-
 def ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on ``n >= 2`` qubits."""
     if n < 2:
         raise ValueError(f"GHZ state needs n >= 2 qubits, got {n}")
     amps = np.zeros(2 ** n, dtype=complex)
     amps[0] = amps[-1] = 2 ** -0.5
-    return _qubit_state(amps, n)
+    return PureState(amps, SubsystemShape((2,) * n))
 
 
 def w_state(n: int) -> PureState:
@@ -38,7 +29,7 @@ def w_state(n: int) -> PureState:
     amps = np.zeros(2 ** n, dtype=complex)
     for i in range(n):
         amps[1 << (n - 1 - i)] = n ** -0.5
-    return _qubit_state(amps, n)
+    return PureState(amps, SubsystemShape((2,) * n))
 
 
 def graph_state(topology: GraphTopology) -> PureState:
@@ -55,7 +46,7 @@ def graph_state(topology: GraphTopology) -> PureState:
         bj = (basis >> (n - 1 - j)) & 1
         phase *= 1.0 - 2.0 * (bi & bj)
     amps = phase.astype(complex) * 2.0 ** (-n / 2)
-    return _qubit_state(amps, n)
+    return PureState(amps, SubsystemShape((2,) * n))
 
 
 def stabilizer_expectations(state: PureState, topology: GraphTopology) -> np.ndarray:

@@ -193,13 +193,6 @@ def _cz_signs(topology: GraphTopology, columns: slice | np.ndarray = slice(None)
     return signs.reshape(2 * n, -1)
 
 
-def interaction_diagonal(topology: GraphTopology) -> np.ndarray:
-    """Diagonal (+-1 entries) of the position-controlled CZ, flattened in
-    the walk's (P, C, q_0, ..., q_{n-1}) order: the real-part columns of
-    :func:`_cz_signs`."""
-    return _cz_signs(topology)[:, 0::2].reshape(-1)
-
-
 def _shift_rows(topology: GraphTopology) -> np.ndarray:
     """The shift as a row gather: ``(S @ x)[r] = x[rows[r]]``, read off the
     permutation matrix :func:`build_shift`."""

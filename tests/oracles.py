@@ -76,6 +76,21 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
     return np.einsum(tensor, row + col, keep + [k + i for i in keep]).reshape(d_keep, d_keep)
 
 
+def cz_diagonal(num_sites: int) -> np.ndarray:
+    """Diagonal of the walk's position-controlled CZ in the flat
+    (P, C, q_0, ..., q_{n-1}) basis, one basis state at a time:
+    |p>|c>|q_0 ... q_{n-1}> picks up -1 exactly when c = 1 and q_p = 1."""
+    n = num_sites
+    diag = np.ones(n * 2 * 2 ** n)
+    for index in range(diag.size):
+        position, rest = divmod(index, 2 * 2 ** n)
+        coin, register = divmod(rest, 2 ** n)
+        qubits = format(register, f"0{n}b")
+        if coin == 1 and qubits[position] == "1":
+            diag[index] = -1.0
+    return diag
+
+
 def sigma_y_all(num_qubits: int) -> np.ndarray:
     """sigma_y^(x n) as a dense Kronecker product."""
     big_sy = _SIGMA_Y

@@ -8,12 +8,11 @@ from iqwalk import (
     WalkConfig,
     ZeroProbabilityError,
     n_concurrence,
-    postselect_coin,
     standard_initial_state,
     trajectory,
-    unconditioned_vertex_state,
     von_neumann_entropy,
 )
+from iqwalk.conditioning import postselect_coin, unconditioned_vertex_state
 from oracles import concurrence_direct, partial_trace
 
 CYCLE4 = GraphTopology("cycle", 4)

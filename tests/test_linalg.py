@@ -8,12 +8,9 @@ from iqwalk import (
     SubsystemShape,
     density_factor,
     hermitian_eig,
-    matrix_sqrt_psd,
     partial_transpose,
-    reduced_density,
-    reduction_factor,
-    schatten1_norm,
 )
+from iqwalk.linalg import matrix_sqrt_psd, reduced_density, reduction_factor, schatten1_norm
 from oracles import partial_trace, partial_trace_loops, random_density, random_pure
 
 I2 = np.eye(2)

@@ -10,10 +10,11 @@ from iqwalk import (
     log_negativity,
     n_concurrence,
     trace_distance,
-    validate_density_matrix,
     von_neumann_entropy,
     w_state,
 )
+from iqwalk.linalg import reduced_density
+from iqwalk.metrics import validate_density_matrix
 from oracles import (
     concurrence_direct,
     random_density,
@@ -81,7 +82,6 @@ class TestEntropy:
 
     def test_schmidt_symmetry(self):
         # both reductions of a pure bipartite state have equal entropy
-        from iqwalk import reduced_density
         rng = np.random.default_rng(5)
         for dims in ((2, 4), (3, 5), (4, 8)):
             psi = random_pure(dims[0] * dims[1], rng)

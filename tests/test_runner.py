@@ -70,6 +70,11 @@ class TestParseAngle:
             with pytest.raises(ValueError):
                 parse_angle(bad)
 
+    @pytest.mark.parametrize("text", ["0,pi", "0,pi/2,pi,0", "pi"])
+    def test_angle_list_needs_its_count(self, text):
+        with pytest.raises(ValueError, match=f"expected 3 comma-separated angles, got '{text}'"):
+            runner.parse_angles(text, 3)
+
 
 class TestMetricSeries:
     def test_coin_entropy_bounded_by_one(self):
@@ -249,15 +254,14 @@ class TestWalkerSeries:
 
     def test_unnormalized_initial_state_is_rejected(self):
         # The statistics read ||psi(t)||^2 off each Gram's trace, and the
-        # closeness reads ||B||_F^2 off each R.
+        # closeness reads ||B||_F^2 off each R: one density contract, one
+        # error type (CLI exit 2) for every series.
         initial = standard_initial_state(PATH4)
         object.__setattr__(initial, "amplitudes", 1.1 * initial.amplitudes)
         cfg = WalkConfig(PATH4, STANDARD_COINS[0], 3, initial=initial)
-        for metric in ("entropy(G)", "concurrence"):
-            with pytest.raises(ValueError, match="not normalized"):
+        for metric in ("entropy(G)", "concurrence", "closeness(graph)"):
+            with pytest.raises(ContractViolationError, match="density matrix trace"):
                 run_metric_series(cfg, metric)
-        with pytest.raises(ContractViolationError, match="density matrix trace"):
-            run_metric_series(cfg, "closeness(graph)")
 
     def test_one_walk_for_consecutive_walker_series(self, walk_count):
         cfg = WalkConfig(PATH4, STANDARD_COINS[1], 6)
@@ -945,6 +949,46 @@ class TestCli:
         assert data["dims"] == [4, 2, 2, 2, 2, 2]
         norm = sum(re * re + im * im for re, im in data["amplitudes"])
         assert norm == pytest.approx(1.0, abs=1e-10)
+
+    def test_evolve_csv_default(self, capsys):
+        # Without --format, evolve writes its CSV: the provenance header,
+        # the column names, and one row per amplitude of the final state.
+        assert main(["evolve", "--coin", "pi/2,0,pi/2", "--steps", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("# iqwalk v1, metric=state, graph=cycle, n=4, "
+                            "theta=1.57079632679, phi1=0, phi2=1.57079632679")
+        assert lines[1] == "index,re,im"
+        amplitudes = evolve(WalkConfig(CYCLE4, CLUSTER_COIN, 3)).amplitudes
+        assert len(lines) == 2 + len(amplitudes) == 2 + 4 * 2 * 2 ** 4
+        for i, (line, a) in enumerate(zip(lines[2:], amplitudes)):
+            assert line == f"{i},{a.real:.12g},{a.imag:.12g}"
+
+    def test_metric_needs_a_metric(self, capsys):
+        assert main(["metric", "--coin", "0,0,0", "--steps", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a metric is required: --metric NAME" in captured.err
+
+    def test_missing_config_file_exits_one(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["metric", "--config", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"iqwalk: error: cannot read config {missing}" in captured.err
+
+    def test_config_list_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(["coin", "pi/2,0,pi/2"]))
+        assert main(["sweep", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"iqwalk: error: config {config} must hold a JSON object" in captured.err
+
+    def test_sweep_zero_steps_exits_one(self, capsys):
+        assert main(["sweep", "--theta-grid", "0", "--phi2-grid", "0", "--steps", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "iqwalk: error: sweep needs steps >= 1" in captured.err
 
     def test_sweep_json(self, capsys):
         rc = main(["sweep", "--graph", "cycle", "--target", "graph",

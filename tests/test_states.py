@@ -58,6 +58,15 @@ class TestWState:
         assert np.abs(state.amplitudes - want).max() < 1e-15
         assert abs(wootters_concurrence(projector(state)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_amplitudes_are_exactly_n_to_the_minus_half(self, n):
+        # No global-phase rescaling may round them: at n = 6 the factor
+        # |a| / a of the first amplitude is 0.9999999999999999 in float64.
+        amps = w_state(n).amplitudes
+        excited = [1 << (n - 1 - i) for i in range(n)]
+        assert np.all(amps[excited] == n ** -0.5)
+        assert np.count_nonzero(amps) == n
+
     def test_single_qubit_reduction(self):
         rho = w_state(4).reduced([1])
         assert np.abs(rho - np.diag([0.75, 0.25])).max() < 1e-12

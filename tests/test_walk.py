@@ -19,8 +19,8 @@ from iqwalk import (
 )
 import iqwalk.runner as runner
 import iqwalk.walk as walk_module
-from iqwalk.walk import MAX_SITES, _apply_step, _cz_signs, _shift_rows, interaction_diagonal
-from oracles import random_pure
+from iqwalk.walk import MAX_SITES, _apply_step, _cz_signs, _shift_rows
+from oracles import cz_diagonal, random_pure
 
 
 def random_coins(count, seed=2024):
@@ -33,6 +33,12 @@ def random_coins(count, seed=2024):
 
 def unitarity_defect(u):
     return np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+
+
+def package_cz(topology):
+    """The package's CZ diagonal in the flat (P, C, G) order: the real-part
+    columns of the kernel's sign table."""
+    return _cz_signs(topology)[:, 0::2].reshape(-1)
 
 
 def basis_state(topology, pos, coin, bits):
@@ -117,13 +123,13 @@ class TestShift:
 
 class TestInteraction:
     def test_diagonal_signs(self):
-        diag = interaction_diagonal(GraphTopology("cycle", 4))
-        assert set(np.unique(diag.real)) == {-1.0, 1.0}
-        assert np.abs(diag.imag).max() == 0
+        diag = package_cz(GraphTopology("cycle", 4))
+        assert diag.dtype == np.float64
+        assert set(np.unique(diag)) == {-1.0, 1.0}
 
     def test_coin_zero_never_fires(self):
         top = GraphTopology("cycle", 4)
-        diag = interaction_diagonal(top)
+        diag = package_cz(top)
         for pos in range(4):
             for bits in ([0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 0]):
                 psi = basis_state(top, pos, 0, bits).amplitudes
@@ -131,7 +137,7 @@ class TestInteraction:
 
     def test_phase_on_matching_qubit(self):
         top = GraphTopology("cycle", 4)
-        diag = interaction_diagonal(top)
+        diag = package_cz(top)
         hit = basis_state(top, 2, 1, [0, 0, 1, 0]).amplitudes
         assert np.array_equal(diag * hit, -hit)
         miss = basis_state(top, 2, 1, [0, 1, 0, 0]).amplitudes
@@ -139,14 +145,15 @@ class TestInteraction:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_diagonal_is_the_sign_table(self, n):
-        # One CZ definition: the kernel's table holds each diagonal entry
-        # twice, for the real and the imaginary part.
+        # The kernel's table holds each entry of the CZ diagonal twice, for
+        # the real and the imaginary part, and that diagonal is the
+        # per-basis-state oracle's.
         for kind in ("path", "cycle"):
             top = GraphTopology(kind, n)
             signs = _cz_signs(top)
             assert signs.shape == (2 * n, 2 * 2 ** n)
             assert np.array_equal(signs[:, 1::2], signs[:, 0::2])
-            assert np.array_equal(interaction_diagonal(top), signs[:, 0::2].reshape(-1))
+            assert np.array_equal(package_cz(top), cz_diagonal(n))
 
 
 class TestStep:
@@ -203,7 +210,7 @@ class TestStep:
         top = GraphTopology(kind, n)
         shift, rows = build_shift(top), _shift_rows(top)
         coin = build_coin(STANDARD_COINS[2])
-        diag, signs = interaction_diagonal(top), _cz_signs(top)
+        diag, signs = cz_diagonal(n), _cz_signs(top)
         tensor = standard_initial_state(top).amplitudes.reshape(n, 2, -1)
         for _ in range(24):
             mixed = np.matmul(coin, tensor).reshape(2 * n, -1)
@@ -219,7 +226,7 @@ class TestStep:
         # 1e-14 of each other in every amplitude.
         n = 12
         top = GraphTopology(kind, n)
-        rows, diag, signs = _shift_rows(top), interaction_diagonal(top), _cz_signs(top)
+        rows, diag, signs = _shift_rows(top), cz_diagonal(n), _cz_signs(top)
         coins = np.stack([build_coin(c) for c in STANDARD_COINS[:2]])
         if not batched:
             coins = coins[0]
@@ -268,7 +275,7 @@ class TestEvolve:
         cfg = WalkConfig(top, coin, 5)
         # Independent dense reference: U = CZ . (S (x) 1_G) . (1_P (x) C (x) 1_G).
         walker = build_shift(top) @ np.kron(np.eye(3), build_coin(coin))
-        u = interaction_diagonal(top)[:, None] * np.kron(walker, np.eye(2 ** 3))
+        u = cz_diagonal(3)[:, None] * np.kron(walker, np.eye(2 ** 3))
         psi = standard_initial_state(top).amplitudes
         for state in list(trajectory(cfg))[1:]:
             psi = u @ psi
