@@ -5,7 +5,8 @@ unparseable angle, unwritable path), 2 on a numeric contract violation.
 
 Angles anywhere on the command line accept floats or exact ``k*pi/m``
 tokens.  An optional ``--config file.json`` supplies defaults for any flag
-(same names as the long options); explicit flags win.
+of the subcommand (same names as the long options, with ``_`` for ``-``);
+explicit flags win, and a key no flag takes is a usage error.
 """
 
 from __future__ import annotations
@@ -36,6 +37,15 @@ _FORMATS = ("csv", "json")
 _INT_KEYS = ("sites", "steps", "jobs")
 _STR_KEYS = ("graph", "coin", "metric", "postselect", "target", "out")
 _GRID_KEYS = ("theta_grid", "phi1_grid", "phi2_grid")
+# The flags several subcommands share, declared once.
+_SHARED_FLAGS = {
+    "graph": dict(choices=("path", "cycle"), help="graph kind (default cycle)"),
+    "sites": dict(type=int, help="site count n (default 4)"),
+    "coin": dict(metavar="THETA,PHI1,PHI2", help="coin angles, floats or k*pi/m tokens"),
+    "steps": dict(type=int, help="walk steps T (default 100)"),
+    "jobs": dict(type=int, help="parallel workers (default 1)"),
+    "config": dict(metavar="FILE.json", help="JSON file with default values for these flags"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,28 +61,22 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="iqwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_walk_flags(p):
-        p.add_argument("--graph", choices=("path", "cycle"), default=None,
-                       help="graph kind (default cycle)")
-        p.add_argument("--sites", type=int, default=None, help="site count n (default 4)")
-        p.add_argument("--coin", default=None, metavar="THETA,PHI1,PHI2",
-                       help="coin angles, floats or k*pi/m tokens")
-        p.add_argument("--steps", type=int, default=None, help="walk steps T (default 100)")
-        p.add_argument("--config", default=None, metavar="FILE.json",
-                       help="JSON file with default values for these flags")
+    def add_flags(p, *names):
+        for name in names:
+            p.add_argument("--" + name, default=None, **_SHARED_FLAGS[name])
 
-    def add_output_flags(p):
+    def add_output_flags(p, default_format="csv"):
         p.add_argument("--out", default=None, metavar="PATH",
                        help="output file (default: stdout)")
         p.add_argument("--format", choices=_FORMATS, default=None,
-                       help="output format (default csv)")
+                       help=f"output format (default {default_format})")
 
     p = sub.add_parser("evolve", help="run a walk and emit the final state vector")
-    add_walk_flags(p)
+    add_flags(p, "graph", "sites", "coin", "steps", "config")
     add_output_flags(p)
 
     p = sub.add_parser("metric", help="evaluate a metric at every step t = 0..T")
-    add_walk_flags(p)
+    add_flags(p, "graph", "sites", "coin", "steps", "config")
     p.add_argument("--metric", default=None, metavar="NAME",
                    help="entropy(G|C|P|..), logneg(PC), concurrence, "
                         "concurrence_postselected(mu,nu), closeness(ghz|w|graph)")
@@ -83,10 +87,7 @@ def _build_parser() -> _Parser:
     add_output_flags(p)
 
     p = sub.add_parser("sweep", help="maximize closeness over a (theta,phi1,phi2,t) grid")
-    p.add_argument("--graph", choices=("path", "cycle"), default=None)
-    p.add_argument("--sites", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--config", default=None, metavar="FILE.json")
+    add_flags(p, "graph", "sites", "steps", "config")
     p.add_argument("--target", choices=TARGET_KINDS, default=None,
                    help="reference state to approach (default graph)")
     p.add_argument("--theta-grid", default=None, metavar="A,B,...",
@@ -95,22 +96,21 @@ def _build_parser() -> _Parser:
                    help="phi1 grid values (default 0)")
     p.add_argument("--phi2-grid", default=None, metavar="A,B,...",
                    help="phi2 grid values (default k*pi/20, k=0..20)")
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers (default 1)")
+    add_flags(p, "jobs")
     p.add_argument("--table", action="store_true",
                    help="include the per-coin best table in JSON output")
-    add_output_flags(p)
+    add_output_flags(p, default_format="json")
 
     p = sub.add_parser("figure", help="write the data files behind one figure")
     p.add_argument("fig_id", choices=FIGURE_IDS, metavar="FIG",
                    help="one of " + ", ".join(FIGURE_IDS))
     p.add_argument("--out", default=None, metavar="DIR", help="output directory (default .)")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--config", default=None, metavar="FILE.json")
+    add_flags(p, "steps", "jobs", "config")
     return parser
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args: argparse.Namespace) -> dict:
+    path = args.config
     if not path:
         return {}
     try:
@@ -143,6 +143,12 @@ def _load_config(path: str | None) -> dict:
         # An empty grid fails as --theta-grid "" does, not as the default grid.
         if data.get(key) == []:
             raise ValueError(f"config {key} must not be empty")
+    # A misspelt key must not leave its flag at the default without a word.
+    allowed = set(vars(args)) - {"command", "config", "fig_id"}
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValueError(f"config {path} has keys no {args.command} flag takes: "
+                         f"{', '.join(map(repr, unknown))}")
     return data
 
 
@@ -175,7 +181,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_evolve(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     walk = _walk_config(args, config)
     final = evolve(walk)
     fmt = _resolve(args, config, "format", "csv")
@@ -200,7 +206,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_metric(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     walk = _walk_config(args, config)
     metric = _resolve(args, config, "metric")
     if metric is None:
@@ -230,7 +236,7 @@ def _grid(args, config, key: str) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     graph = _resolve(args, config, "graph", "cycle")
     sites = _resolve(args, config, "sites", 4)
     steps = _resolve(args, config, "steps", 100)
@@ -257,7 +263,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     steps = _resolve(args, config, "steps", 100)
     jobs = _resolve(args, config, "jobs", 1)
     out = _resolve(args, config, "out", ".")

@@ -1,23 +1,24 @@
-"""Scalar entanglement diagnostics of density matrices.
+"""Scalar entanglement diagnostics of density matrices: von Neumann
+entropy (in bits), logarithmic negativity across a bipartition, n-partite
+concurrence of a qubit register, and trace distance with its complement
+("closeness").
 
-All four quantities the walk analysis relies on: von Neumann entropy of a
-reduction (in bits), logarithmic negativity across a bipartition,
-n-partite concurrence of a qubit register, and trace distance with its
-complement ("closeness").
-
-Every metric takes a factor ``B`` of the state, ``rho = B @ B^dag``, not
-``rho`` itself.  A pure walk state gives one directly
-(:func:`~iqwalk.linalg.reduction_factor`, the conditioning module), with as
-many columns as the traced-out space has dimensions: the vertex register of
-an n-site walk has a (2**n, 2n) factor, so every register metric is solved
-in dimension at most 2n + 1, never 2**n.  A caller holding a dense ``rho``
-passes :func:`~iqwalk.linalg.density_factor`.
+Every public metric takes a factor ``B`` of the state, ``rho = B @ B^dag``.
+A pure walk state gives one directly (:func:`~iqwalk.linalg.reduction_factor`,
+the conditioning module): the vertex register of an n-site walk has a
+(2**n, 2n) factor, so every register metric is solved in dimension at most
+2n + 1, never 2**n.  A caller holding a dense ``rho`` passes
+:func:`~iqwalk.linalg.density_factor`.  Each metric forms the matrix it
+solves and hands it to a private core, which the series call on their own
+statistics: ``_entropy_of`` and ``_log_negativity_of`` take a stack of
+density matrices, ``_concurrence_from_sy`` one of B^T Sy B, and
+``_trace_distance_from_r`` one of R's.
 
 Such a ``rho`` is Hermitian and positive semidefinite by construction, so
-the density contract of a factor is its trace ``||B||_F^2`` alone: finite
-and within ``DENSITY_ATOL`` of 1.  Each metric reads that trace off a matrix
-it forms anyway where it has one, and no eigensolve runs only to validate.
-:func:`validate_density_matrix` checks a dense ``rho`` in full.
+its density contract is its trace alone: finite and within ``DENSITY_ATOL``
+of 1.  Each core reads that trace off a matrix it has anyway, and no
+eigensolve runs only to validate.  :func:`validate_density_matrix` checks a
+dense ``rho`` in full.
 """
 
 from __future__ import annotations
@@ -71,6 +72,15 @@ def _scalar_or_stack(values: np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
+def _entropy_of(rho: np.ndarray) -> np.ndarray:
+    """:func:`von_neumann_entropy` of a (..., d, d) stack of density matrices."""
+    _check_trace(np.real(np.trace(rho, axis1=-2, axis2=-1)))
+    vals = np.clip(hermitian_eig(rho, vectors=False), 0.0, 1.0)
+    total = -np.sum(vals * np.log2(np.where(vals > 0.0, vals, 1.0)), axis=-1)
+    # Not np.maximum, which keeps the -0.0 of an all-zero sum.
+    return np.where(total > 0.0, total, 0.0)
+
+
 def von_neumann_entropy(factor: np.ndarray) -> float | np.ndarray:
     """Entropy -Tr[rho log2 rho] in bits of ``rho = B @ B^dag``, with
     0 log 0 = 0, from the smaller Gram matrix (``B^dag B`` or ``B @ B^dag``):
@@ -82,12 +92,16 @@ def von_neumann_entropy(factor: np.ndarray) -> float | np.ndarray:
     """
     b = _factor(factor)
     b_dag = b.conj().swapaxes(-1, -2)
-    gram = b_dag @ b if b.shape[-1] <= b.shape[-2] else b @ b_dag
-    _check_trace(np.real(np.trace(gram, axis1=-2, axis2=-1)))
-    vals = np.clip(hermitian_eig(gram, vectors=False), 0.0, 1.0)
-    total = -np.sum(vals * np.log2(np.where(vals > 0.0, vals, 1.0)), axis=-1)
-    # Not np.maximum, which keeps the -0.0 of an all-zero sum.
-    return _scalar_or_stack(np.where(total > 0.0, total, 0.0))
+    return _scalar_or_stack(_entropy_of(b_dag @ b if b.shape[-1] <= b.shape[-2] else b @ b_dag))
+
+
+def _log_negativity_of(rho: np.ndarray, shape: SubsystemShape | Sequence[int],
+                       part: Iterable[int]) -> np.ndarray:
+    """:func:`log_negativity` of a (..., d, d) stack of density matrices."""
+    _check_trace(np.real(np.trace(rho, axis1=-2, axis2=-1)))
+    vals = hermitian_eig(partial_transpose(rho, shape, part), vectors=False)
+    negativity = -np.sum(np.where(vals < -PSD_CLIP, vals, 0.0), axis=-1)
+    return np.log2(1.0 + 2.0 * negativity)
 
 
 def log_negativity(factor: np.ndarray,
@@ -102,12 +116,8 @@ def log_negativity(factor: np.ndarray,
     as :func:`von_neumann_entropy` does.
     """
     b = _factor(factor)
-    rho = b @ b.conj().swapaxes(-1, -2)
-    _check_trace(np.real(np.trace(rho, axis1=-2, axis2=-1)))
-    pt = partial_transpose(rho, shape, transpose_part)
-    vals = hermitian_eig(pt, vectors=False)
-    negativity = -np.sum(np.where(vals < -PSD_CLIP, vals, 0.0), axis=-1)
-    return _scalar_or_stack(np.log2(1.0 + 2.0 * negativity))
+    return _scalar_or_stack(_log_negativity_of(b @ b.conj().swapaxes(-1, -2), shape,
+                                               transpose_part))
 
 
 def _sigma_y_phase(num_qubits: int) -> np.ndarray:

@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .conditioning import ZERO_PROBABILITY, CoinProjection
-from .linalg import PSD_CLIP, density_factor
-from .metrics import _check_trace, _concurrence_from_sy, _sigma_y_phase, _trace_distance_from_r
-from .metrics import log_negativity, von_neumann_entropy
+from .linalg import PSD_CLIP
+from .metrics import _check_trace, _concurrence_from_sy, _entropy_of, _log_negativity_of
+from .metrics import _sigma_y_phase, _trace_distance_from_r
 from .states import ghz, graph_state, w_state
 from .walk import (
     MAX_SITES,
@@ -123,20 +123,9 @@ class MetricSeries:
         return tuple(range(len(self.values)))
 
 
-def _subsystem_indices(label: str) -> tuple[int, ...]:
-    """Subsystems of ``label`` in the compressed (P, C, ancilla) state of
-    :func:`_walker_reduction`, where the ancilla stands in for G."""
-    groups = {"P": (0,), "C": (1,), "G": (2,)}
-    letters = list(label)
-    if not letters or len(set(letters)) != len(letters) \
-            or any(ch not in groups for ch in letters):
-        raise ValueError(f"bad subsystem label {label!r}; use letters from P, C, G")
-    if set(letters) == {"P", "C", "G"}:
-        raise ValueError("bipartition must be a proper subset of the subsystems")
-    idx: tuple[int, ...] = ()
-    for ch in sorted(set(letters), key="PCG".index):
-        idx += groups[ch]
-    return idx
+# The part of the walker (P, C) whose entropy is each label's: the walk state
+# is pure, so a label and its complement in (P, C, G) share their entropy.
+_ENTROPY_PARTS = {"PC": "PC", "G": "PC", "P": "P", "CG": "P", "C": "C", "PG": "C"}
 
 
 def _reference_state(kind: str, topology: GraphTopology) -> PureState:
@@ -181,13 +170,13 @@ _last_walk: list = [None, set(), None]
 
 
 def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple:
-    """(T+1, 2n, 2n) stacks of factors of G_t = F F^dag = rho_PC(t), of G_t,
-    and with ``with_sy`` of M_t = B^T Sy B (B = F^T), F being psi(t) as a
-    (2n, 2**n) matrix: sums over column blocks, tr G_t = ||psi(t)||^2
-    checked.  Consecutive distinct series on a config share a walk; a
-    series already served walks again, as does one needing a missing M."""
+    """(T+1, 2n, 2n) stacks (G, M) of G_t = F F^dag = rho_PC(t), PSD by
+    construction, and with ``with_sy`` of M_t = B^T Sy B (B = F^T), F being
+    psi(t) as a (2n, 2**n) matrix: sums over column blocks, tr G_t =
+    ||psi(t)||^2 checked.  Consecutive distinct series on a config share a
+    walk; a series already served walks again, as does one needing M."""
     config_walked, served, stats = _last_walk
-    if config == config_walked and series not in served and (stats[2] is not None or not with_sy):
+    if config == config_walked and series not in served and (stats[1] is not None or not with_sy):
         served.add(series)
         return stats
     topology = config.topology
@@ -203,7 +192,7 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
             if with_sy:
                 sy[t] += f @ (f * phase[columns])[:, ::-1].T
     _check_trace(np.trace(grams, axis1=1, axis2=2).real)
-    _last_walk[:] = config, {series}, (density_factor(grams), grams, sy)
+    _last_walk[:] = config, {series}, (grams, sy)
     return _last_walk[2]
 
 
@@ -282,21 +271,13 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
     return values
 
 
-def _walker_reduction(factors: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Factors of the reductions to ``keep`` of the states whose (T+1, 2n,
-    2n) factor stack is ``factors``, each B_t read as a pure state of dims
-    (n, 2, 2n).
-
-    That state purifies rho_PC(t) with a 2n-dimensional ancilla in place of
-    the register G.  A pure state's reductions to complementary parts share
-    their nonzero spectrum, so every entropy and the walker-coin log
-    negativity of this state are those of the walk state.
-    """
-    count, rows, _ = factors.shape
-    dims = (rows // 2, 2, rows)
-    rest = tuple(i for i in range(3) if i not in keep)
-    tensor = factors.reshape((count,) + dims).transpose((0,) + tuple(1 + i for i in keep + rest))
-    return tensor.reshape(count, math.prod(dims[i] for i in keep), -1)
+def _walker_density(grams: np.ndarray, part: str) -> np.ndarray:
+    """rho_part(t), ``part`` being "PC", "P" or "C", from a stack of G_t = rho_PC(t)."""
+    if part == "PC":
+        return grams
+    count, rows, _ = grams.shape
+    tensor = grams.reshape(count, rows // 2, 2, rows // 2, 2)
+    return np.einsum("tpcqc->tpq" if part == "P" else "tpcpd->tcd", tensor)
 
 
 def _parse_metric(metric: str, topology: GraphTopology) \
@@ -314,15 +295,17 @@ def _parse_metric(metric: str, topology: GraphTopology) \
     if head == "entropy":
         if not arg:
             raise ValueError("entropy needs a subsystem label, e.g. entropy(G)")
-        keep = _subsystem_indices(arg)
-        name = "entropy({})".format("".join(sorted(set(arg), key="PCG".index)))
-        return (name, lambda config: von_neumann_entropy(
-                    _walker_reduction(_statistics(config, name)[0], keep)), {})
+        label = "".join(sorted(arg, key="PCG".find))
+        if label not in _ENTROPY_PARTS:
+            raise ValueError(f"bad subsystem label {arg!r}; use a proper subset of P, C, G")
+        name = f"entropy({label})"
+        return (name, lambda config: _entropy_of(
+                    _walker_density(_statistics(config, name)[0], _ENTROPY_PARTS[label])), {})
 
     if head == "logneg":
         if arg not in ("", "PC"):
             raise ValueError("only the walker-coin bipartition logneg(PC) is supported")
-        return ("logneg(PC)", lambda config: log_negativity(
+        return ("logneg(PC)", lambda config: _log_negativity_of(
                     _statistics(config, "logneg(PC)")[0], (n, 2), (1,)), {})
 
     if head == "concurrence":
@@ -331,7 +314,7 @@ def _parse_metric(metric: str, topology: GraphTopology) \
                              "concurrence_postselected(mu,nu) for conditioning")
 
         def unconditioned(config: WalkConfig) -> np.ndarray:
-            _, grams, sy = _statistics(config, "concurrence", with_sy=True)
+            grams, sy = _statistics(config, "concurrence", with_sy=True)
             return _concurrence_from_sy(sy, np.trace(grams, axis1=1, axis2=2).real)
 
         return "concurrence", unconditioned, {}
@@ -345,7 +328,7 @@ def _parse_metric(metric: str, topology: GraphTopology) \
         proj = np.kron(np.eye(n), CoinProjection(mu, nu).ket().conj())
 
         def postselected(config: WalkConfig) -> np.ndarray:
-            _, grams, sy = _statistics(config, name, with_sy=True)
+            grams, sy = _statistics(config, name, with_sy=True)
             prob = np.einsum("ij,tjk,ik->t", proj, grams, proj.conj()).real
             # A (numerically) impossible outcome has no conditional state; the
             # series records 0 there.  Elsewhere its trace is tr(Pi G Pi^dag) / p.

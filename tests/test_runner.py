@@ -139,8 +139,8 @@ class TestMetricSeries:
 
     def test_unknown_metric(self):
         cfg = WalkConfig(CYCLE4, CoinParams(0.7), 2)
-        for bad in ("magic", "entropy(Q)", "entropy(PCG)", "closeness(bell)",
-                    "logneg(CG)", "concurrence(0)"):
+        for bad in ("magic", "entropy(Q)", "entropy(PCG)", "entropy(GG)", "entropy(PP)",
+                    "entropy(GCP)", "closeness(bell)", "logneg(CG)", "concurrence(0)"):
             with pytest.raises(ValueError):
                 run_metric_series(cfg, bad)
 
@@ -236,6 +236,25 @@ class TestWalkerSeries:
         cfg = WalkConfig(GraphTopology("cycle", 12), STANDARD_COINS[2], 24)
         assert 2 ** 12 // runner._REGISTER_BLOCK == 4
         assert_walker_series_match_oracle(cfg)
+
+    @pytest.mark.parametrize("metric,dim", [
+        ("entropy(C)", 2), ("entropy(PG)", 2), ("entropy(P)", 5), ("entropy(CG)", 5),
+        ("entropy(G)", 10), ("entropy(PC)", 10), ("logneg(PC)", 10)])
+    def test_one_eigenvalue_solve_of_the_walker_part(self, metric, dim, monkeypatch):
+        # The Gram stack G_t = rho_PC(t) is PSD by construction: a walker-side
+        # series solves it, or its partial trace, for eigenvalues only, in
+        # one stacked call, and factors nothing.
+        solves = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _solve=solve, **kwargs):
+                solves.append((_name, np.shape(a)))
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_metric_series(WalkConfig(GraphTopology("path", 5), STANDARD_COINS[0], 6), metric)
+        assert solves == [("eigvalsh", (7, dim, dim))]
 
     def test_factors_never_hold_a_full_state_per_step(self, monkeypatch):
         # A walk state at n = 12 is 1.5 MiB, as is a sign table or a start
@@ -1128,6 +1147,28 @@ class TestCli:
         assert main(["figure", "fig7", "--config", str(config), "--out", "flag"]) == 0
         assert (tmp_path / "flag" / "fig7_manifest.json").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command,values,bad", [
+        ("metric", {"sites": 6, "stesp": 3, "coin": "pi/2,0,pi/2", "metric": "entropy(G)"},
+         "stesp"),
+        ("sweep", {"theta-grid": "0,pi/2"}, "theta-grid"),
+    ])
+    def test_config_key_no_flag_takes_exits_one(self, command, values, bad, tmp_path, capsys):
+        # A misspelt key fails by name rather than leaving its flag at the
+        # default (T = 100 for "stesp", the full grid for "theta-grid").
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        assert main([command, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config {config} has keys no {command} flag takes: '{bad}'" in captured.err
+
+    def test_sweep_help_names_its_default_format(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--help"])
+        assert err.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--format {csv,json} output format (default json)" in help_text
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["metric", "--coin", "pi/2,0,pi/2", "--steps", "2",
