@@ -4,9 +4,11 @@ Exit codes: 0 on success, 1 on a usage problem (bad flag, unknown metric,
 unparseable angle, unwritable path), 2 on a numeric contract violation.
 
 Angles anywhere on the command line accept floats or exact ``k*pi/m``
-tokens.  An optional ``--config file.json`` supplies defaults for any flag
-of the subcommand (same names as the long options, with ``_`` for ``-``);
-explicit flags win, and a key no flag takes is a usage error.
+tokens.  Each flag is declared once, with its type, choices and default.
+An optional ``--config file.json`` sets defaults for any flag of the
+subcommand (same names as the long options, with ``_`` for ``-``): each
+value passes its flag's own type and choices, a key no flag takes is a
+usage error, and explicit flags win.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .runner import (
     FIGURE_IDS,
     SweepSpec,
     TARGET_KINDS,
-    _fmt,
     parse_angle,
     parse_angles,
     reproduce_figure,
@@ -29,47 +30,59 @@ from .runner import (
     run_sweep,
     series_csv,
     series_json,
+    state_csv,
+    state_json,
+    sweep_csv,
     sweep_json,
 )
 from .walk import CoinParams, GraphTopology, WalkConfig, evolve
 
-_FORMATS = ("csv", "json")
-_INT_KEYS = ("sites", "steps", "jobs")
-_STR_KEYS = ("graph", "coin", "metric", "postselect", "target", "out")
-_GRID_KEYS = ("theta_grid", "phi1_grid", "phi2_grid")
 # The flags several subcommands share, declared once.
 _SHARED_FLAGS = {
-    "graph": dict(choices=("path", "cycle"), help="graph kind (default cycle)"),
-    "sites": dict(type=int, help="site count n (default 4)"),
+    "graph": dict(choices=("path", "cycle"), default="cycle",
+                  help="graph kind (default %(default)s)"),
+    "sites": dict(type=int, default=4, help="site count n (default %(default)s)"),
     "coin": dict(metavar="THETA,PHI1,PHI2", help="coin angles, floats or k*pi/m tokens"),
-    "steps": dict(type=int, help="walk steps T (default 100)"),
-    "jobs": dict(type=int, help="parallel workers (default 1)"),
+    "steps": dict(type=int, default=100, help="walk steps T (default %(default)s)"),
+    "jobs": dict(type=int, default=1, help="parallel workers (default %(default)s)"),
     "config": dict(metavar="FILE.json", help="JSON file with default values for these flags"),
 }
+# The bare metric that each of these flags completes with its argument.
+_METRIC_FLAGS = {"target": "closeness", "postselect": "concurrence_postselected"}
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; this CLI reserves 2 for
-    numeric contract violations, so usage errors exit 1 instead."""
+    numeric contract violations, so usage errors exit 1 instead.
+
+    ``flag`` declares ``--name`` and keeps its Action in ``flags``, so that
+    a --config value passes the same type and choices as the flag."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.flags: dict[str, argparse.Action] = {}
+
+    def flag(self, name: str, **kwargs) -> None:
+        self.flags[name] = self.add_argument("--" + name.replace("_", "-"), **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The iqwalk parser and its subcommand parsers by name."""
     parser = _Parser(prog="iqwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_flags(p, *names):
         for name in names:
-            p.add_argument("--" + name, default=None, **_SHARED_FLAGS[name])
+            p.flag(name, **_SHARED_FLAGS[name])
 
     def add_output_flags(p, default_format="csv"):
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="output file (default: stdout)")
-        p.add_argument("--format", choices=_FORMATS, default=None,
-                       help=f"output format (default {default_format})")
+        p.flag("out", metavar="PATH", help="output file (default: stdout)")
+        p.flag("format", choices=("csv", "json"), default=default_format,
+               help="output format (default %(default)s)")
 
     p = sub.add_parser("evolve", help="run a walk and emit the final state vector")
     add_flags(p, "graph", "sites", "coin", "steps", "config")
@@ -77,97 +90,80 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("metric", help="evaluate a metric at every step t = 0..T")
     add_flags(p, "graph", "sites", "coin", "steps", "config")
-    p.add_argument("--metric", default=None, metavar="NAME",
-                   help="entropy(G|C|P|..), logneg(PC), concurrence, "
-                        "concurrence_postselected(mu,nu), closeness(ghz|w|graph)")
-    p.add_argument("--postselect", default=None, metavar="MU,NU",
-                   help="coin projection angles for concurrence_postselected")
-    p.add_argument("--target", choices=TARGET_KINDS, default=None,
-                   help="reference state for closeness")
+    p.flag("metric", metavar="NAME",
+           help="entropy(G|C|P|..), logneg(PC), concurrence, "
+                "concurrence_postselected(mu,nu), closeness(ghz|w|graph)")
+    p.flag("postselect", metavar="MU,NU",
+           help="coin projection angles for concurrence_postselected")
+    p.flag("target", choices=TARGET_KINDS, help="reference state for closeness")
     add_output_flags(p)
 
     p = sub.add_parser("sweep", help="maximize closeness over a (theta,phi1,phi2,t) grid")
     add_flags(p, "graph", "sites", "steps", "config")
-    p.add_argument("--target", choices=TARGET_KINDS, default=None,
-                   help="reference state to approach (default graph)")
-    p.add_argument("--theta-grid", default=None, metavar="A,B,...",
-                   help="theta grid values (default k*pi/20, k=0..20)")
-    p.add_argument("--phi1-grid", default=None, metavar="A,B,...",
-                   help="phi1 grid values (default 0)")
-    p.add_argument("--phi2-grid", default=None, metavar="A,B,...",
-                   help="phi2 grid values (default k*pi/20, k=0..20)")
+    p.flag("target", choices=TARGET_KINDS, default="graph",
+           help="reference state to approach (default %(default)s)")
+    p.flag("theta_grid", metavar="A,B,...", help="theta grid values (default k*pi/20, k=0..20)")
+    p.flag("phi1_grid", metavar="A,B,...", help="phi1 grid values (default 0)")
+    p.flag("phi2_grid", metavar="A,B,...", help="phi2 grid values (default k*pi/20, k=0..20)")
     add_flags(p, "jobs")
-    p.add_argument("--table", action="store_true",
-                   help="include the per-coin best table in JSON output")
+    p.flag("table", action="store_true",
+           help="include the per-coin best table in JSON output")
     add_output_flags(p, default_format="json")
 
     p = sub.add_parser("figure", help="write the data files behind one figure")
     p.add_argument("fig_id", choices=FIGURE_IDS, metavar="FIG",
                    help="one of " + ", ".join(FIGURE_IDS))
-    p.add_argument("--out", default=None, metavar="DIR", help="output directory (default .)")
+    p.flag("out", default=".", metavar="DIR", help="output directory (default %(default)s)")
     add_flags(p, "steps", "jobs", "config")
-    return parser
+    return parser, sub.choices
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    path = args.config
-    if not path:
-        return {}
+def _config_defaults(command: str, parser: _Parser, path: str) -> dict:
+    """The values of a --config file, each converted and checked by its flag."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    # Values for the typed flags pass those flags' checks: int() of the text
-    # (so 2.7 and true fail, as --steps 2.7 does) and the --format choices.
-    for key in _INT_KEYS:
-        if key in data:
-            try:
-                data[key] = int(str(data[key]))
-            except ValueError:
-                raise ValueError(f"config {key} must be an integer, "
-                                 f"got {data[key]!r}") from None
-    if "format" in data and data["format"] not in _FORMATS:
-        raise ValueError(f"config format must be one of {_FORMATS}, got {data['format']!r}")
-    # The other values must have their flag's JSON type, so that "false"
-    # is not a true --table and a number fails here, not after the walk.
-    if "table" in data and not isinstance(data["table"], bool):
-        raise ValueError(f"config table must be true or false, got {data['table']!r}")
-    for key in _STR_KEYS:
-        if key in data and not isinstance(data[key], str):
-            raise ValueError(f"config {key} must be a string, got {data[key]!r}")
-    for key in _GRID_KEYS:
-        if key in data and not isinstance(data[key], (str, list)):
-            raise ValueError(f"config {key} must be a string or a list, got {data[key]!r}")
-        # An empty grid fails as --theta-grid "" does, not as the default grid.
-        if data.get(key) == []:
-            raise ValueError(f"config {key} must not be empty")
     # A misspelt key must not leave its flag at the default without a word.
-    allowed = set(vars(args)) - {"command", "config", "fig_id"}
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(set(data) - (parser.flags.keys() - {"config"}))
     if unknown:
-        raise ValueError(f"config {path} has keys no {args.command} flag takes: "
+        raise ValueError(f"config {path} has keys no {command} flag takes: "
                          f"{', '.join(map(repr, unknown))}")
-    return data
+    return {key: _config_value(parser.flags[key], value) for key, value in data.items()}
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
+def _config_value(action: argparse.Action, value):
+    # Each value fails as its flag would, before any walk runs: int() of the
+    # text (so 2.7 and true fail, as --steps 2.7 does), no "false" that reads
+    # as a true switch, and no empty grid that reads as the default grid.
+    key = action.dest
+    if action.type is int:
+        try:
+            value = int(str(value))
+        except ValueError:
+            raise ValueError(f"config {key} must be an integer, got {value!r}") from None
+    elif action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError(f"config {key} must be true or false, got {value!r}")
+    elif key.endswith("_grid"):
+        if not isinstance(value, (str, list)):
+            raise ValueError(f"config {key} must be a string or a list, got {value!r}")
+        if value == []:
+            raise ValueError(f"config {key} must not be empty")
+    elif not isinstance(value, str):
+        raise ValueError(f"config {key} must be a string, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config {key} must be one of {action.choices}, got {value!r}")
     return value
 
 
-def _walk_config(args, config) -> WalkConfig:
-    graph = _resolve(args, config, "graph", "cycle")
-    sites = _resolve(args, config, "sites", 4)
-    steps = _resolve(args, config, "steps", 100)
-    coin_text = _resolve(args, config, "coin")
-    if coin_text is None:
+def _walk_config(args) -> WalkConfig:
+    if args.coin is None:
         raise ValueError("a coin is required: --coin THETA,PHI1,PHI2")
-    coin = CoinParams(*parse_angles(coin_text, 3))
-    return WalkConfig(GraphTopology(graph, sites), coin, steps)
+    coin = CoinParams(*parse_angles(args.coin, 3))
+    return WalkConfig(GraphTopology(args.graph, args.sites), coin, args.steps)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -181,94 +177,52 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_evolve(args) -> int:
-    config = _load_config(args)
-    walk = _walk_config(args, config)
+    walk = _walk_config(args)
     final = evolve(walk)
-    fmt = _resolve(args, config, "format", "csv")
-    p = walk.topology
-    if fmt == "json":
-        payload = {
-            "graph": p.kind, "n": p.n, "steps": walk.steps,
-            "theta": walk.coin.theta, "phi1": walk.coin.phi1, "phi2": walk.coin.phi2,
-            "dims": list(final.shape.dims),
-            "amplitudes": [[a.real, a.imag] for a in final.amplitudes],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        header = (f"# iqwalk v1, metric=state, graph={p.kind}, n={p.n}, "
-                  f"theta={_fmt(walk.coin.theta)}, phi1={_fmt(walk.coin.phi1)}, "
-                  f"phi2={_fmt(walk.coin.phi2)}")
-        rows = [f"{i},{_fmt(a.real)},{_fmt(a.imag)}"
-                for i, a in enumerate(final.amplitudes)]
-        text = "\n".join([header, "index,re,im"] + rows) + "\n"
-    _emit(text, _resolve(args, config, "out"))
+    text = state_json(walk, final) if args.format == "json" else state_csv(walk, final)
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_metric(args) -> int:
-    config = _load_config(args)
-    walk = _walk_config(args, config)
-    metric = _resolve(args, config, "metric")
-    if metric is None:
+    walk = _walk_config(args)
+    if args.metric is None:
         raise ValueError("a metric is required: --metric NAME")
-    # Bare names can take their argument from the dedicated flags.
-    if "(" not in metric:
-        postselect = _resolve(args, config, "postselect")
-        target = _resolve(args, config, "target")
-        if metric == "concurrence_postselected" and postselect:
-            metric = f"concurrence_postselected({postselect})"
-        elif metric == "closeness" and target:
-            metric = f"closeness({target})"
+    metric = args.metric
+    for flag, bare in _METRIC_FLAGS.items():
+        value = getattr(args, flag)
+        # A flag that the metric would not read must not pass unnoticed.
+        if value is not None and args.metric != bare:
+            raise ValueError(f"--{flag} is read only by --metric {bare}, "
+                             f"not by --metric {args.metric}")
+        if value:
+            metric = f"{bare}({value})"
     series = run_metric_series(walk, metric)
-    fmt = _resolve(args, config, "format", "csv")
-    text = series_json(series) if fmt == "json" else series_csv(series)
-    _emit(text, _resolve(args, config, "out"))
+    _emit(series_json(series) if args.format == "json" else series_csv(series), args.out)
     return 0
 
 
-def _grid(args, config, key: str) -> tuple[float, ...]:
-    text = _resolve(args, config, key)
-    if text is None:
+def _grid(value: str | list | None) -> tuple[float, ...]:
+    if value is None:
         return ()
-    if isinstance(text, (list, tuple)):
-        return tuple(parse_angle(v) for v in text)
-    return tuple(parse_angle(v) for v in str(text).split(","))
+    if isinstance(value, list):
+        return tuple(parse_angle(v) for v in value)
+    return tuple(parse_angle(v) for v in value.split(","))
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    graph = _resolve(args, config, "graph", "cycle")
-    sites = _resolve(args, config, "sites", 4)
-    steps = _resolve(args, config, "steps", 100)
-    target = _resolve(args, config, "target", "graph")
-    jobs = _resolve(args, config, "jobs", 1)
-    keep_table = args.table or config.get("table", False)
-    fmt = _resolve(args, config, "format", "json")
-
-    spec = SweepSpec(GraphTopology(graph, sites), target,
-                     thetas=_grid(args, config, "theta_grid"),
-                     phi1s=_grid(args, config, "phi1_grid"),
-                     phi2s=_grid(args, config, "phi2_grid"),
-                     steps=steps)
-    result = run_sweep(spec, jobs=jobs, keep_table=keep_table or fmt == "csv")
-    if fmt == "csv":
-        rows = ["theta,phi1,phi2,t,value"]
-        rows += [f"{_fmt(th)},{_fmt(p1)},{_fmt(p2)},{t},{_fmt(v)}"
-                 for th, p1, p2, t, v in result.table]
-        text = "\n".join(rows) + "\n"
-    else:
-        text = sweep_json(spec, result)
-    _emit(text, _resolve(args, config, "out"))
+    spec = SweepSpec(GraphTopology(args.graph, args.sites), args.target,
+                     thetas=_grid(args.theta_grid),
+                     phi1s=_grid(args.phi1_grid),
+                     phi2s=_grid(args.phi2_grid),
+                     steps=args.steps)
+    result = run_sweep(spec, jobs=args.jobs, keep_table=args.table or args.format == "csv")
+    _emit(sweep_csv(result) if args.format == "csv" else sweep_json(spec, result), args.out)
     return 0
 
 
 def _cmd_figure(args) -> int:
-    config = _load_config(args)
-    steps = _resolve(args, config, "steps", 100)
-    jobs = _resolve(args, config, "jobs", 1)
-    out = _resolve(args, config, "out", ".")
-    written = reproduce_figure(args.fig_id, out, steps=steps, jobs=jobs)
-    for path in written:
+    for path in reproduce_figure(args.fig_id, args.out, steps=args.steps, jobs=args.jobs):
         print(path)
     return 0
 
@@ -282,8 +236,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            # The config's values become the subcommand's defaults, and the
+            # command line is parsed again: a flag given there still wins.
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(args.command, command, args.config))
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ContractViolationError as exc:
         print(f"iqwalk: numeric contract violation: {exc}", file=sys.stderr)

@@ -102,8 +102,9 @@ def parse_angles(text: str, count: int) -> tuple[float, ...]:
 
 
 def _fmt(x: float) -> str:
-    """12 significant digits, no trailing noise: the file format's number."""
-    return format(float(x), ".12g")
+    """12 significant digits, no trailing noise: the file format's number.
+    Adding 0.0 turns -0.0 into 0.0, so no value prints as "-0"."""
+    return format(float(x) + 0.0, ".12g")
 
 
 @dataclass(frozen=True)
@@ -364,16 +365,12 @@ def run_metric_series(config: WalkConfig, metric: str) -> MetricSeries:
     its own), and each series solves all its steps in one stacked call."""
     name, series, extras = _parse_metric(metric, config.topology)
     values = tuple(float(v) for v in series(config))
-    provenance = {
-        "metric": name,
-        "graph": config.topology.kind,
-        "n": config.topology.n,
-        "theta": config.coin.theta,
-        "phi1": config.coin.phi1,
-        "phi2": config.coin.phi2,
-        **extras,
-    }
-    return MetricSeries(name, values, provenance)
+    return MetricSeries(name, values, {**_provenance(name, config), **extras})
+
+
+def _provenance(metric: str, config: WalkConfig) -> dict:
+    return {"metric": metric, "graph": config.topology.kind, "n": config.topology.n,
+            "theta": config.coin.theta, "phi1": config.coin.phi1, "phi2": config.coin.phi2}
 
 
 def default_angle_grid() -> tuple[float, ...]:
@@ -516,13 +513,14 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> Sw
 # ---------------------------------------------------------------------------
 # File output
 
+def _csv_header(p: dict) -> str:
+    """The first line of every per-walk CSV: the walk's provenance."""
+    return (f"# iqwalk v1, metric={p['metric']}, graph={p['graph']}, n={p['n']}, "
+            f"theta={_fmt(p['theta'])}, phi1={_fmt(p['phi1'])}, phi2={_fmt(p['phi2'])}")
+
+
 def series_csv(series: MetricSeries) -> str:
-    p = series.provenance
-    lines = [
-        f"# iqwalk v1, metric={p['metric']}, graph={p['graph']}, n={p['n']}, "
-        f"theta={_fmt(p['theta'])}, phi1={_fmt(p['phi1'])}, phi2={_fmt(p['phi2'])}",
-        "t,value",
-    ]
+    lines = [_csv_header(series.provenance), "t,value"]
     lines += [f"{t},{_fmt(v)}" for t, v in zip(series.times, series.values)]
     return "\n".join(lines) + "\n"
 
@@ -532,6 +530,32 @@ def series_json(series: MetricSeries) -> str:
     payload["times"] = list(series.times)
     payload["values"] = [float(_fmt(v)) for v in series.values]
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def state_csv(config: WalkConfig, state: PureState) -> str:
+    lines = [_csv_header(_provenance("state", config)), "index,re,im"]
+    lines += [f"{i},{_fmt(a.real)},{_fmt(a.imag)}" for i, a in enumerate(state.amplitudes)]
+    return "\n".join(lines) + "\n"
+
+
+def state_json(config: WalkConfig, state: PureState) -> str:
+    # Adding 0.0 turns the -0.0 of a CZ sign flip on a zero amplitude into 0.0.
+    amplitudes = state.amplitudes + 0.0
+    payload = {
+        "graph": config.topology.kind, "n": config.topology.n, "steps": config.steps,
+        "theta": config.coin.theta, "phi1": config.coin.phi1, "phi2": config.coin.phi2,
+        "dims": list(state.shape.dims),
+        "amplitudes": [[a.real, a.imag] for a in amplitudes],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def sweep_csv(result: SweepResult) -> str:
+    """The per-coin best table, one ``theta,phi1,phi2,t,value`` row per coin."""
+    rows = ["theta,phi1,phi2,t,value"]
+    rows += [f"{_fmt(th)},{_fmt(p1)},{_fmt(p2)},{t},{_fmt(v)}"
+             for th, p1, p2, t, v in result.table]
+    return "\n".join(rows) + "\n"
 
 
 def sweep_json(spec: SweepSpec, result: SweepResult) -> str:

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -28,7 +29,7 @@ from iqwalk import (
 )
 from iqwalk import runner
 from iqwalk import walk as walk_module
-from iqwalk.cli import main
+from iqwalk.cli import _build_parser, main
 from iqwalk.conditioning import CoinProjection, postselect_coin, unconditioned_vertex_state
 from iqwalk.errors import ContractViolationError, ZeroProbabilityError
 from iqwalk.linalg import PSD_CLIP, reduction_factor
@@ -961,6 +962,27 @@ class TestCli:
         assert rc == 0
         assert "concurrence_postselected" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("metric,flag,value", [
+        ("closeness(ghz)", "target", "w"),
+        ("concurrence_postselected(0,0)", "postselect", "pi/2,0"),
+    ])
+    def test_metric_argument_flag_the_metric_ignores_exits_one(self, metric, flag, value, via,
+                                                               tmp_path, capsys):
+        # Only the bare closeness and concurrence_postselected read --target
+        # and --postselect; any other metric would silently drop them.
+        argv = ["metric", "--coin", "pi/4,0,2*pi/5", "--steps", "2", "--metric", metric]
+        if via == "flag":
+            argv += ["--" + flag, value]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({flag: value}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"iqwalk: error: --{flag} is read only by" in captured.err
+
     def test_evolve_json(self, capsys):
         rc = main(["evolve", "--coin", "0,0,0", "--steps", "2", "--format", "json"])
         assert rc == 0
@@ -980,7 +1002,21 @@ class TestCli:
         amplitudes = evolve(WalkConfig(CYCLE4, CLUSTER_COIN, 3)).amplitudes
         assert len(lines) == 2 + len(amplitudes) == 2 + 4 * 2 * 2 ** 4
         for i, (line, a) in enumerate(zip(lines[2:], amplitudes)):
-            assert line == f"{i},{a.real:.12g},{a.imag:.12g}"
+            assert line == f"{i},{a.real + 0.0:.12g},{a.imag + 0.0:.12g}"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_evolve_prints_no_negative_zero(self, fmt, capsys):
+        # The CZ flips the sign of amplitudes that are exactly 0 at t = 3,
+        # which must print as 0, not -0.
+        assert main(["evolve", "--coin", "pi/2,0,pi/2", "--steps", "3",
+                     "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            values = [v for row in out.splitlines()[2:] for v in row.split(",")[1:]]
+            assert "0" in values and "-0" not in values
+        else:
+            values = [v for pair in json.loads(out)["amplitudes"] for v in pair]
+            assert 0.0 in values and all(math.copysign(1, v) > 0 for v in values if v == 0)
 
     def test_metric_needs_a_metric(self, capsys):
         assert main(["metric", "--coin", "0,0,0", "--steps", "2"]) == 1
@@ -1054,6 +1090,15 @@ class TestCli:
         assert rc == 0
         assert "metric=entropy(P)" in capsys.readouterr().out
 
+    # Keys each command takes besides the one under test, so that a config
+    # fails on the value under test and not on a key its command lacks.
+    CONFIG_BASE = {
+        "evolve": {"coin": "pi/5,0,pi/5", "steps": 2},
+        "metric": {"coin": "pi/5,0,pi/5", "metric": "entropy(C)", "steps": 2},
+        "sweep": {"theta_grid": "0", "phi2_grid": "0", "steps": 2},
+        "figure": {"steps": 2},
+    }
+
     @pytest.mark.parametrize("command,values", [
         ("metric", {"steps": 2.7, "sites": 4.9}),
         ("metric", {"steps": True}),
@@ -1063,21 +1108,21 @@ class TestCli:
         ("evolve", {"format": "xml"}),
         ("sweep", {"jobs": 1.5}),
         ("figure", {"steps": 2.5}),
+        ("metric", {"graph": "hexagon"}),
+        ("sweep", {"target": "bell"}),
     ])
     def test_config_values_pass_the_flag_checks(self, command, values, tmp_path, capsys):
         # Each value fails as its flag does (--steps 2.7, --format xml): exit 1
         # and no output, rather than a truncated or defaulted run.
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"coin": "pi/5,0,pi/5", "metric": "entropy(C)",
-                                      "steps": 2, "theta_grid": "0", "phi2_grid": "0",
-                                      **values}))
+        config.write_text(json.dumps({**self.CONFIG_BASE[command], **values}))
         argv = [command, "--config", str(config)]
         if command == "figure":
             argv = ["figure", "fig7", "--config", str(config), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "iqwalk: error: config" in captured.err
+        assert any(f"iqwalk: error: config {key} " in captured.err for key in values)
 
     @pytest.mark.parametrize("command,values", [
         ("sweep", {"table": "false"}),
@@ -1100,16 +1145,14 @@ class TestCli:
         # and no file written.
         monkeypatch.chdir(tmp_path)
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"coin": "pi/5,0,pi/5", "metric": "entropy(C)",
-                                      "steps": 2, "theta_grid": "0", "phi2_grid": "0",
-                                      **values}))
+        config.write_text(json.dumps({**self.CONFIG_BASE[command], **values}))
         argv = [command, "--config", str(config)]
         if command == "figure":
             argv = ["figure", "fig7", "--config", str(config)]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "iqwalk: error: config" in captured.err
+        assert any(f"iqwalk: error: config {key} " in captured.err for key in values)
         assert list(tmp_path.iterdir()) == [config]
 
     def test_config_grid_list_and_table_flag(self, tmp_path, capsys):
@@ -1162,6 +1205,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"config {config} has keys no {command} flag takes: '{bad}'" in captured.err
+
+    def test_readme_command_lines_parse(self):
+        # Every iqwalk line of README's "Command line" block names only flags
+        # and values the parser takes (parsed, not run).
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("iqwalk ")]
+        assert commands
+        parser, _ = _build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv).command == argv[0]
 
     def test_sweep_help_names_its_default_format(self, capsys):
         with pytest.raises(SystemExit) as err:
