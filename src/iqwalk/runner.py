@@ -17,7 +17,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -74,7 +74,7 @@ def parse_angle(token: str | float) -> float:
     Accepts plain numbers ("1.57"), "pi", "pi/2", "3*pi/20", "3pi/20",
     "-pi/4", "0.5*pi".
     """
-    if isinstance(token, (int, float)):
+    if isinstance(token, (int, float)) and not isinstance(token, bool):
         return float(token)
     text = str(token).strip()
     m = _ANGLE_RE.match(text)
@@ -202,10 +202,12 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
                       skip_untied: bool = False) -> np.ndarray:
     """Closeness to each target at t = 0..T of the walks of the (..., 2, 2)
     coins ``coin_mats``, as a (targets, ..., T+1) array, from one blocked
-    walk: per target and step, R of W = [B, g] is built as
-    R <- qr([R; W_block]) and solved for all walks in the last block.  A
-    step's sums over the earlier blocks are dropped once it is solved, so a
-    walk in one column block holds no statistics from step to step.
+    walk.  Each (target, walk) pair is one member of a (targets, ...)
+    stack: per step, R of W = [B, g] is built for every member as
+    R <- qr([R; W_block]) in one stacked call per register block, and all
+    members are solved in one call in the last block.  A step's sums over
+    the earlier blocks are dropped once it is solved, so a walk in one
+    column block holds no statistics from step to step.
 
     ``skip_untied`` is for sweeps, which need exact values only where a step
     can tie with its walk's maximum.  With the fidelity F = ||B^dag g||^2
@@ -220,55 +222,52 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
     trace is still checked.
     """
     rows = 2 * topology.n
-    batch = coin_mats.shape[:-2]
-    # A target is pure: its factor is its (norm-checked) amplitude column.
-    amplitudes = [_reference_state(target, topology).amplitudes for target in targets]
+    shape = (len(targets),) + coin_mats.shape[:-2]
+    # A target is pure: its factor is its (norm-checked) amplitude column,
+    # here a (1, 2**n) row per target that broadcasts over the walks.
+    amplitudes = np.stack([_reference_state(target, topology).amplitudes for target in targets])
+    amplitudes = amplitudes.reshape(shape[:1] + (1,) * (len(shape) - 1) + (1, -1))
     signs = np.concatenate([np.ones(rows), [-1.0]])
-    values = np.empty((len(targets),) + batch + (steps + 1,))
-    best = np.full((len(targets),) + batch, -np.inf)
+    values = np.empty(shape + (steps + 1,))
+    best = np.full(shape, -np.inf)
     slack = (rows + 1) * PSD_CLIP
-    # Per step, sums over the blocks walked so far: ||B||_F^2, and per target
-    # g^dag B (B^dag g conjugated, so B is never conjugated) and the R.
+    # Per step, sums over the blocks walked so far: ||B||_F^2 per walk, and
+    # per member g^dag B (B^dag g conjugated, so B is never conjugated) and R.
     earlier: list = [None] * (steps + 1)
     blocks = list(_column_walks(topology, coin_mats, steps, initial))
     for b, (columns, tensors) in enumerate(blocks, start=1):
         last = b == len(blocks)
-        block_targets = [(amps[columns, None], amps[columns].conj()) for amps in amplitudes]
+        block_amps = amplitudes[..., columns]
+        conj, column = block_amps.conj(), block_amps.swapaxes(-1, -2)
         for t, tensor in enumerate(tensors):
-            register = tensor.reshape(batch + (rows, -1)).swapaxes(-1, -2)
-            trace, overlaps, held = earlier[t] or (0.0, [0.0] * len(targets),
-                                                   [None] * len(targets))
+            register = tensor.reshape(shape[1:] + (rows, -1)).swapaxes(-1, -2)
+            trace, overlaps, held = earlier[t] or (0.0, 0.0, None)
             earlier[t] = None
+            keep = ...
             if skip_untied:
                 trace = trace + np.sum(np.abs(register) ** 2, axis=(-2, -1))
+                overlaps = overlaps + (conj @ register)[..., 0, :]
                 if last:
                     _check_trace(trace)
-            for i, (column, conj) in enumerate(block_targets):
-                keep = ...
-                if skip_untied:
-                    overlaps[i] = overlaps[i] + conj @ register
-                    if last:
-                        fidelity = np.sum(np.abs(overlaps[i]) ** 2, axis=-1)
-                        bound = fidelity - 0.5 * (trace - 1.0)
-                        # Written so that a NaN bound is not kept.
-                        keep = bound >= best[i] - TIE_ATOL - slack
-                        values[i, ..., t] = bound
-                        if not keep.any():
-                            continue
-                w = register[keep]
-                w = np.concatenate([w, np.broadcast_to(column, w.shape[:-1] + (1,))], axis=-1)
-                if held[i] is not None:
-                    w = np.concatenate([held[i][keep], w], axis=-2)
-                r = np.linalg.qr(w, mode="r")
-                if not last:
-                    held[i] = r
-                    continue
-                value = 1.0 - _trace_distance_from_r(r, signs)
-                values[i, ..., t][keep] = value
-                if skip_untied:
-                    best[i][keep] = np.maximum(best[i][keep], value)
+                    bound = np.sum(np.abs(overlaps) ** 2, axis=-1) - 0.5 * (trace - 1.0)
+                    # Written so that a NaN bound is not kept.
+                    keep = bound >= best - TIE_ATOL - slack
+                    values[..., t] = bound
+                    if not keep.any():
+                        continue
+            width = register.shape[-2]
+            w = np.concatenate([np.broadcast_to(register, shape + (width, rows))[keep],
+                                np.broadcast_to(column, shape + (width, 1))[keep]], axis=-1)
+            if held is not None:
+                w = np.concatenate([held[keep], w], axis=-2)
+            r = np.linalg.qr(w, mode="r")
             if not last:
-                earlier[t] = trace, overlaps, held
+                earlier[t] = trace, overlaps, r
+                continue
+            value = 1.0 - _trace_distance_from_r(r, signs)
+            values[..., t][keep] = value
+            if skip_untied:
+                best[keep] = np.maximum(best[keep], value)
     return values
 
 
@@ -281,17 +280,20 @@ def _walker_density(grams: np.ndarray, part: str) -> np.ndarray:
     return np.einsum("tpcqc->tpq" if part == "P" else "tpcpd->tcd", tensor)
 
 
-def _parse_metric(metric: str, topology: GraphTopology) \
-        -> tuple[str, Callable[[WalkConfig], Iterable[float]], dict]:
-    """Resolve a metric name to (canonical name, the function from a config
-    to the series' values, extras).  Every metric but closeness is one
-    stacked call on the walk's :func:`_statistics`; closeness walks with
-    the target by :func:`_closeness_values`."""
+def run_metric_series(config: WalkConfig, metric: str) -> MetricSeries:
+    """Evaluate one metric at every step of the configured walk.
+
+    The name is parsed and checked before the walk starts.  Every metric
+    but closeness is one stacked call on the walk's :func:`_statistics`,
+    which runs in blocks of register columns and holds no full state;
+    consecutive distinct series on one config share that walk.  Closeness
+    walks with its target in :func:`_closeness_values`."""
     m = re.match(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$", metric)
     if not m:
         raise ValueError(f"cannot parse metric name {metric!r}")
     head, arg = m.group(1), (m.group(2) or "").strip()
-    n = topology.n
+    n = config.topology.n
+    extras: dict = {}
 
     if head == "entropy":
         if not arg:
@@ -300,72 +302,56 @@ def _parse_metric(metric: str, topology: GraphTopology) \
         if label not in _ENTROPY_PARTS:
             raise ValueError(f"bad subsystem label {arg!r}; use a proper subset of P, C, G")
         name = f"entropy({label})"
-        return (name, lambda config: _entropy_of(
-                    _walker_density(_statistics(config, name)[0], _ENTROPY_PARTS[label])), {})
+        values = _entropy_of(_walker_density(_statistics(config, name)[0], _ENTROPY_PARTS[label]))
 
-    if head == "logneg":
+    elif head == "logneg":
         if arg not in ("", "PC"):
             raise ValueError("only the walker-coin bipartition logneg(PC) is supported")
-        return ("logneg(PC)", lambda config: _log_negativity_of(
-                    _statistics(config, "logneg(PC)")[0], (n, 2), (1,)), {})
+        name = "logneg(PC)"
+        values = _log_negativity_of(_statistics(config, name)[0], (n, 2), (1,))
 
-    if head == "concurrence":
+    elif head == "concurrence":
         if arg:
             raise ValueError("concurrence takes no arguments; use "
                              "concurrence_postselected(mu,nu) for conditioning")
+        name = "concurrence"
+        grams, sy = _statistics(config, name, with_sy=True)
+        values = _concurrence_from_sy(sy, np.trace(grams, axis1=1, axis2=2).real)
 
-        def unconditioned(config: WalkConfig) -> np.ndarray:
-            grams, sy = _statistics(config, "concurrence", with_sy=True)
-            return _concurrence_from_sy(sy, np.trace(grams, axis1=1, axis2=2).real)
-
-        return "concurrence", unconditioned, {}
-
-    if head == "concurrence_postselected":
+    elif head == "concurrence_postselected":
         if not arg:
             raise ValueError("concurrence_postselected needs (mu,nu)")
         mu, nu = parse_angles(arg, 2)
         name = f"concurrence_postselected({_fmt(mu)},{_fmt(nu)})"
+        extras = {"mu": mu, "nu": nu}
         # Pi = 1_n (x) <Sigma| projects the coin of the (P, C) rows.
         proj = np.kron(np.eye(n), CoinProjection(mu, nu).ket().conj())
+        grams, sy = _statistics(config, name, with_sy=True)
+        prob = np.einsum("ij,tjk,ik->t", proj, grams, proj.conj()).real
+        # A (numerically) impossible outcome has no conditional state; the
+        # series records 0 there.  Elsewhere its trace is tr(Pi G Pi^dag) / p.
+        # Projecting the unprojected statistics and then dividing by p
+        # loses relative precision as eps / p, where projecting the
+        # amplitudes first (postselect_coin) loses eps / sqrt(p): the two
+        # differ by 1.3e-13 at p = 1e-4, 4.0e-9 at p = 1e-8 and 3.2e-5 at
+        # p = 1e-12.  The standard and grid coins keep p >= 4.7e-5.
+        kept = ~(prob < ZERO_PROBABILITY)
+        values = np.zeros(len(prob))
+        values[kept] = _concurrence_from_sy(proj @ sy[kept] @ proj.T / prob[kept, None, None],
+                                            prob[kept] / prob[kept])
 
-        def postselected(config: WalkConfig) -> np.ndarray:
-            grams, sy = _statistics(config, name, with_sy=True)
-            prob = np.einsum("ij,tjk,ik->t", proj, grams, proj.conj()).real
-            # A (numerically) impossible outcome has no conditional state; the
-            # series records 0 there.  Elsewhere its trace is tr(Pi G Pi^dag) / p.
-            # Projecting the unprojected statistics and then dividing by p
-            # loses relative precision as eps / p, where projecting the
-            # amplitudes first (postselect_coin) loses eps / sqrt(p): the two
-            # differ by 1.3e-13 at p = 1e-4, 4.0e-9 at p = 1e-8 and 3.2e-5 at
-            # p = 1e-12.  The standard and grid coins keep p >= 4.7e-5.
-            kept = ~(prob < ZERO_PROBABILITY)
-            values = np.zeros(len(prob))
-            values[kept] = _concurrence_from_sy(proj @ sy[kept] @ proj.T / prob[kept, None, None],
-                                                prob[kept] / prob[kept])
-            return values
-
-        return name, postselected, {"mu": mu, "nu": nu}
-
-    if head == "closeness":
+    elif head == "closeness":
         if not arg:
             raise ValueError("closeness needs a reference state, e.g. closeness(graph)")
-        return (f"closeness({arg})",
-                lambda config: _closeness_values(topology, build_coin(config.coin), config.steps,
-                                                 config.initial, (arg,))[0],
-                {"target": arg})
+        name = f"closeness({arg})"
+        extras = {"target": arg}
+        values = _closeness_values(config.topology, build_coin(config.coin), config.steps,
+                                   config.initial, (arg,))[0]
 
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def run_metric_series(config: WalkConfig, metric: str) -> MetricSeries:
-    """Evaluate one metric at every step of the configured walk.
-
-    The walk runs in blocks of register columns and holds no full state;
-    consecutive distinct series on one config share it (closeness walks on
-    its own), and each series solves all its steps in one stacked call."""
-    name, series, extras = _parse_metric(metric, config.topology)
-    values = tuple(float(v) for v in series(config))
-    return MetricSeries(name, values, {**_provenance(name, config), **extras})
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    return MetricSeries(name, tuple(float(v) for v in values),
+                        {**_provenance(name, config), **extras})
 
 
 def _provenance(metric: str, config: WalkConfig) -> dict:
@@ -436,8 +422,8 @@ def _closeness_grid(topology: GraphTopology, targets: tuple[str, ...], coins: li
     """Closeness to each target at every step of every coin, as a
     (targets, K, T+1) array, with an upper bound at the steps that provably
     cannot tie (see :func:`_closeness_values`).  The coins are walked in the
-    blocks of :func:`_sweep_blocks`, one stacked solve per step, target and
-    block; ``jobs`` worker processes, at most one per CPU and one per block,
+    blocks of :func:`_sweep_blocks`, one stacked solve per step and block
+    for every target; ``jobs`` worker processes, at most one per CPU and one per block,
     share the blocks, and a single block runs in this process."""
     workers = _check_jobs(jobs)
     coin_mats = np.stack([build_coin(coin) for coin in coins])

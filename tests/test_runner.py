@@ -67,7 +67,7 @@ class TestParseAngle:
         assert parse_angle(token) == pytest.approx(value, abs=1e-15)
 
     def test_rejects_garbage(self):
-        for bad in ("two*pi", "pi/0", "1,2", ""):
+        for bad in ("two*pi", "pi/0", "1,2", "", True, False):
             with pytest.raises(ValueError):
                 parse_angle(bad)
 
@@ -138,12 +138,16 @@ class TestMetricSeries:
         assert tail.times == tuple(range(6))
         assert tail.values == full.values[3:]
 
-    def test_unknown_metric(self):
+    def test_unknown_metric(self, walk_count):
+        # Every bad name fails before its walk starts.
         cfg = WalkConfig(CYCLE4, CoinParams(0.7), 2)
         for bad in ("magic", "entropy(Q)", "entropy(PCG)", "entropy(GG)", "entropy(PP)",
-                    "entropy(GCP)", "closeness(bell)", "logneg(CG)", "concurrence(0)"):
+                    "entropy(GCP)", "closeness(bell)", "logneg(CG)", "concurrence(0)",
+                    "entropy()", "closeness()", "concurrence_postselected(0)",
+                    "concurrence_postselected(4,0)"):
             with pytest.raises(ValueError):
                 run_metric_series(cfg, bad)
+        assert walk_count == []
 
     def test_nonnegative_entropy_series(self):
         series = run_metric_series(WalkConfig(PATH4, CoinParams(1.0, 0.2, 0.4), 40),
@@ -768,8 +772,16 @@ class TestSweepBlocks:
         spec = SweepSpec(topology, "graph", thetas=grid,
                          phi2s=tuple(k * math.pi / 7 for k in range(8)), steps=12)
         coins = spec.coins()
-        whole = runner._closeness_values(topology, np.stack([build_coin(c) for c in coins]),
-                                         12, None, runner.TARGET_KINDS, skip_untied=True)
+        coin_mats = np.stack([build_coin(c) for c in coins])
+        whole = runner._closeness_values(topology, coin_mats, 12, None, runner.TARGET_KINDS,
+                                         skip_untied=True)
+        # Each target's row is the single-target call's, skipped or not.
+        exact = runner._closeness_values(topology, coin_mats, 12, None, runner.TARGET_KINDS)
+        for skip, rows in ((False, exact), (True, whole)):
+            for target, row in zip(runner.TARGET_KINDS, rows):
+                alone = runner._closeness_values(topology, coin_mats, 12, None, (target,),
+                                                 skip_untied=skip)
+                assert np.array_equal(alone[0], row)
         tables = set()
         for size in (1, 7, 32, len(coins)):
             sweep_blocks_of(size, topology.n, monkeypatch)
@@ -816,7 +828,12 @@ class TestSweepBlocks:
         assert peaks[1] - peaks[0] < 2 * 3 * 121 * 216 * 8
 
     def test_fig6_grid_is_one_solve_per_step(self, solved_members):
-        run_sweep(SweepSpec(CYCLE4, "graph", thetas=FIG6_GRID, phi2s=FIG6_GRID, steps=24))
+        spec = SweepSpec(CYCLE4, "graph", thetas=FIG6_GRID, phi2s=FIG6_GRID, steps=24)
+        run_sweep(spec)
+        assert len(solved_members) <= 25
+        # The three targets of figure fig6 share each step's solve.
+        solved_members.clear()
+        runner._closeness_grid(CYCLE4, runner.TARGET_KINDS, spec.coins(), 24, 1)
         assert len(solved_members) <= 25
 
 
@@ -1155,6 +1172,15 @@ class TestCli:
         assert any(f"iqwalk: error: config {key} " in captured.err for key in values)
         assert list(tmp_path.iterdir()) == [config]
 
+    def test_config_grid_bool_exits_one(self, tmp_path, capsys):
+        # JSON true is no angle, though Python's bool is an int.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"theta_grid": [True], "phi2_grid": "0", "steps": 2}))
+        assert main(["sweep", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot parse angle True" in captured.err
+
     def test_config_grid_list_and_table_flag(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"theta_grid": [0, "pi/2"], "phi2_grid": "0",
@@ -1217,6 +1243,18 @@ class TestCli:
         parser, _ = _build_parser()
         for argv in commands:
             assert parser.parse_args(argv).command == argv[0]
+
+    def test_readme_quick_start_runs(self, capsys):
+        # README's Python quick start runs as printed: the series reaches the
+        # cluster state at t = 23 and the sweep reports the cluster coin at 24.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == "1.0 23"
+        assert "theta=1.5707963267948966" in second
+        assert "phi2=1.5707963267948966" in second
+        assert second.endswith(" 24")
 
     def test_sweep_help_names_its_default_format(self, capsys):
         with pytest.raises(SystemExit) as err:
