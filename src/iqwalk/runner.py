@@ -197,6 +197,42 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
     return _last_walk[2]
 
 
+# The Ritz bound's rounding slack and the ||v||^2 at or below which it falls
+# back to F - d/2; see _closeness_values.
+_RITZ_SLACK = 1e-10
+_RITZ_MIN_RESIDUAL = 1e-6
+
+
+def _ritz_bound(parts: list, overlaps: np.ndarray, fidelity: np.ndarray,
+                trace: np.ndarray) -> np.ndarray:
+    """min(F - d/2, 1 - d/2 + lam + ``_RITZ_SLACK``) per member, lam being
+    the smaller Ritz value of A = rho - gg^dag on span{g, v}, v = rho g - F g,
+    or F - 1 (its Ritz value on g) where ||v||^2 <= ``_RITZ_MIN_RESIDUAL``;
+    see :func:`_closeness_values`.  rho = Y Y^dag and g = z over the rows of
+    all ``parts``, (Y, z) pairs of (..., m, 2n) and (..., m, 1) arrays;
+    c = B^dag g is ``overlaps`` conjugated, F = ||c||^2 is ``fidelity`` and
+    d = ``trace`` - 1."""
+    c = overlaps.conj()[..., None]
+    e = s = yh = 0.0
+    for y_rows, z in parts:
+        v = y_rows @ c - fidelity[..., None, None] * z
+        e = e + np.sum(np.abs(v) ** 2, axis=(-2, -1))
+        s = s + (z.conj().swapaxes(-1, -2) @ v)[..., 0, 0]
+        yh = yh + v.conj().swapaxes(-1, -2) @ y_rows
+    # g^dag A v and v^dag A v; then the same for w = v - g s, which is
+    # orthogonal to g up to the rounding of s = g^dag v.
+    p = (yh @ c)[..., 0, 0].conj() - s
+    q = np.sum(np.abs(yh) ** 2, axis=(-2, -1)) - np.abs(s) ** 2
+    a11 = fidelity - 1.0
+    solvable = e > _RITZ_MIN_RESIDUAL
+    norm2 = np.where(solvable, e - np.abs(s) ** 2, 1.0)
+    a12 = np.abs(p - s * a11) / np.sqrt(norm2)
+    a22 = (q - 2.0 * (s.conj() * p).real + np.abs(s) ** 2 * a11) / norm2
+    low = np.where(solvable, 0.5 * (a11 + a22) - np.hypot(0.5 * (a11 - a22), a12), a11)
+    half_defect = 0.5 * (trace - 1.0)
+    return np.minimum(fidelity - half_defect, 1.0 - half_defect + low + _RITZ_SLACK)
+
+
 def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
                       initial: PureState | None, targets: tuple[str, ...], *,
                       skip_untied: bool = False) -> np.ndarray:
@@ -210,16 +246,51 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
     column block holds no statistics from step to step.
 
     ``skip_untied`` is for sweeps, which need exact values only where a step
-    can tie with its walk's maximum.  With the fidelity F = ||B^dag g||^2
-    and the trace defect d = ||B||_F^2 - 1, closeness is at most F - d/2:
-    gg^dag - rho has trace -d, so D = max_P tr P(gg^dag - rho) + d/2, and
-    P = gg^dag gives D >= 1 - F + d/2 (Fuchs-van de Graaf at d = 0).
+    can tie with its walk's maximum.  Let d = ||B||_F^2 - 1 be the trace
+    defect and l the least eigenvalue of A = rho - gg^dag.  A is PSD minus
+    rank one, so only l can be negative, sum |eig A| = d - 2 min(l, 0) and
+    closeness is 1 - d/2 + min(l, 0).  Every Ritz value of A bounds l from
+    above.  On span{g} it is F - 1, F = ||c||^2 being the fidelity and
+    c = B^dag g, which gives the bound F - d/2 (Fuchs-van de Graaf at
+    d = 0).  On span{g, v}, v = rho g - F g, it is the smaller eigenvalue lam
+    of A's 2 x 2 matrix on the orthonormal basis {g, w/||w||}, w = v -
+    g (g^dag v), and the bound is min(F - d/2, 1 - d/2 + lam +
+    ``_RITZ_SLACK``).  lam comes from matvecs on rows the step holds (see
+    :func:`_ritz_bound`): Y = B and z = g in one register block, Y =
+    [R[:, :2n]; B] and z = [R[:, 2n]; g] over several, R being the held
+    factor of the earlier blocks' [B, g], so [Y, z] has the Gram matrix of
+    [B, g].  Where ||v||^2 <= ``_RITZ_MIN_RESIDUAL``, g is nearly an
+    eigenvector of rho, w would be mostly rounding, and the bound is
+    F - d/2.
+
+    Why ``_RITZ_SLACK`` = 1e-10 covers the rounding, with u = 2**-53, m <=
+    2n + 1 + ``_REGISTER_BLOCK`` rows and ||Y||_F^2 = 1 + d:
+
+    - v may be any vector: only w must be orthogonal to g.  The computed
+      g^dag v is off by at most m u ||v||, so |g^dag w| / ||w|| <= 1.1 m u,
+      and lam is within that times ||A|| <= 1 + |d| of a Ritz value.
+      |g^dag v| itself is rounding, below 1e-10, so above ||v||^2 = 1e-6
+      ||w||^2 = ||v||^2 - |g^dag v|^2 does not cancel.
+    - a12 and a22 are inner products of length m and 2n over ||w|| and
+      ||w||^2, each off by at most 3 m u.  The 2 x 2 eigenvalue moves by at
+      most the sum of its entries' errors (Weyl), and its formula adds a
+      few u: lam is within 9 m u <= 1.1e-12 of a Ritz value of the state
+      [Y, z] at n <= 12.
+    - c, F and d are sums over the rows of B, while the solve reads the
+      state [Y, z] off R.  Householder QR is backward stable, about
+      (2n+1) m u per QR, so with the held R's of four blocks at n = 12 the
+      two states' closeness, F and d/2 differ by at most about 7e-11; in
+      one block (n <= 10) by 5e-12.
+
+    Together these stay below ``_RITZ_SLACK`` up to ``MAX_SITES``.
+
     Clipping eigenvalues within ``PSD_CLIP`` of 0 raises a computed value by
     at most slack / 2, slack = (2n+1) ``PSD_CLIP``.  A step whose bound is
     below its walk's best value so far minus ``TIE_ATOL`` and slack is
     provably untied: its last-block QR and eigensolve are skipped and the
-    array holds the bound there, which never ties.  Every step's density
-    trace is still checked.
+    array holds the bound there, which never ties.  Kept steps are solved
+    from the same matrices as without the bound, so every solved value is
+    unchanged.  Every step's density trace is still checked.
     """
     rows = 2 * topology.n
     shape = (len(targets),) + coin_mats.shape[:-2]
@@ -237,7 +308,9 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
     blocks = list(_column_walks(topology, coin_mats, steps, initial))
     for b, (columns, tensors) in enumerate(blocks, start=1):
         last = b == len(blocks)
-        block_amps = amplitudes[..., columns]
+        # Contiguous, so that the matmuls of the Ritz bound take one BLAS
+        # path, and round alike, whatever the number of targets.
+        block_amps = np.ascontiguousarray(amplitudes[..., columns])
         conj, column = block_amps.conj(), block_amps.swapaxes(-1, -2)
         for t, tensor in enumerate(tensors):
             register = tensor.reshape(shape[1:] + (rows, -1)).swapaxes(-1, -2)
@@ -249,9 +322,18 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
                 overlaps = overlaps + (conj @ register)[..., 0, :]
                 if last:
                     _check_trace(trace)
-                    bound = np.sum(np.abs(overlaps) ** 2, axis=-1) - 0.5 * (trace - 1.0)
+                    fidelity = np.sum(np.abs(overlaps) ** 2, axis=-1)
+                    bound = fidelity - 0.5 * (trace - 1.0)
+                    line = best - TIE_ATOL - slack
                     # Written so that a NaN bound is not kept.
-                    keep = bound >= best - TIE_ATOL - slack
+                    keep = bound >= line
+                    if keep.any():
+                        # Only the members the fidelity bound keeps take the
+                        # Ritz bound, so no member's value depends on another's.
+                        parts = [] if held is None else [(held[..., :rows], held[..., rows:])]
+                        ritz = _ritz_bound(parts + [(register, column)], overlaps, fidelity, trace)
+                        bound = np.where(keep, ritz, bound)
+                        keep = bound >= line
                     values[..., t] = bound
                     if not keep.any():
                         continue
@@ -423,8 +505,9 @@ def _closeness_grid(topology: GraphTopology, targets: tuple[str, ...], coins: li
     (targets, K, T+1) array, with an upper bound at the steps that provably
     cannot tie (see :func:`_closeness_values`).  The coins are walked in the
     blocks of :func:`_sweep_blocks`, one stacked solve per step and block
-    for every target; ``jobs`` worker processes, at most one per CPU and one per block,
-    share the blocks, and a single block runs in this process."""
+    for every target; ``jobs`` worker processes, at most one per usable CPU
+    and one per block, share the blocks, and a single block runs in this
+    process."""
     workers = _check_jobs(jobs)
     coin_mats = np.stack([build_coin(coin) for coin in coins])
     coin_blocks = [coin_mats[block] for block in _sweep_blocks(len(coins), topology.n, workers)]
@@ -433,7 +516,7 @@ def _closeness_grid(topology: GraphTopology, targets: tuple[str, ...], coins: li
     workers = min(workers, len(coin_blocks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             blocks = list(pool.map(block_values, coin_blocks))
     else:
         blocks = [block_values(block) for block in coin_blocks]
@@ -464,10 +547,39 @@ def _best_of(coins: list[CoinParams], values: np.ndarray, keep_table: bool) -> S
 
 
 def _check_jobs(jobs: int) -> int:
-    """Worker count for ``jobs``: at most one per CPU; ``jobs < 1`` raises."""
+    """Worker count for ``jobs``: at most one per CPU this process may run
+    on (its affinity mask, where the OS has one); ``jobs < 1`` raises."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, len(os.sched_getaffinity(0)))
     return min(jobs, os.cpu_count() or 1)
+
+
+# OpenBLAS's thread-count setters, under the names numpy's wheels export.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: give a sweep worker one OpenBLAS thread.  A worker
+    would otherwise run as many as its parent, one per CPU, so ``jobs``
+    workers would oversubscribe the CPUs ``jobs`` times over.  Does nothing
+    where numpy ships no OpenBLAS with one of ``_BLAS_THREAD_SETTERS``."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_SETTERS:
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
 
 
 def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> SweepResult:
@@ -483,13 +595,16 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> Sw
     order.  Coins are evolved and scored as blocks of stacked states, one
     block per worker's share of the grid unless a block's step array would
     outgrow that of 32 coins at n = 12 (see :func:`_sweep_blocks`);
-    ``jobs`` worker processes share the blocks, at most one per CPU and one
-    per block.
+    ``jobs`` worker processes share the blocks, at most one per usable CPU
+    and one per block, each with one OpenBLAS thread.
 
-    Only steps that can tie are solved exactly: where a coin's fidelity to
-    the target and its trace prove a step untied with the coin's maximum,
-    the sweep's value at that step is their upper bound, which never ties
-    or wins (see :func:`_closeness_values`), so the result is unchanged.
+    Only steps that can tie are solved exactly: where an upper bound on a
+    step's closeness, from the coin's fidelity to the target, its trace and
+    a Ritz value of rho - gg^dag on span{g, rho g}, proves the step untied
+    with the coin's maximum, the sweep's value at that step is the bound,
+    which never ties or wins (see :func:`_closeness_values`), so the result
+    is unchanged.  The six fig6 sweeps of 11 x 11 coins at T = 24 solve 5307
+    of their 18150 (coin, t) steps.
     """
     coins = spec.coins()
     values = _closeness_grid(spec.topology, (spec.target,), coins, spec.steps, jobs)

@@ -443,7 +443,9 @@ def pools(monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            # Not run: it would set this process's BLAS threads.
+            assert initializer is runner._one_blas_thread
             self.max_workers = max_workers
 
         def __enter__(self):
@@ -459,6 +461,7 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return started
 
 
@@ -587,6 +590,64 @@ class TestSweep:
         assert run_sweep(spec, jobs=2, keep_table=True) == run_sweep(spec, keep_table=True)
         assert pools == [(2, 2)]
 
+    def test_jobs_capped_at_the_affinity_mask(self, pools, monkeypatch):
+        # A process pinned to one of the host's two CPUs starts no pool.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        spec = SweepSpec(CYCLE4, "graph", thetas=(0.9, 1.2), phi2s=(0.4,), steps=2)
+        assert run_sweep(spec, jobs=2) == run_sweep(spec)
+        assert pools == []
+
+    def test_pool_worker_runs_one_blas_thread(self, tmp_path):
+        _, worker = run_blas_probe(tmp_path)
+        assert worker == "1"
+
+    def test_one_blas_thread_without_a_setter_does_nothing(self, tmp_path):
+        before, after = run_blas_probe(tmp_path, "missing")
+        assert after == before
+
+
+# Prints numpy's OpenBLAS thread count here and in the worker of a pool
+# started with runner._one_blas_thread; with the argument "missing", before
+# and after calling it here with no setter name that exists.
+BLAS_PROBE = """
+import concurrent.futures, ctypes, sys
+from pathlib import Path
+import numpy as np
+from iqwalk import runner
+
+def threads():
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return getter()
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["missing"]:
+        before = threads()
+        runner._BLAS_THREAD_SETTERS = ("no_such_symbol",)
+        runner._one_blas_thread()
+        print(before, threads())
+    else:
+        with concurrent.futures.ProcessPoolExecutor(1, initializer=runner._one_blas_thread) as pool:
+            print(threads(), pool.submit(threads).result())
+"""
+
+
+def run_blas_probe(tmp_path, *args):
+    probe = tmp_path / "blas_probe.py"
+    probe.write_text(BLAS_PROBE)
+    src = str(Path(runner.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, str(probe), *args], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    first, second = out.stdout.split()
+    if first == "None":
+        pytest.skip("numpy ships no OpenBLAS with a known thread getter")
+    return first, second
+
 
 # The paper's fig6 grid at every other point, as the fig6 benchmark sweeps it.
 FIG6_GRID = tuple(k * math.pi / 10 for k in range(11))
@@ -647,6 +708,81 @@ class TestUntiedSkip:
                 fidelity = np.sum(np.abs(b.conj().T @ g) ** 2)
                 assert closeness(b, g[:, None]) <= fidelity + self.slack(n) / 2 + 1e-15
 
+    @staticmethod
+    def ritz_bound(b, g, split=None):
+        """The sweep's bound for the register factor ``b`` and target ``g``,
+        from one register block or, at ``split``, from the held R of the
+        rows above it and the rows below."""
+        column = g[:, None]
+        overlaps = g.conj() @ b
+        parts = [(b, column)]
+        if split is not None:
+            r = np.linalg.qr(np.concatenate([b[:split], column[:split]], axis=1), mode="r")
+            parts = [(r[:, :-1], r[:, -1:]), (b[split:], column[split:])]
+        fidelity = np.sum(np.abs(overlaps) ** 2)
+        return runner._ritz_bound(parts, overlaps, fidelity, np.sum(np.abs(b) ** 2))
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_ritz_bound_bounds_closeness(self, kind, n):
+        # closeness <= min(F - d/2, 1 - d/2 + lam + sigma) up to the
+        # eigenvalues within PSD_CLIP of 0 that the trace distance drops.
+        # Rank-1 states make the Ritz value exact, so a bound without its
+        # slack sigma, or below it, fails there.
+        topology = GraphTopology(kind, n)
+        rng = np.random.default_rng(100 + n)
+        dim, rows = 2 ** n, 2 * n
+        for target in runner.TARGET_KINDS:
+            g = runner._reference_state(target, topology).amplitudes
+            h, h2 = (random_pure(dim, rng) for _ in range(2))
+            h -= np.vdot(g, h) * g
+            h /= np.linalg.norm(h)
+            h2 -= np.vdot(g, h2) * g + np.vdot(h, h2) * h
+            h2 /= np.linalg.norm(h2)
+
+            def columns(*vectors):
+                b = np.zeros((dim, rows), dtype=complex)
+                for j, vector in enumerate(vectors):
+                    b[:, j] = vector
+                return b
+
+            factors = [random_pure(dim * rows, rng).reshape(dim, rows) for _ in range(3)]
+            factors += [np.outer(random_pure(dim, rng), random_pure(rows, rng)) for _ in range(3)]
+            factors += [
+                columns(g + 1e-13 * random_pure(dim, rng)),         # within 1e-13 of g
+                columns(g, 1e-13 ** 0.5 * random_pure(dim, rng)),
+                columns(g),                                          # rho = gg^dag: e = 0
+                columns(g + 1e-9 * h),                               # rho g ~ g to 1e-9
+                columns(g + 1e-9 * h, 1e-5 * h2),
+                # A rank-2 mixture with a11 = -2e-8 and a22 = 1e-8, both far
+                # below a12 = 1e-4, where lam leans on a22 as much as on a11.
+                columns((1 - 1e-8) ** 0.5 * ((1 - 1e-8) ** 0.5 * g + 1e-4 * h), 1e-4 * h2),
+            ]
+            for b in factors:
+                b = b / np.linalg.norm(b)
+                for defect in (0.0, 8e-11, -8e-11):
+                    scaled = b * (1 + defect) ** 0.5
+                    value = closeness(scaled, g[:, None])
+                    for split in (None, dim // 2):
+                        bound = self.ritz_bound(scaled, g, split)
+                        assert value <= bound + self.slack(n) / 2, (target, split, defect)
+                        fidelity = np.sum(np.abs(g.conj() @ scaled) ** 2)
+                        assert bound <= fidelity - 0.5 * (np.sum(np.abs(scaled) ** 2) - 1.0)
+
+    def test_ritz_bound_is_tighter_than_the_fidelity(self):
+        # The pure state (g + h) / sqrt(2), h orthogonal to g: F = 1/2 bounds
+        # its closeness 1 - 1/sqrt(2) loosely, the Ritz value on span{g, h}
+        # exactly.
+        g = runner._reference_state("graph", CYCLE4).amplitudes
+        h = random_pure(16, np.random.default_rng(4))
+        h -= np.vdot(g, h) * g
+        h /= np.linalg.norm(h)
+        b = np.zeros((16, 8), dtype=complex)
+        b[:, 0] = (g + h) / 2 ** 0.5
+        value = closeness(b, g[:, None])
+        assert value == pytest.approx(1 - 0.5 ** 0.5, abs=1e-14)
+        assert self.ritz_bound(b, g) - value == pytest.approx(runner._RITZ_SLACK, abs=1e-14)
+
     @pytest.mark.parametrize("topology", [CYCLE4, PATH4], ids=["cycle", "path"])
     def test_skipped_steps_are_untied(self, topology):
         # Solved members are bitwise the exact values; every other member is
@@ -706,16 +842,57 @@ class TestUntiedSkip:
         self.assert_skips_untied(exact, swept, self.slack(4))
 
     def test_fig6_grid_solves_at_most_half(self, solved_members):
-        # The six (target, graph) sweeps of the fig6 benchmark.
+        # The six (target, graph) sweeps of the fig6 benchmark: 8604 members
+        # of 18150 with the fidelity bound alone, 5307 with the Ritz bound.
         for topology in (CYCLE4, PATH4):
             for target in runner.TARGET_KINDS:
                 run_sweep(SweepSpec(topology, target, thetas=FIG6_GRID, phi2s=FIG6_GRID,
                                     steps=24))
-        assert sum(solved_members) <= 6 * 121 * 25 // 2
+        assert sum(solved_members) <= 0.65 * 8604
+        assert sum(solved_members) == 5307
         # A series solves every step.
         solved_members.clear()
         run_metric_series(WalkConfig(CYCLE4, CLUSTER_COIN, 24), "closeness(ghz)")
         assert sum(solved_members) == 25
+
+    def test_graph_closeness_series_solves_every_step(self, solved_members):
+        run_metric_series(WalkConfig(CYCLE4, CLUSTER_COIN, 30), "closeness(graph)")
+        assert sum(solved_members) == 31
+
+    def test_ritz_bound_runs_only_in_sweeps(self, monkeypatch):
+        # Series, the walker and register statistics and unskipped closeness
+        # never reach the bound.
+        def refuse(*args):
+            raise AssertionError("the Ritz bound ran outside a sweep")
+
+        monkeypatch.setattr(runner, "_ritz_bound", refuse)
+        config = WalkConfig(PATH4, CoinParams(0.7, 0.0, 0.3), 12)
+        for metric in ("closeness(graph)", "closeness(ghz)", "entropy(G)", "logneg(PC)",
+                       "concurrence", "concurrence_postselected(pi/2,0)"):
+            run_metric_series(config, metric)
+        coin_mats = np.stack([build_coin(CLUSTER_COIN), build_coin(config.coin)])
+        runner._closeness_values(CYCLE4, coin_mats, 24, None, runner.TARGET_KINDS)
+        with pytest.raises(AssertionError, match="outside a sweep"):
+            run_sweep(SweepSpec(CYCLE4, "graph", thetas=FIG6_GRID, phi2s=(0.0,), steps=24))
+
+    @pytest.mark.parametrize("block", [16, 8])
+    def test_six_sites_in_column_blocks_match_the_exact_sweep(self, block, monkeypatch):
+        # n = 6 in 64 / block register blocks: the Ritz bound reads the held
+        # R of the earlier blocks, and the sweep still picks what solving
+        # every step picks.
+        monkeypatch.setattr(runner, "_REGISTER_BLOCK", block)
+        grid = tuple(k * math.pi / 4 for k in range(5))
+        spec = SweepSpec(GraphTopology("cycle", 6), "graph", thetas=grid, phi2s=grid, steps=16)
+        coins = spec.coins()
+        coin_mats = np.stack([build_coin(coin) for coin in coins])
+        exact = runner._closeness_values(spec.topology, coin_mats, 16, None, runner.TARGET_KINDS)
+        swept = runner._closeness_values(spec.topology, coin_mats, 16, None, runner.TARGET_KINDS,
+                                         skip_untied=True)
+        assert (swept != exact).sum() > exact.size // 3
+        self.assert_skips_untied(exact, swept, self.slack(6))
+        for target, row in zip(runner.TARGET_KINDS, exact):
+            spec = SweepSpec(spec.topology, target, thetas=grid, phi2s=grid, steps=16)
+            assert run_sweep(spec, keep_table=True) == runner._best_of(coins, row, True)
 
     @pytest.mark.parametrize("target", ["ghz", "graph"])
     def test_several_blocks_match_per_coin_series(self, target, monkeypatch, solved_members):
