@@ -203,21 +203,27 @@ _RITZ_SLACK = 1e-10
 _RITZ_MIN_RESIDUAL = 1e-6
 
 
-def _ritz_bound(parts: list, overlaps: np.ndarray, fidelity: np.ndarray,
-                trace: np.ndarray) -> np.ndarray:
-    """min(F - d/2, 1 - d/2 + lam + ``_RITZ_SLACK``) per member, lam being
-    the smaller Ritz value of A = rho - gg^dag on span{g, v}, v = rho g - F g,
-    or F - 1 (its Ritz value on g) where ||v||^2 <= ``_RITZ_MIN_RESIDUAL``;
-    see :func:`_closeness_values`.  rho = Y Y^dag and g = z over the rows of
-    all ``parts``, (Y, z) pairs of (..., m, 2n) and (..., m, 1) arrays;
-    c = B^dag g is ``overlaps`` conjugated, F = ||c||^2 is ``fidelity`` and
-    d = ``trace`` - 1."""
+def _ritz_bound(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """(bound, tr rho) per member of the state rho = Y Y^dag, g = z, over
+    the rows of all ``parts``, (Y, z) pairs of (..., m, 2n) and (..., m, 1)
+    arrays.  The bound is min(F - d/2, 1 - d/2 + lam + ``_RITZ_SLACK``),
+    with d = tr rho - 1 = ||Y||_F^2 - 1, F = ||c||^2, c = Y^dag z, and lam
+    the smaller Ritz value of A = rho - gg^dag on span{g, v}, v = rho g -
+    F g, or F - 1 (its Ritz value on g) where ||v||^2 <=
+    ``_RITZ_MIN_RESIDUAL``; see :func:`_closeness_values`."""
+    # Each part's g^dag, so that Y is never conjugated.
+    parts = [(y_rows, z, z.conj().swapaxes(-1, -2)) for y_rows, z in parts]
+    trace = overlaps = 0.0
+    for y_rows, _, zh in parts:
+        trace = trace + np.sum(np.abs(y_rows) ** 2, axis=(-2, -1))
+        overlaps = overlaps + (zh @ y_rows)[..., 0, :]
     c = overlaps.conj()[..., None]
+    fidelity = np.sum(np.abs(overlaps) ** 2, axis=-1)
     e = s = yh = 0.0
-    for y_rows, z in parts:
+    for y_rows, z, zh in parts:
         v = y_rows @ c - fidelity[..., None, None] * z
         e = e + np.sum(np.abs(v) ** 2, axis=(-2, -1))
-        s = s + (z.conj().swapaxes(-1, -2) @ v)[..., 0, 0]
+        s = s + (zh @ v)[..., 0, 0]
         yh = yh + v.conj().swapaxes(-1, -2) @ y_rows
     # g^dag A v and v^dag A v; then the same for w = v - g s, which is
     # orthogonal to g up to the rounding of s = g^dag v.
@@ -230,7 +236,7 @@ def _ritz_bound(parts: list, overlaps: np.ndarray, fidelity: np.ndarray,
     a22 = (q - 2.0 * (s.conj() * p).real + np.abs(s) ** 2 * a11) / norm2
     low = np.where(solvable, 0.5 * (a11 + a22) - np.hypot(0.5 * (a11 - a22), a12), a11)
     half_defect = 0.5 * (trace - 1.0)
-    return np.minimum(fidelity - half_defect, 1.0 - half_defect + low + _RITZ_SLACK)
+    return np.minimum(fidelity - half_defect, 1.0 - half_defect + low + _RITZ_SLACK), trace
 
 
 def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
@@ -241,27 +247,27 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
     walk.  Each (target, walk) pair is one member of a (targets, ...)
     stack: per step, R of W = [B, g] is built for every member as
     R <- qr([R; W_block]) in one stacked call per register block, and all
-    members are solved in one call in the last block.  A step's sums over
-    the earlier blocks are dropped once it is solved, so a walk in one
-    column block holds no statistics from step to step.
+    members are solved in one call in the last block.  A step's R is
+    dropped once it is solved, so a walk in one column block holds no
+    statistics from step to step.
 
     ``skip_untied`` is for sweeps, which need exact values only where a step
-    can tie with its walk's maximum.  Let d = ||B||_F^2 - 1 be the trace
-    defect and l the least eigenvalue of A = rho - gg^dag.  A is PSD minus
-    rank one, so only l can be negative, sum |eig A| = d - 2 min(l, 0) and
-    closeness is 1 - d/2 + min(l, 0).  Every Ritz value of A bounds l from
-    above.  On span{g} it is F - 1, F = ||c||^2 being the fidelity and
-    c = B^dag g, which gives the bound F - d/2 (Fuchs-van de Graaf at
-    d = 0).  On span{g, v}, v = rho g - F g, it is the smaller eigenvalue lam
-    of A's 2 x 2 matrix on the orthonormal basis {g, w/||w||}, w = v -
-    g (g^dag v), and the bound is min(F - d/2, 1 - d/2 + lam +
-    ``_RITZ_SLACK``).  lam comes from matvecs on rows the step holds (see
-    :func:`_ritz_bound`): Y = B and z = g in one register block, Y =
-    [R[:, :2n]; B] and z = [R[:, 2n]; g] over several, R being the held
-    factor of the earlier blocks' [B, g], so [Y, z] has the Gram matrix of
-    [B, g].  Where ||v||^2 <= ``_RITZ_MIN_RESIDUAL``, g is nearly an
-    eigenvector of rho, w would be mostly rounding, and the bound is
-    F - d/2.
+    can tie with its walk's maximum.  The test reads the state the solve
+    factors: Y = B and z = g in one register block, Y = [R[:, :2n]; B] and
+    z = [R[:, 2n]; g] over several, R being the held factor of the earlier
+    blocks' [B, g], so [Y, z] has the Gram matrix of [B, g].  Let d =
+    ||Y||_F^2 - 1 be the trace defect and l the least eigenvalue of A = rho
+    - gg^dag, rho = Y Y^dag.  A is PSD minus rank one, so only l can be
+    negative, sum |eig A| = d - 2 min(l, 0) and closeness is 1 - d/2 +
+    min(l, 0).  Every Ritz value of A bounds l from above.  On span{g} it
+    is F - 1, F = ||c||^2 being the fidelity and c = Y^dag z, which gives
+    the bound F - d/2 (Fuchs-van de Graaf at d = 0).  On span{g, v}, v =
+    rho g - F g, it is the smaller eigenvalue lam of A's 2 x 2 matrix on
+    the orthonormal basis {g, w/||w||}, w = v - g (g^dag v), and the bound
+    is min(F - d/2, 1 - d/2 + lam + ``_RITZ_SLACK``), from matvecs on the
+    rows of [Y, z] (see :func:`_ritz_bound`).  Where ||v||^2 <=
+    ``_RITZ_MIN_RESIDUAL``, g is nearly an eigenvector of rho, w would be
+    mostly rounding, and the bound is F - d/2.
 
     Why ``_RITZ_SLACK`` = 1e-10 covers the rounding, with u = 2**-53, m <=
     2n + 1 + ``_REGISTER_BLOCK`` rows and ||Y||_F^2 = 1 + d:
@@ -276,11 +282,10 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
       most the sum of its entries' errors (Weyl), and its formula adds a
       few u: lam is within 9 m u <= 1.1e-12 of a Ritz value of the state
       [Y, z] at n <= 12.
-    - c, F and d are sums over the rows of B, while the solve reads the
-      state [Y, z] off R.  Householder QR is backward stable, about
-      (2n+1) m u per QR, so with the held R's of four blocks at n = 12 the
-      two states' closeness, F and d/2 differ by at most about 7e-11; in
-      one block (n <= 10) by 5e-12.
+    - The solve reads the R of qr([Y, z]), not [Y, z] itself.  Householder
+      QR is backward stable, so the two states' closeness, F and d/2
+      differ by at most about (2n+1) m u <= 3e-12, whatever the number of
+      blocks.
 
     Together these stay below ``_RITZ_SLACK`` up to ``MAX_SITES``.
 
@@ -302,41 +307,27 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
     values = np.empty(shape + (steps + 1,))
     best = np.full(shape, -np.inf)
     slack = (rows + 1) * PSD_CLIP
-    # Per step, sums over the blocks walked so far: ||B||_F^2 per walk, and
-    # per member g^dag B (B^dag g conjugated, so B is never conjugated) and R.
+    # Per step, the R of the blocks walked so far.
     earlier: list = [None] * (steps + 1)
     blocks = list(_column_walks(topology, coin_mats, steps, initial))
     for b, (columns, tensors) in enumerate(blocks, start=1):
         last = b == len(blocks)
         # Contiguous, so that the matmuls of the Ritz bound take one BLAS
         # path, and round alike, whatever the number of targets.
-        block_amps = np.ascontiguousarray(amplitudes[..., columns])
-        conj, column = block_amps.conj(), block_amps.swapaxes(-1, -2)
+        column = np.ascontiguousarray(amplitudes[..., columns]).swapaxes(-1, -2)
         for t, tensor in enumerate(tensors):
             register = tensor.reshape(shape[1:] + (rows, -1)).swapaxes(-1, -2)
-            trace, overlaps, held = earlier[t] or (0.0, 0.0, None)
-            earlier[t] = None
+            held, earlier[t] = earlier[t], None
             keep = ...
-            if skip_untied:
-                trace = trace + np.sum(np.abs(register) ** 2, axis=(-2, -1))
-                overlaps = overlaps + (conj @ register)[..., 0, :]
-                if last:
-                    _check_trace(trace)
-                    fidelity = np.sum(np.abs(overlaps) ** 2, axis=-1)
-                    bound = fidelity - 0.5 * (trace - 1.0)
-                    line = best - TIE_ATOL - slack
-                    # Written so that a NaN bound is not kept.
-                    keep = bound >= line
-                    if keep.any():
-                        # Only the members the fidelity bound keeps take the
-                        # Ritz bound, so no member's value depends on another's.
-                        parts = [] if held is None else [(held[..., :rows], held[..., rows:])]
-                        ritz = _ritz_bound(parts + [(register, column)], overlaps, fidelity, trace)
-                        bound = np.where(keep, ritz, bound)
-                        keep = bound >= line
-                    values[..., t] = bound
-                    if not keep.any():
-                        continue
+            if skip_untied and last:
+                parts = [] if held is None else [(held[..., :rows], held[..., rows:])]
+                bound, trace = _ritz_bound(parts + [(register, column)])
+                _check_trace(trace)
+                values[..., t] = bound
+                # Written so that a NaN bound is not kept.
+                keep = bound >= best - TIE_ATOL - slack
+                if not keep.any():
+                    continue
             width = register.shape[-2]
             w = np.concatenate([np.broadcast_to(register, shape + (width, rows))[keep],
                                 np.broadcast_to(column, shape + (width, 1))[keep]], axis=-1)
@@ -344,7 +335,7 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
                 w = np.concatenate([held[keep], w], axis=-2)
             r = np.linalg.qr(w, mode="r")
             if not last:
-                earlier[t] = trace, overlaps, r
+                earlier[t] = r
                 continue
             value = 1.0 - _trace_distance_from_r(r, signs)
             values[..., t][keep] = value

@@ -416,6 +416,62 @@ class TestRegisterSeries:
         assert_register_series_match_oracle(cfg)
 
 
+class TestCoinPhaseSymmetry:
+    """On the cycle the coin phase D = diag(1, e^{i beta}) commutes with the
+    shift and the CZ and fixes the initial coin |0>, and D C(theta, phi1,
+    phi2) D^dag = C(theta, phi1 + beta, phi2 - beta).  So the walk of the
+    shifted coin is D on the coin times the original walk: register
+    quantities do not change, walker-side ones only by a local unitary on
+    the coin, and a coin projection <Sigma(mu, nu)| of the shifted walk is
+    <Sigma(mu, nu + beta)| of the original.  The path's reflecting ends
+    flip the coin and break D."""
+
+    METRICS = ("entropy(G)", "entropy(C)", "entropy(P)", "entropy(PC)", "logneg(PC)",
+               "concurrence", "concurrence_postselected(0,0)", "concurrence_postselected(pi/2,0)",
+               "closeness(graph)", "closeness(ghz)", "closeness(w)")
+    STEPS = 60
+    MU, NU = 1.1, 0.7
+
+    def series(self, topology, coin, metric):
+        return np.array(run_metric_series(WalkConfig(topology, coin, self.STEPS), metric).values)
+
+    @staticmethod
+    def shifted_coins(rng, count=3):
+        """(coin, its phase-shifted twin, beta) with NU + beta <= pi/2."""
+        for _ in range(count):
+            theta, phi1, phi2 = rng.uniform(0, math.pi), *rng.uniform(0, 2 * math.pi, 2)
+            beta = rng.uniform(0.1, 0.6)
+            yield CoinParams(theta, phi1, phi2), CoinParams(theta, phi1 + beta, phi2 - beta), beta
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cycle_series_depend_on_phi1_plus_phi2(self, n):
+        topology = GraphTopology("cycle", n)
+        for coin, shifted, beta in self.shifted_coins(np.random.default_rng(n)):
+            for metric in self.METRICS:
+                diff = np.abs(self.series(topology, coin, metric)
+                              - self.series(topology, shifted, metric)).max()
+                assert diff <= 1e-12, metric
+            moved = self.series(topology, coin, f"concurrence_postselected({self.MU},"
+                                                f"{self.NU + beta})")
+            same = self.series(topology, shifted, f"concurrence_postselected({self.MU},{self.NU})")
+            assert np.abs(moved - same).max() <= 1e-12
+
+    def test_projection_phase_moves_one_way(self):
+        # nu - beta is not the projection of the shifted walk: at n = 4 the
+        # conditional concurrence is not zero, so the direction shows.
+        coin, shifted, beta = next(self.shifted_coins(np.random.default_rng(4)))
+        wrong = self.series(CYCLE4, coin, f"concurrence_postselected({self.MU},"
+                                          f"{self.NU - beta})")
+        same = self.series(CYCLE4, shifted, f"concurrence_postselected({self.MU},{self.NU})")
+        assert np.abs(wrong - same).max() > 1e-2
+
+    def test_path_breaks_the_symmetry(self):
+        coin, shifted, _ = next(self.shifted_coins(np.random.default_rng(4)))
+        diff = np.abs(self.series(PATH4, coin, "entropy(G)")
+                      - self.series(PATH4, shifted, "entropy(G)")).max()
+        assert diff > 1e-2
+
+
 def assert_sweep_matches_per_coin_series(spec, result):
     """Each table row is the tie rule applied to the coin's closeness series."""
     for coin, (theta, phi1, phi2, t, value) in zip(spec.coins(), result.table):
@@ -709,18 +765,18 @@ class TestUntiedSkip:
                 assert closeness(b, g[:, None]) <= fidelity + self.slack(n) / 2 + 1e-15
 
     @staticmethod
-    def ritz_bound(b, g, split=None):
-        """The sweep's bound for the register factor ``b`` and target ``g``,
-        from one register block or, at ``split``, from the held R of the
-        rows above it and the rows below."""
+    def parts(b, g, split=None):
+        """The rows the sweep's bound reads for the register factor ``b``
+        and target ``g``: one register block or, at ``split``, the held R
+        of the rows above it and the rows below."""
         column = g[:, None]
-        overlaps = g.conj() @ b
-        parts = [(b, column)]
-        if split is not None:
-            r = np.linalg.qr(np.concatenate([b[:split], column[:split]], axis=1), mode="r")
-            parts = [(r[:, :-1], r[:, -1:]), (b[split:], column[split:])]
-        fidelity = np.sum(np.abs(overlaps) ** 2)
-        return runner._ritz_bound(parts, overlaps, fidelity, np.sum(np.abs(b) ** 2))
+        if split is None:
+            return [(b, column)]
+        r = np.linalg.qr(np.concatenate([b[:split], column[:split]], axis=1), mode="r")
+        return [(r[:, :-1], r[:, -1:]), (b[split:], column[split:])]
+
+    def ritz_bound(self, b, g, split=None):
+        return runner._ritz_bound(self.parts(b, g, split))[0]
 
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     @pytest.mark.parametrize("n", range(2, 7))
@@ -764,10 +820,15 @@ class TestUntiedSkip:
                     scaled = b * (1 + defect) ** 0.5
                     value = closeness(scaled, g[:, None])
                     for split in (None, dim // 2):
-                        bound = self.ritz_bound(scaled, g, split)
+                        parts = self.parts(scaled, g, split)
+                        bound = runner._ritz_bound(parts)[0]
                         assert value <= bound + self.slack(n) / 2, (target, split, defect)
-                        fidelity = np.sum(np.abs(g.conj() @ scaled) ** 2)
-                        assert bound <= fidelity - 0.5 * (np.sum(np.abs(scaled) ** 2) - 1.0)
+                        # F and d of the rows the bound reads: with a split,
+                        # the held R's, not the rows of b.
+                        overlaps = sum((z.conj().T @ y)[0] for y, z in parts)
+                        fidelity = np.sum(np.abs(overlaps) ** 2)
+                        trace = sum(np.sum(np.abs(y) ** 2) for y, _ in parts)
+                        assert bound <= fidelity - 0.5 * (trace - 1.0)
 
     def test_ritz_bound_is_tighter_than_the_fidelity(self):
         # The pure state (g + h) / sqrt(2), h orthogonal to g: F = 1/2 bounds
@@ -893,6 +954,39 @@ class TestUntiedSkip:
         for target, row in zip(runner.TARGET_KINDS, exact):
             spec = SweepSpec(spec.topology, target, thetas=grid, phi2s=grid, steps=16)
             assert run_sweep(spec, keep_table=True) == runner._best_of(coins, row, True)
+
+    @pytest.mark.parametrize("kind, count", [("cycle", 2791), ("path", 2823)])
+    def test_six_sites_solve_the_same_members_in_any_block(self, kind, count, monkeypatch,
+                                                           solved_members):
+        # The fig6 grid at n = 6 in 1, 4 and 8 register blocks: the bound
+        # reads the held R of the earlier blocks, so the last block alone
+        # would skip other members.  A member is solved where its bound
+        # reaches the best value of its earlier steps, which skipped steps
+        # never raise.
+        topology = GraphTopology(kind, 6)
+        spec = SweepSpec(topology, "graph", thetas=FIG6_GRID, phi2s=FIG6_GRID, steps=24)
+        coin_mats = np.stack([build_coin(coin) for coin in spec.coins()])
+        bounds = []
+        original = runner._ritz_bound
+
+        def recorded(parts):
+            bound, trace = original(parts)
+            bounds.append(bound)
+            return bound, trace
+
+        monkeypatch.setattr(runner, "_ritz_bound", recorded)
+        masks = []
+        for block in (1024, 16, 8):
+            monkeypatch.setattr(runner, "_REGISTER_BLOCK", block)
+            bounds.clear()
+            solved_members.clear()
+            swept = runner._closeness_values(topology, coin_mats, 24, None, runner.TARGET_KINDS,
+                                             skip_untied=True)
+            best = np.maximum.accumulate(swept, axis=-1)[..., :-1]
+            best = np.concatenate([np.full(best.shape[:-1] + (1,), -np.inf), best], axis=-1)
+            masks.append(np.stack(bounds, axis=-1) >= best - runner.TIE_ATOL - self.slack(6))
+            assert sum(solved_members) == masks[-1].sum() == count, block
+        assert all(np.array_equal(mask, masks[0]) for mask in masks[1:])
 
     @pytest.mark.parametrize("target", ["ghz", "graph"])
     def test_several_blocks_match_per_coin_series(self, target, monkeypatch, solved_members):

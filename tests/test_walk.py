@@ -437,3 +437,38 @@ class TestWalkConfig:
         for amps in (np.ones(128), np.full(128, np.nan)):
             with pytest.raises(ValueError):
                 PureState(amps, walk_shape(GraphTopology("cycle", 4)))
+
+
+class TestClusterMechanism:
+    """Why the cycle C_4 with the coin (pi/2, 0, pi/2) holds the cluster
+    state at t = 24.  The CZ is diagonal in the register basis, so each
+    register column g walks alone under the 8 x 8 step U_g = D_g S (1 (x) C),
+    D_g being the CZ signs of g.  Every U_g^24 is a phase phi_g times the
+    identity, and phi_g / phi_0 are the graph state's signs: the walker and
+    coin return to |0>|0> and leave the register in the C_4 cluster state."""
+
+    TOPOLOGY = GraphTopology("cycle", 4)
+    COIN = CoinParams(np.pi / 2, 0.0, np.pi / 2)
+
+    def test_every_column_step_has_order_24_up_to_the_graph_signs(self):
+        n = self.TOPOLOGY.n
+        step = build_shift(self.TOPOLOGY) @ np.kron(np.eye(n), build_coin(self.COIN))
+        signs = _cz_signs(self.TOPOLOGY)[:, 0::2]
+        phases = []
+        for g in range(2 ** n):
+            power = np.linalg.matrix_power(signs[:, g, None] * step, 24)
+            phases.append(power[0, 0])
+            assert np.abs(power - phases[-1] * np.eye(2 * n)).max() <= 1e-12
+        # The graph state's sign of g: (-1) to the number of edges with
+        # both ends 1.
+        bits = [[(g >> (n - 1 - i)) & 1 for i in range(n)] for g in range(2 ** n)]
+        graph_signs = [(-1) ** sum(b[i] * b[j] for i, j in self.TOPOLOGY.edges) for b in bits]
+        assert np.abs(np.array(phases) / phases[0] - graph_signs).max() <= 1e-12
+
+    def test_register_is_pure_and_the_cluster_state_at_the_predicted_steps(self):
+        config = WalkConfig(self.TOPOLOGY, self.COIN, 120)
+        entropy = np.array(runner.run_metric_series(config, "entropy(G)").values)
+        closeness = np.array(runner.run_metric_series(config, "closeness(graph)").values)
+        assert np.flatnonzero(entropy <= 1e-9).tolist() == [0, 23, 24, 47, 48, 71, 72, 95, 96,
+                                                             119, 120]
+        assert np.flatnonzero(closeness >= 1 - 1e-9).tolist() == [23, 24, 71, 72, 119, 120]
