@@ -5,8 +5,8 @@ the best closeness 1 - (trace distance) achieved within the first 100
 steps, for GHZ, W and graph-state targets on both graphs.  The cycle +
 graph-state combination is the only one that reaches 1 exactly.
 
-Pass --full to use the full 21x21 production grid (about 3 s on two
-cores); the default is a coarser 11x11 grid that still contains the optimum.
+Pass --full to use the full 21x21 production grid; the default is a
+coarser 11x11 grid that still contains the optimum.
 """
 
 import math

@@ -23,6 +23,7 @@ from .runner import (
     FIGURE_IDS,
     SweepSpec,
     TARGET_KINDS,
+    _write,
     parse_angle,
     parse_angles,
     reproduce_figure,
@@ -35,11 +36,11 @@ from .runner import (
     sweep_csv,
     sweep_json,
 )
-from .walk import CoinParams, GraphTopology, WalkConfig, evolve
+from .walk import GRAPH_KINDS, CoinParams, GraphTopology, WalkConfig, evolve
 
 # The flags several subcommands share, declared once.
 _SHARED_FLAGS = {
-    "graph": dict(choices=("path", "cycle"), default="cycle",
+    "graph": dict(choices=GRAPH_KINDS, default="cycle",
                   help="graph kind (default %(default)s)"),
     "sites": dict(type=int, default=4, help="site count n (default %(default)s)"),
     "coin": dict(metavar="THETA,PHI1,PHI2", help="coin angles, floats or k*pi/m tokens"),
@@ -47,8 +48,6 @@ _SHARED_FLAGS = {
     "jobs": dict(type=int, default=1, help="parallel workers (default %(default)s)"),
     "config": dict(metavar="FILE.json", help="JSON file with default values for these flags"),
 }
-# The bare metric that each of these flags completes with its argument.
-_METRIC_FLAGS = {"target": "closeness", "postselect": "concurrence_postselected"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,9 +92,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.flag("metric", metavar="NAME",
            help="entropy(G|C|P|..), logneg(PC), concurrence, "
                 "concurrence_postselected(mu,nu), closeness(ghz|w|graph)")
-    p.flag("postselect", metavar="MU,NU",
-           help="coin projection angles for concurrence_postselected")
-    p.flag("target", choices=TARGET_KINDS, help="reference state for closeness")
     add_output_flags(p)
 
     p = sub.add_parser("sweep", help="maximize closeness over a (theta,phi1,phi2,t) grid")
@@ -170,10 +166,7 @@ def _emit(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        path = Path(out)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        _write(Path(out), text)
 
 
 def _cmd_evolve(args) -> int:
@@ -188,23 +181,14 @@ def _cmd_metric(args) -> int:
     walk = _walk_config(args)
     if args.metric is None:
         raise ValueError("a metric is required: --metric NAME")
-    metric = args.metric
-    for flag, bare in _METRIC_FLAGS.items():
-        value = getattr(args, flag)
-        # A flag that the metric would not read must not pass unnoticed.
-        if value is not None and args.metric != bare:
-            raise ValueError(f"--{flag} is read only by --metric {bare}, "
-                             f"not by --metric {args.metric}")
-        if value:
-            metric = f"{bare}({value})"
-    series = run_metric_series(walk, metric)
+    series = run_metric_series(walk, args.metric)
     _emit(series_json(series) if args.format == "json" else series_csv(series), args.out)
     return 0
 
 
-def _grid(value: str | list | None) -> tuple[float, ...]:
+def _grid(value: str | list | None) -> tuple[float, ...] | None:
     if value is None:
-        return ()
+        return None
     if isinstance(value, list):
         return tuple(parse_angle(v) for v in value)
     return tuple(parse_angle(v) for v in value.split(","))
@@ -216,8 +200,9 @@ def _cmd_sweep(args) -> int:
                      phi1s=_grid(args.phi1_grid),
                      phi2s=_grid(args.phi2_grid),
                      steps=args.steps)
-    result = run_sweep(spec, jobs=args.jobs, keep_table=args.table or args.format == "csv")
-    _emit(sweep_csv(result) if args.format == "csv" else sweep_json(spec, result), args.out)
+    result = run_sweep(spec, jobs=args.jobs)
+    _emit(sweep_csv(result) if args.format == "csv"
+          else sweep_json(spec, result, table=args.table), args.out)
     return 0
 
 

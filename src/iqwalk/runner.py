@@ -439,13 +439,14 @@ def default_angle_grid() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Exhaustive (theta, phi1, phi2, t) closeness maximization target."""
+    """Exhaustive (theta, phi1, phi2, t) closeness maximization target.  A
+    grid left at None is the default (k*pi/20; phi1 = 0); an empty one raises."""
 
     topology: GraphTopology
     target: str
-    thetas: tuple[float, ...] = ()
-    phi1s: tuple[float, ...] = (0.0,)
-    phi2s: tuple[float, ...] = ()
+    thetas: tuple[float, ...] | None = None
+    phi1s: tuple[float, ...] | None = None
+    phi2s: tuple[float, ...] | None = None
     steps: int = 100
 
     def __post_init__(self):
@@ -453,12 +454,13 @@ class SweepSpec:
             raise ValueError(f"target must be one of {TARGET_KINDS}, got {self.target!r}")
         if self.steps < 1:
             raise ValueError("sweep needs steps >= 1")
-        if not self.thetas:
-            object.__setattr__(self, "thetas", default_angle_grid())
-        if not self.phi2s:
-            object.__setattr__(self, "phi2s", default_angle_grid())
-        if not self.phi1s:
-            object.__setattr__(self, "phi1s", (0.0,))
+        for name, default in (("thetas", default_angle_grid()), ("phi1s", (0.0,)),
+                              ("phi2s", default_angle_grid())):
+            grid = getattr(self, name)
+            if grid is None:
+                object.__setattr__(self, name, default)
+            elif len(grid) == 0:
+                raise ValueError(f"sweep grid {name} must not be empty")
 
     def coins(self) -> list[CoinParams]:
         """Grid points in lexicographic (theta, phi1, phi2) order."""
@@ -471,7 +473,7 @@ class SweepResult:
     best_value: float
     best_coin: CoinParams
     best_t: int
-    table: tuple[tuple[float, float, float, int, float], ...] | None = None
+    table: tuple[tuple[float, float, float, int, float], ...]
 
 
 # Complex entries of the largest step array a sweep block may walk: 32
@@ -479,29 +481,33 @@ class SweepResult:
 _SWEEP_STEP_ENTRIES = 32 * 2 * MAX_SITES * _REGISTER_BLOCK
 
 
-def _sweep_blocks(coin_count: int, n: int, workers: int) -> list[slice]:
+def _sweep_blocks(coin_count: int, n: int, steps: int, targets: int, workers: int) -> list[slice]:
     """The coin ranges a sweep walks as one block each: every worker's
     contiguous share of the grid, ceil(K / ``workers``) coins, cut further
-    only where a block's (coins, 2n, columns) step array would have more
+    only where a block's (coins, 2n, columns) step array, or the (T+1) x
+    ``targets`` R's of (2n+1)^2 entries per coin that several register
+    column blocks hold (see :func:`_closeness_values`), would have more
     than ``_SWEEP_STEP_ENTRIES`` entries.  An n = 4 grid is one block per
-    worker; n = 12 keeps blocks of 32 coins."""
-    per_coin = 2 * n * min(2 ** n, _REGISTER_BLOCK)
+    worker; n = 12 at T = 24 with one target keeps blocks of 32 coins."""
+    held = (steps + 1) * targets * (2 * n + 1) ** 2 if 2 ** n > _REGISTER_BLOCK else 0
+    per_coin = max(2 * n * min(2 ** n, _REGISTER_BLOCK), held)
     size = max(1, min(-(-coin_count // workers), _SWEEP_STEP_ENTRIES // per_coin))
     return [slice(lo, lo + size) for lo in range(0, coin_count, size)]
 
 
-def _closeness_grid(topology: GraphTopology, targets: tuple[str, ...], coins: list[CoinParams],
-                    steps: int, jobs: int) -> np.ndarray:
-    """Closeness to each target at every step of every coin, as a
-    (targets, K, T+1) array, with an upper bound at the steps that provably
-    cannot tie (see :func:`_closeness_values`).  The coins are walked in the
-    blocks of :func:`_sweep_blocks`, one stacked solve per step and block
-    for every target; ``jobs`` worker processes, at most one per usable CPU
-    and one per block, share the blocks, and a single block runs in this
-    process."""
+def _sweep_results(topology: GraphTopology, targets: tuple[str, ...], coins: list[CoinParams],
+                   steps: int, jobs: int) -> list[SweepResult]:
+    """One :class:`SweepResult` per target: the tie rule of :func:`run_sweep`
+    over the closeness at every step of every coin, an upper bound at the
+    steps that provably cannot tie (see :func:`_closeness_values`).  The
+    coins are walked in the blocks of :func:`_sweep_blocks`, one stacked
+    solve per step and block for every target; ``jobs`` worker processes,
+    at most one per usable CPU and one per block, share the blocks, and a
+    single block runs in this process."""
     workers = _check_jobs(jobs)
     coin_mats = np.stack([build_coin(coin) for coin in coins])
-    coin_blocks = [coin_mats[block] for block in _sweep_blocks(len(coins), topology.n, workers)]
+    coin_blocks = [coin_mats[block] for block in
+                   _sweep_blocks(len(coins), topology.n, steps, len(targets), workers)]
     block_values = functools.partial(_closeness_values, topology, steps=steps, initial=None,
                                      targets=targets, skip_untied=True)
     workers = min(workers, len(coin_blocks))
@@ -511,10 +517,10 @@ def _closeness_grid(topology: GraphTopology, targets: tuple[str, ...], coins: li
             blocks = list(pool.map(block_values, coin_blocks))
     else:
         blocks = [block_values(block) for block in coin_blocks]
-    return np.concatenate(blocks, axis=1)
+    return [_best_of(coins, values) for values in np.concatenate(blocks, axis=1)]
 
 
-def _best_of(coins: list[CoinParams], values: np.ndarray, keep_table: bool) -> SweepResult:
+def _best_of(coins: list[CoinParams], values: np.ndarray) -> SweepResult:
     """The sweep's tie rule over the (K, T+1) closeness ``values`` of
     ``coins``; see :func:`run_sweep`."""
     if not np.isfinite(values).all():
@@ -531,10 +537,9 @@ def _best_of(coins: list[CoinParams], values: np.ndarray, keep_table: bool) -> S
     _, _, best = min((int(t), coin.astuple(), i)
                      for i, (coin, value, t) in enumerate(zip(coins, per_value, per_t))
                      if value >= top - TIE_ATOL)
-    table = tuple((coin.theta, coin.phi1, coin.phi2, int(t), float(value))
-                  for coin, value, t in zip(coins, per_value, per_t))
     return SweepResult(float(per_value[best]), coins[best], int(per_t[best]),
-                       table if keep_table else None)
+                       tuple((coin.theta, coin.phi1, coin.phi2, int(t), float(value))
+                             for coin, value, t in zip(coins, per_value, per_t)))
 
 
 def _check_jobs(jobs: int) -> int:
@@ -573,8 +578,9 @@ def _one_blas_thread() -> None:
                 return
 
 
-def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> SweepResult:
-    """Exhaustive grid maximization of closeness to the target state.
+def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepResult:
+    """Exhaustive grid maximization of closeness to the target state.  The
+    result's ``table`` holds each coin's best (theta, phi1, phi2, t, value).
 
     Values within ``TIE_ATOL`` (1e-12) of each other are ties, so the result
     does not depend on rounding.  Per coin, the reported t is the last step
@@ -584,8 +590,8 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> Sw
     value is a candidate, and the earliest t wins, then the lexicographically
     smallest (theta, phi1, phi2).  The result is independent of evaluation
     order.  Coins are evolved and scored as blocks of stacked states, one
-    block per worker's share of the grid unless a block's step array would
-    outgrow that of 32 coins at n = 12 (see :func:`_sweep_blocks`);
+    block per worker's share of the grid, cut where a block would hold more
+    than the step array of 32 coins at n = 12 (see :func:`_sweep_blocks`);
     ``jobs`` worker processes share the blocks, at most one per usable CPU
     and one per block, each with one OpenBLAS thread.
 
@@ -597,9 +603,7 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1, keep_table: bool = False) -> Sw
     is unchanged.  The six fig6 sweeps of 11 x 11 coins at T = 24 solve 5307
     of their 18150 (coin, t) steps.
     """
-    coins = spec.coins()
-    values = _closeness_grid(spec.topology, (spec.target,), coins, spec.steps, jobs)
-    return _best_of(coins, values[0], keep_table)
+    return _sweep_results(spec.topology, (spec.target,), spec.coins(), spec.steps, jobs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +654,8 @@ def sweep_csv(result: SweepResult) -> str:
     return "\n".join(rows) + "\n"
 
 
-def sweep_json(spec: SweepSpec, result: SweepResult) -> str:
+def sweep_json(spec: SweepSpec, result: SweepResult, *, table: bool = False) -> str:
+    """The sweep's argmax, and with ``table`` its per-coin best table."""
     payload = {
         "target": spec.target,
         "graph": spec.topology.kind,
@@ -665,7 +670,7 @@ def sweep_json(spec: SweepSpec, result: SweepResult) -> str:
             "t": result.best_t,
         },
     }
-    if result.table is not None:
+    if table:
         payload["table"] = [
             {"theta": float(_fmt(th)), "phi1": float(_fmt(p1)), "phi2": float(_fmt(p2)),
              "t": t, "value": float(_fmt(v))}
@@ -717,23 +722,17 @@ def reproduce_figure(fig_id: str, out_dir: str | Path, *,
 
     if fig_id == "fig6":
         # Each graph's coins are evolved once for all three targets.
-        targets = ("ghz", "graph", "w")
-        results = {}
-        graphs = ("cycle", "path")
-        for kind in graphs:
-            spec = SweepSpec(GraphTopology(kind, n), targets[0], steps=steps)
-            coins = spec.coins()
-            values = _closeness_grid(spec.topology, targets, coins, steps, jobs)
-            for target, target_values in zip(targets, values):
-                results[target, kind] = _best_of(coins, target_values, False)
+        targets, graphs = ("ghz", "graph", "w"), ("cycle", "path")
+        coins = SweepSpec(GraphTopology("cycle", n), targets[0], steps=steps).coins()
+        results = {kind: _sweep_results(GraphTopology(kind, n), targets, coins, steps, jobs)
+                   for kind in graphs}
         rows = ["target,graph,delta_tilde,theta,phi1,phi2,t"]
         summary = []
-        for target in targets:
+        for i, target in enumerate(targets):
             for kind in graphs:
-                res = results[target, kind]
-                rows.append(f"{target},{kind},{_fmt(res.best_value)},"
-                            f"{_fmt(res.best_coin.theta)},{_fmt(res.best_coin.phi1)},"
-                            f"{_fmt(res.best_coin.phi2)},{res.best_t}")
+                res = results[kind][i]
+                values = (res.best_value, *res.best_coin.astuple())
+                rows.append(",".join([target, kind, *map(_fmt, values), str(res.best_t)]))
                 summary.append({"target": target, "graph": kind,
                                 "delta_tilde": float(_fmt(res.best_value))})
         files.append(_write(out / "fig6_sweep_summary.csv", "\n".join(rows) + "\n"))

@@ -22,8 +22,8 @@ from .linalg import SubsystemShape, reduced_density
 # at a time; every series and sweep holds one block of register columns
 # (runner._REGISTER_BLOCK) with its own sign table and start, plus stacks of
 # O(T n^2) statistics per walk, and no table 2**n columns wide.  A sweep
-# walks a block of coins at once, with at most 12 MiB per step array
-# (runner._SWEEP_STEP_ENTRIES).
+# walks a block of coins at once, with at most 12 MiB per step array and as
+# much in the R's it holds across register blocks (runner._SWEEP_STEP_ENTRIES).
 MAX_SITES = 12
 
 GRAPH_KINDS = ("path", "cycle")

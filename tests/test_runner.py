@@ -415,6 +415,26 @@ class TestRegisterSeries:
         assert 2 ** 12 // runner._REGISTER_BLOCK == 4
         assert_register_series_match_oracle(cfg)
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_concurrence_vanishes_at_odd_n(self, kind, n):
+        # At odd n sigma_y^(x n) is antisymmetric, so M = B^T Sy B is too:
+        # its singular values pair up, and max(0, s1 - sum_j>=2 s_j) is 0
+        # for every register state, conditioned or not.
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            config = WalkConfig(GraphTopology(kind, n),
+                                CoinParams(*rng.uniform(0, 2 * math.pi, 3)), 30)
+            mu, nu = rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2)
+            for metric in ("concurrence", f"concurrence_postselected({mu!r},{nu!r})"):
+                assert max(run_metric_series(config, metric).values) <= 1e-12, metric
+
+    def test_concurrence_on_the_four_cycle_is_not_null(self):
+        # The control for the odd-n null: C_4 with the first standard coin.
+        config = WalkConfig(CYCLE4, STANDARD_COINS[0], 100)
+        assert max(run_metric_series(config, "concurrence").values) == pytest.approx(0.752,
+                                                                                     abs=1e-3)
+
 
 class TestCoinPhaseSymmetry:
     """On the cycle the coin phase D = diag(1, e^{i beta}) commutes with the
@@ -486,9 +506,13 @@ def assert_sweep_matches_per_coin_series(spec, result):
         assert abs(value - values[want_t]) < 1e-12
 
 
-def sweep_blocks_of(coins, n, monkeypatch):
-    """Cap a sweep block's step array at ``coins`` coins of an n-site walk."""
+def sweep_blocks_of(coins, n, steps, targets, monkeypatch):
+    """Cap a sweep block at ``coins`` coins of an n-site walk of T = ``steps``
+    with ``targets`` targets: its step array, or over several register
+    column blocks the R's it holds."""
     per_coin = 2 * n * min(2 ** n, runner._REGISTER_BLOCK)
+    if 2 ** n > runner._REGISTER_BLOCK:
+        per_coin = max(per_coin, (steps + 1) * targets * (2 * n + 1) ** 2)
     monkeypatch.setattr(runner, "_SWEEP_STEP_ENTRIES", coins * per_coin)
 
 
@@ -542,8 +566,8 @@ class TestSweep:
     def test_parallel_matches_serial(self):
         grid = tuple(k * math.pi / 5 for k in range(4))
         spec = SweepSpec(PATH4, "ghz", thetas=grid, phi2s=grid, steps=12)
-        serial = run_sweep(spec, jobs=1, keep_table=True)
-        parallel = run_sweep(spec, jobs=2, keep_table=True)
+        serial = run_sweep(spec, jobs=1)
+        parallel = run_sweep(spec, jobs=2)
         assert serial == parallel
 
     @staticmethod
@@ -552,7 +576,7 @@ class TestSweep:
         for other coins)."""
         coins = spec.coins()
         values = [table.get(coin.astuple(), (0.0,) * (spec.steps + 1)) for coin in coins]
-        return runner._best_of(coins, np.array(values), keep_table=False)
+        return runner._best_of(coins, np.array(values))
 
     def test_ties_across_t_end_the_first_run(self):
         eps = 1e-13
@@ -586,13 +610,13 @@ class TestSweep:
     @pytest.mark.parametrize("topology", [CYCLE4, PATH4], ids=["cycle", "path"])
     def test_blocks_match_per_coin_series(self, topology, target, monkeypatch):
         # 40 coins: one full block of 32 and an uneven last one
-        sweep_blocks_of(32, topology.n, monkeypatch)
+        sweep_blocks_of(32, topology.n, 12, 1, monkeypatch)
         spec = SweepSpec(topology, target, thetas=tuple(k * math.pi / 5 for k in range(5)),
                          phi2s=tuple(k * math.pi / 7 for k in range(8)), steps=12)
-        result = run_sweep(spec, keep_table=True)
+        result = run_sweep(spec)
         assert len(result.table) == 40
         assert_sweep_matches_per_coin_series(spec, result)
-        assert run_sweep(spec, jobs=2, keep_table=True) == result
+        assert run_sweep(spec, jobs=2) == result
 
     def test_non_finite_closeness_raises(self, monkeypatch):
         distances = runner._trace_distance_from_r
@@ -621,6 +645,14 @@ class TestSweep:
         spec = SweepSpec(CYCLE4, "graph")
         assert len(spec.coins()) == 441
 
+    @pytest.mark.parametrize("grid", ["thetas", "phi1s", "phi2s"])
+    def test_only_an_omitted_grid_is_the_default(self, grid):
+        # An empty grid raises, rather than sweeping the default grid.
+        with pytest.raises(ValueError, match=f"grid {grid} must not be empty"):
+            SweepSpec(CYCLE4, "graph", **{grid: ()})
+        assert SweepSpec(CYCLE4, "graph", **{grid: None}) == SweepSpec(CYCLE4, "graph")
+        assert SweepSpec(CYCLE4, "graph").phi1s == (0.0,)
+
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             SweepSpec(CYCLE4, "bell")
@@ -643,7 +675,7 @@ class TestSweep:
         assert run_sweep(single, jobs=2) == run_sweep(single)
         assert pools == []
         spec = SweepSpec(CYCLE4, "graph", thetas=(0.9, 1.2, 1.5), phi2s=(0.4,), steps=2)
-        assert run_sweep(spec, jobs=2, keep_table=True) == run_sweep(spec, keep_table=True)
+        assert run_sweep(spec, jobs=2) == run_sweep(spec)
         assert pools == [(2, 2)]
 
     def test_jobs_capped_at_the_affinity_mask(self, pools, monkeypatch):
@@ -898,8 +930,8 @@ class TestUntiedSkip:
         swept = runner._closeness_values(CYCLE4, coin_mats, 1, None, (target,),
                                          skip_untied=True)
         coins = [CLUSTER_COIN]
-        assert runner._best_of(coins, exact[0], False).best_t == 1
-        assert runner._best_of(coins, swept[0], False) == runner._best_of(coins, exact[0], False)
+        assert runner._best_of(coins, exact[0]).best_t == 1
+        assert runner._best_of(coins, swept[0]) == runner._best_of(coins, exact[0])
         self.assert_skips_untied(exact, swept, self.slack(4))
 
     def test_fig6_grid_solves_at_most_half(self, solved_members):
@@ -915,6 +947,24 @@ class TestUntiedSkip:
         solved_members.clear()
         run_metric_series(WalkConfig(CYCLE4, CLUSTER_COIN, 24), "closeness(ghz)")
         assert sum(solved_members) == 25
+
+    @pytest.mark.parametrize("target", ["ghz", "graph", "w"])
+    @pytest.mark.parametrize("topology", [CYCLE4, PATH4], ids=["cycle", "path"])
+    def test_fig6_sweeps_match_the_record(self, topology, target):
+        # tests/data/fig6_<target>_<graph>.json records `iqwalk sweep --table`
+        # for the six fig6 benchmark sweeps (FIG6_GRID, T = 24).  A change to
+        # how sweeps solve or skip steps must move no argmax, and no table
+        # value by more than 1e-12.
+        record = json.loads((Path(__file__).parent / "data" /
+                             f"fig6_{target}_{topology.kind}.json").read_text())
+        spec = SweepSpec(topology, target, thetas=FIG6_GRID, phi2s=FIG6_GRID, steps=24)
+        result = run_sweep(spec)
+        written = json.loads(runner.sweep_json(spec, result, table=True))
+        assert written["argmax"] == record["argmax"]
+        assert [row | {"value": 0} for row in written["table"]] \
+            == [row | {"value": 0} for row in record["table"]]
+        values = np.array([value for *_, value in result.table])
+        assert np.abs(values - [row["value"] for row in record["table"]]).max() <= 1e-12
 
     def test_graph_closeness_series_solves_every_step(self, solved_members):
         run_metric_series(WalkConfig(CYCLE4, CLUSTER_COIN, 30), "closeness(graph)")
@@ -953,7 +1003,7 @@ class TestUntiedSkip:
         self.assert_skips_untied(exact, swept, self.slack(6))
         for target, row in zip(runner.TARGET_KINDS, exact):
             spec = SweepSpec(spec.topology, target, thetas=grid, phi2s=grid, steps=16)
-            assert run_sweep(spec, keep_table=True) == runner._best_of(coins, row, True)
+            assert run_sweep(spec) == runner._best_of(coins, row)
 
     @pytest.mark.parametrize("kind, count", [("cycle", 2791), ("path", 2823)])
     def test_six_sites_solve_the_same_members_in_any_block(self, kind, count, monkeypatch,
@@ -995,7 +1045,7 @@ class TestUntiedSkip:
         monkeypatch.setattr(runner, "_REGISTER_BLOCK", 8)
         grid = tuple(k * math.pi / 4 for k in range(5))
         spec = SweepSpec(GraphTopology("cycle", 5), target, thetas=grid, phi2s=grid, steps=16)
-        result = run_sweep(spec, keep_table=True)
+        result = run_sweep(spec)
         assert sum(solved_members) < 25 * 17
         assert_sweep_matches_per_coin_series(spec, result)
 
@@ -1053,33 +1103,80 @@ class TestSweepBlocks:
                 alone = runner._closeness_values(topology, coin_mats, 12, None, (target,),
                                                  skip_untied=skip)
                 assert np.array_equal(alone[0], row)
+        # What the sweep of all three targets scores, block by block.
+        scored = []
+        best_of = runner._best_of
+        monkeypatch.setattr(runner, "_best_of",
+                            lambda coins, values: scored.append(values) or best_of(coins, values))
         tables = set()
         for size in (1, 7, 32, len(coins)):
-            sweep_blocks_of(size, topology.n, monkeypatch)
-            assert len(runner._sweep_blocks(len(coins), topology.n, 1)) == -(-len(coins) // size)
-            grid_values = runner._closeness_grid(topology, runner.TARGET_KINDS, coins, 12, 1)
-            assert np.array_equal(grid_values, whole)
-            tables.add(run_sweep(spec, keep_table=True))
+            sweep_blocks_of(size, topology.n, 12, 3, monkeypatch)
+            blocks = runner._sweep_blocks(len(coins), topology.n, 12, 3, 1)
+            assert len(blocks) == -(-len(coins) // size)
+            scored.clear()
+            results = runner._sweep_results(topology, runner.TARGET_KINDS, coins, 12, 1)
+            assert np.array_equal(np.stack(scored), whole)
+            assert results == [best_of(coins, row) for row in whole]
+            tables.add(run_sweep(spec))
         assert len(tables) == 1
 
     def test_one_block_per_worker_share(self):
         for count in (1, 2, 121, 441):
             for workers in (1, 2, 3):
-                blocks = runner._sweep_blocks(count, 4, workers)
+                blocks = runner._sweep_blocks(count, 4, 24, 3, workers)
                 assert len(blocks) == min(count, workers)
                 assert [i for block in blocks for i in range(count)[block]] == list(range(count))
 
     def test_twelve_sites_keep_blocks_within_the_cap(self):
-        # The cap is 32 coins of an n = 12 walk: 12 MiB per step array.
+        # The cap is 32 coins of an n = 12 walk: 12 MiB per step array, and
+        # as much for the R's of 25 x 25 entries held per step and target.
         assert runner._SWEEP_STEP_ENTRIES * 16 == 12 * 2 ** 20
         columns = min(2 ** 12, runner._REGISTER_BLOCK)
         for count in (1, 33, 441):
             for workers in (1, 2):
-                blocks = runner._sweep_blocks(count, 12, workers)
-                sizes = [len(range(count)[block]) for block in blocks]
-                assert max(sizes) * 24 * columns <= runner._SWEEP_STEP_ENTRIES
-                assert sum(sizes) == count
-        assert len(runner._sweep_blocks(441, 12, 1)) == 14
+                for steps, targets in ((24, 1), (24, 3), (100, 1), (240, 3)):
+                    blocks = runner._sweep_blocks(count, 12, steps, targets, workers)
+                    sizes = [len(range(count)[block]) for block in blocks]
+                    assert max(sizes) * 24 * columns <= runner._SWEEP_STEP_ENTRIES
+                    assert max(sizes) * (steps + 1) * targets * 25 ** 2 \
+                        <= runner._SWEEP_STEP_ENTRIES
+                    assert sum(sizes) == count
+        assert len(runner._sweep_blocks(441, 12, 24, 1, 1)) == 14
+        assert len(runner._sweep_blocks(441, 12, 100, 1, 1)) == 37
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_one_register_block_is_cut_by_its_step_array_alone(self, n):
+        # Up to n = 10 a walk is one register column block, which holds no
+        # R from step to step: T and the targets move no block.
+        size = min(441, runner._SWEEP_STEP_ENTRIES // (2 * n * 2 ** n))
+        for steps, targets in ((1, 1), (24, 3), (1000, 3)):
+            blocks = runner._sweep_blocks(441, n, steps, targets, 1)
+            assert [len(range(441)[block]) for block in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert len(blocks) == -(-441 // size)
+
+    def test_held_factors_stay_within_the_cap(self, monkeypatch):
+        # n = 6 in two register blocks of 32 columns: the first block's R of
+        # every step is held until the last block reaches it.  With the cap
+        # at four coins' R's at T = 240, the sweep's peak grows by less than
+        # the cap from T = 24 to T = 240; all 16 coins in one block would
+        # hold 10 MiB at T = 240.
+        monkeypatch.setattr(runner, "_REGISTER_BLOCK", 32)
+        cap = 4 * 241 * 13 ** 2
+        monkeypatch.setattr(runner, "_SWEEP_STEP_ENTRIES", cap)
+        topology = GraphTopology("cycle", 6)
+        grid = tuple(k * math.pi / 4 for k in range(1, 5))
+        coins = SweepSpec(topology, "graph", thetas=grid, phi2s=grid).coins()
+        assert len(runner._sweep_blocks(len(coins), 6, 24, 1, 1)) == 1
+        assert len(runner._sweep_blocks(len(coins), 6, 240, 1, 1)) == 4
+        peaks = []
+        for steps in (24, 240):
+            tracemalloc.start()
+            try:
+                runner._sweep_results(topology, ("graph",), coins, steps, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < cap * 16
 
     def test_one_column_block_holds_no_step_statistics(self):
         # 121 coins at n = 4, T = 24 and 240: only the (3, 121, T+1) values
@@ -1104,7 +1201,7 @@ class TestSweepBlocks:
         assert len(solved_members) <= 25
         # The three targets of figure fig6 share each step's solve.
         solved_members.clear()
-        runner._closeness_grid(CYCLE4, runner.TARGET_KINDS, spec.coins(), 24, 1)
+        runner._sweep_results(CYCLE4, runner.TARGET_KINDS, spec.coins(), 24, 1)
         assert len(solved_members) <= 25
 
 
@@ -1236,40 +1333,22 @@ class TestCli:
         assert out.startswith("# iqwalk v1, metric=entropy(G), graph=cycle")
         assert len(out.splitlines()) == 8
 
-    def test_metric_with_target_flag(self, capsys):
-        rc = main(["metric", "--coin", "pi/2,0,pi/2", "--steps", "3",
-                   "--metric", "closeness", "--target", "graph", "--format", "json"])
-        assert rc == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["metric"] == "closeness(graph)"
-
-    def test_postselect_flag(self, capsys):
-        rc = main(["metric", "--graph", "path", "--coin", "pi/4,0,2*pi/5",
-                   "--steps", "3", "--metric", "concurrence_postselected",
-                   "--postselect", "pi/2,0"])
-        assert rc == 0
-        assert "concurrence_postselected" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    @pytest.mark.parametrize("metric,flag,value", [
-        ("closeness(ghz)", "target", "w"),
-        ("concurrence_postselected(0,0)", "postselect", "pi/2,0"),
-    ])
-    def test_metric_argument_flag_the_metric_ignores_exits_one(self, metric, flag, value, via,
-                                                               tmp_path, capsys):
-        # Only the bare closeness and concurrence_postselected read --target
-        # and --postselect; any other metric would silently drop them.
-        argv = ["metric", "--coin", "pi/4,0,2*pi/5", "--steps", "2", "--metric", metric]
-        if via == "flag":
-            argv += ["--" + flag, value]
-        else:
-            config = tmp_path / "run.json"
-            config.write_text(json.dumps({flag: value}))
-            argv += ["--config", str(config)]
-        assert main(argv) == 1
+    @pytest.mark.parametrize("flag,value", [("target", "graph"), ("postselect", "pi/2,0")])
+    def test_metric_argument_flags_are_unknown(self, flag, value, tmp_path, capsys):
+        # The metric name carries its argument, as in --metric
+        # "closeness(graph)": a --target or --postselect flag, or the same
+        # config key, is unknown to metric and exits 1 before any walk.
+        argv = ["metric", "--coin", "pi/4,0,2*pi/5", "--steps", "2", "--metric", "closeness"]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--" + flag, value])
+        assert err.value.code == 1
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({flag: value}))
+        assert main(argv + ["--config", str(config)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"iqwalk: error: --{flag} is read only by" in captured.err
+        assert f"config {config} has keys no metric flag takes: '{flag}'" in captured.err
 
     def test_evolve_json(self, capsys):
         rc = main(["evolve", "--coin", "0,0,0", "--steps", "2", "--format", "json"])
@@ -1419,8 +1498,8 @@ class TestCli:
         ("metric", {"metric": 5}),
         ("metric", {"coin": None}),
         ("metric", {"graph": ["cycle"]}),
-        ("metric", {"postselect": 0.5}),
-        ("metric", {"target": True}),
+        ("metric", {"format": 5}),
+        ("metric", {"sites": [4]}),
         ("evolve", {"out": ["a.csv"]}),
         ("sweep", {"theta_grid": 0.5}),
         ("sweep", {"phi2_grid": {"k": 1}}),

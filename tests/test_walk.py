@@ -472,3 +472,27 @@ class TestClusterMechanism:
         assert np.flatnonzero(entropy <= 1e-9).tolist() == [0, 23, 24, 47, 48, 71, 72, 95, 96,
                                                              119, 120]
         assert np.flatnonzero(closeness >= 1 - 1e-9).tolist() == [23, 24, 71, 72, 119, 120]
+
+    def test_only_c4_decouples_on_the_grid(self):
+        # theta = k pi/20 (0 < theta < pi), phi1 = 0, phi2 = k pi/20, T = 48:
+        # the register is pure (the walker decoupled) at some t >= 1 only on
+        # C_4 with theta = pi/2 and phi2 in {0, pi/2, pi}, first at t = 23,
+        # and the cluster state at t = 24 only for the coin (pi/2, 0, pi/2).
+        grid = np.arange(21) * np.pi / 20
+        coins = [CoinParams(theta, 0.0, phi2) for theta in grid[1:-1] for phi2 in grid]
+        decoupled = {}
+        for kind in ("cycle", "path"):
+            topology = GraphTopology(kind, 4)
+            for coin in coins:
+                entropy = runner.run_metric_series(WalkConfig(topology, coin, 48), "entropy(G)")
+                pure = np.flatnonzero(np.array(entropy.values[1:]) <= 1e-9)
+                if pure.size:
+                    decoupled[kind, coin] = 1 + pure[0]
+        assert decoupled == {("cycle", CoinParams(np.pi / 2, 0.0, phi2)): 23
+                             for phi2 in (0.0, np.pi / 2, np.pi)}
+        coin_mats = np.stack([build_coin(coin) for coin in coins])
+        for kind in ("cycle", "path"):
+            closeness = runner._closeness_values(GraphTopology(kind, 4), coin_mats, 24, None,
+                                                 ("graph",))[0, :, 24]
+            cluster = [coins[i] for i in np.flatnonzero(closeness >= 1 - 1e-9)]
+            assert cluster == ([self.COIN] if kind == "cycle" else [])
