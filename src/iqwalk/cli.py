@@ -5,15 +5,16 @@ unparseable angle, unwritable path), 2 on a numeric contract violation.
 
 Angles anywhere on the command line accept floats or exact ``k*pi/m``
 tokens.  Each flag is declared once, with its type, choices and default.
-An optional ``--config file.json`` sets defaults for any flag of the
-subcommand (same names as the long options, with ``_`` for ``-``): each
-value passes its flag's own type and choices, a key no flag takes is a
-usage error, and explicit flags win.
+An optional ``--config file.json`` seeds the subcommand's namespace (keys
+are the long options with ``_`` for ``-``); its parser then fills it from
+the command line, so explicit flags win.  Each value passes its flag's own
+type and choices, and a key no flag takes is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -69,8 +70,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The iqwalk parser and its subcommand parsers by name."""
+    """The iqwalk parser and its subcommand parsers by name, built once."""
     parser = _Parser(prog="iqwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -84,10 +86,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                help="output format (default %(default)s)")
 
     p = sub.add_parser("evolve", help="run a walk and emit the final state vector")
+    p.set_defaults(run=_cmd_evolve)
     add_flags(p, "graph", "sites", "coin", "steps", "config")
     add_output_flags(p)
 
     p = sub.add_parser("metric", help="evaluate a metric at every step t = 0..T")
+    p.set_defaults(run=_cmd_metric)
     add_flags(p, "graph", "sites", "coin", "steps", "config")
     p.flag("metric", metavar="NAME",
            help="entropy(G|C|P|..), logneg(PC), concurrence, "
@@ -95,6 +99,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     add_output_flags(p)
 
     p = sub.add_parser("sweep", help="maximize closeness over a (theta,phi1,phi2,t) grid")
+    p.set_defaults(run=_cmd_sweep)
     add_flags(p, "graph", "sites", "steps", "config")
     p.flag("target", choices=TARGET_KINDS, default="graph",
            help="reference state to approach (default %(default)s)")
@@ -107,6 +112,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     add_output_flags(p, default_format="json")
 
     p = sub.add_parser("figure", help="write the data files behind one figure")
+    p.set_defaults(run=_cmd_figure)
     p.add_argument("fig_id", choices=FIGURE_IDS, metavar="FIG",
                    help="one of " + ", ".join(FIGURE_IDS))
     p.flag("out", default=".", metavar="DIR", help="output directory (default %(default)s)")
@@ -114,7 +120,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
-def _config_defaults(command: str, parser: _Parser, path: str) -> dict:
+def _read_config(command: str, parser: _Parser, path: str) -> argparse.Namespace:
     """The values of a --config file, each converted and checked by its flag."""
     try:
         data = json.loads(Path(path).read_text())
@@ -127,7 +133,7 @@ def _config_defaults(command: str, parser: _Parser, path: str) -> dict:
     if unknown:
         raise ValueError(f"config {path} has keys no {command} flag takes: "
                          f"{', '.join(map(repr, unknown))}")
-    return {key: _config_value(parser.flags[key], value) for key, value in data.items()}
+    return argparse.Namespace(**{k: _config_value(parser.flags[k], v) for k, v in data.items()})
 
 
 def _config_value(action: argparse.Action, value):
@@ -212,25 +218,18 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "evolve": _cmd_evolve,
-    "metric": _cmd_metric,
-    "sweep": _cmd_sweep,
-    "figure": _cmd_figure,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            # The config's values become the subcommand's defaults, and the
-            # command line is parsed again: a flag given there still wins.
+            # The config's values seed the namespace, and the subcommand's
+            # parser fills it from its arguments: a flag given there wins.
             command = commands[args.command]
-            command.set_defaults(**_config_defaults(args.command, command, args.config))
-            args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+            config = _read_config(args.command, command, args.config)
+            args = command.parse_args(argv[argv.index(args.command) + 1:], config)
+        return args.run(args)
     except ContractViolationError as exc:
         print(f"iqwalk: numeric contract violation: {exc}", file=sys.stderr)
         return 2

@@ -18,12 +18,8 @@ import numpy as np
 from .linalg import SubsystemShape, reduced_density
 
 # Ceiling on the site count for dense simulation; at n = 12 one walk state
-# holds 98304 amplitudes (1.5 MiB).  `evolve` and `trajectory` hold one state
-# at a time; every series and sweep holds one block of register columns
-# (runner._REGISTER_BLOCK) with its own sign table and start, plus stacks of
-# O(T n^2) statistics per walk, and no table 2**n columns wide.  A sweep
-# walks a block of coins at once, with at most 12 MiB per step array and as
-# much in the R's it holds across register blocks (runner._SWEEP_STEP_ENTRIES).
+# holds 98304 amplitudes (1.5 MiB), and `evolve` and `trajectory` hold one
+# state at a time.
 MAX_SITES = 12
 
 GRAPH_KINDS = ("path", "cycle")

@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import json
 import math
 import os
@@ -952,9 +953,10 @@ class TestUntiedSkip:
     @pytest.mark.parametrize("topology", [CYCLE4, PATH4], ids=["cycle", "path"])
     def test_fig6_sweeps_match_the_record(self, topology, target):
         # tests/data/fig6_<target>_<graph>.json records `iqwalk sweep --table`
-        # for the six fig6 benchmark sweeps (FIG6_GRID, T = 24).  A change to
-        # how sweeps solve or skip steps must move no argmax, and no table
-        # value by more than 1e-12.
+        # for the six fig6 benchmark sweeps (FIG6_GRID, T = 24), as
+        # tests/data/make_fig6_tables.py writes them.  A change to how sweeps
+        # solve or skip steps must move no argmax, and no table value by more
+        # than 1e-12.
         record = json.loads((Path(__file__).parent / "data" /
                              f"fig6_{target}_{topology.kind}.json").read_text())
         spec = SweepSpec(topology, target, thetas=FIG6_GRID, phi2s=FIG6_GRID, steps=24)
@@ -1449,13 +1451,87 @@ class TestCli:
         assert rc == 0
         assert "metric=entropy(C)" in capsys.readouterr().out
 
-    def test_cli_flag_overrides_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command,config,flags", [
+        (["evolve"], {"graph": "path", "coin": "pi/5,0,pi/5", "steps": 2},
+         ["--graph", "cycle", "--coin", "pi/2,0,pi/2", "--steps", "3"]),
+        (["metric"], {"coin": "0,0,0", "steps": 2, "metric": "entropy(C)", "format": "json"},
+         ["--metric", "entropy(P)", "--steps", "4", "--format", "csv"]),
+        (["sweep"], {"theta_grid": [0, "pi/2"], "phi2_grid": "0", "steps": 2, "table": False},
+         ["--theta-grid", "pi/4,pi/2", "--table", "--graph", "path"]),
+        (["figure", "fig7"], {"steps": 2, "out": "config"}, ["--steps", "3", "--out", "flag"]),
+    ], ids=["evolve", "metric", "sweep", "figure"])
+    def test_cli_flag_overrides_config(self, command, config, flags, tmp_path, monkeypatch,
+                                       capsys):
+        # A config writes the same bytes as its values given as flags, and a
+        # flag wins over the config whether it comes before or after --config.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        as_flags = []
+        for key, value in config.items():
+            if value is not False:
+                as_flags.append("--" + key.replace("_", "-"))
+            if not isinstance(value, bool):
+                as_flags.append(",".join(map(str, value)) if isinstance(value, list)
+                                else str(value))
+        runs = iter(range(10))
+
+        def run(*args):
+            cwd = tmp_path / str(next(runs))
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            assert main([*command, *args]) == 0
+            return capsys.readouterr().out, {p.relative_to(cwd): p.read_bytes()
+                                             for p in cwd.rglob("*") if p.is_file()}
+
+        assert run("--config", str(path)) == run(*as_flags)
+        overridden = run(*as_flags, *flags)
+        assert overridden != run(*as_flags)
+        assert run(*flags, "--config", str(path)) == overridden
+        assert run("--config", str(path), *flags) == overridden
+
+    def test_parser_is_built_once_and_not_at_import(self):
+        assert _build_parser() is _build_parser()
+        code = ("import argparse, gc, iqwalk.cli; "
+                "print(sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects()))")
+        src = str(Path(runner.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_main_leaves_no_cyclic_garbage(self, with_config, tmp_path):
+        # A call through main() builds no parser, so with the GC disabled a
+        # warm metric call leaves nothing for it to collect.
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"coin": "0,0,0", "steps": 2,
-                                      "metric": "entropy(C)"}))
-        rc = main(["metric", "--config", str(config), "--metric", "entropy(P)"])
-        assert rc == 0
-        assert "metric=entropy(P)" in capsys.readouterr().out
+        config.write_text(json.dumps({"coin": "pi/2,0,pi/2", "steps": 3}))
+        argv = ["metric", "--metric", "entropy(G)", "--out", str(tmp_path / "x.csv")]
+        argv += (["--config", str(config)] if with_config
+                 else ["--coin", "pi/2,0,pi/2", "--steps", "3"])
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_config_leaves_the_parser_unchanged(self, tmp_path, capsys):
+        # The shared parser keeps its declared defaults after a --config call,
+        # so the next call without one sees them again.
+        command = _build_parser()[1]["metric"]
+        declared = {action.dest: action.default for action in command._actions}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"graph": "path", "sites": 3, "steps": 2,
+                                      "format": "json"}))
+        argv = ["metric", "--coin", "pi/2,0,pi/2", "--metric", "entropy(G)"]
+        assert main(argv + ["--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["graph"] == "path"
+        assert {action.dest: action.default for action in command._actions} == declared
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("# iqwalk v1, metric=entropy(G), graph=cycle, n=4,")
+        assert len(lines) == 2 + 101
 
     # Keys each command takes besides the one under test, so that a config
     # fails on the value under test and not on a key its command lacks.
