@@ -25,6 +25,7 @@ from iqwalk import (
     run_sweep,
     stabilizer_expectations,
 )
+from iqwalk.conditioning import unconditioned_vertex_state
 
 cycle = GraphTopology("cycle", 4)
 coin = CoinParams(math.pi / 2, 0.0, math.pi / 2)
@@ -48,7 +49,7 @@ print(f"\nbest closeness {best.best_value:.12f} at t={best.best_t}")
 # matrix: B's squared singular values are rho's eigenvalues and its left
 # singular vectors rho's eigenvectors.
 state = evolve(WalkConfig(cycle, coin, 24))
-factor = state.amplitudes.reshape(2 * cycle.n, -1).T
+factor = unconditioned_vertex_state(state)
 vectors, singular_values, _ = np.linalg.svd(factor, full_matrices=False)
 print(f"register purity at t=24: {np.sum(singular_values ** 4):.12f}")
 

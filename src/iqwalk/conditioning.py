@@ -54,7 +54,7 @@ def postselect_coin(state: PureState, proj: CoinProjection) -> tuple[np.ndarray,
         raise ValueError("state must live on position (x) coin (x) vertex qubits, "
                          f"got dims {state.shape.dims}")
     n = state.shape.dims[0]
-    tensor = state.tensor().reshape(n, 2, -1)
+    tensor = state.amplitudes.reshape(n, 2, -1)
 
     bra = proj.ket().conj()
     branch = bra[0] * tensor[:, 0, :] + bra[1] * tensor[:, 1, :]

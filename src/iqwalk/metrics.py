@@ -3,22 +3,22 @@ entropy (in bits), logarithmic negativity across a bipartition, n-partite
 concurrence of a qubit register, and trace distance with its complement
 ("closeness").
 
-Every public metric takes a factor ``B`` of the state, ``rho = B @ B^dag``.
-A pure walk state gives one directly (:func:`~iqwalk.linalg.reduction_factor`,
-the conditioning module): the vertex register of an n-site walk has a
-(2**n, 2n) factor, so every register metric is solved in dimension at most
-2n + 1, never 2**n.  A caller holding a dense ``rho`` passes
-:func:`~iqwalk.linalg.density_factor`.  Each metric forms the matrix it
-solves and hands it to a private core, which the series call on their own
-statistics: ``_entropy_of`` and ``_log_negativity_of`` take a stack of
-density matrices, ``_concurrence_from_sy`` one of B^T Sy B, and
-``_trace_distance_from_r`` one of R's.
+Every public metric takes a factor ``B`` of the state, ``rho = B @ B^dag``:
+the vertex register of an n-site walk has a (2**n, 2n) one, so every
+register metric is solved in dimension at most 2n + 1, never 2**n.  A
+caller holding a dense ``rho`` passes :func:`~iqwalk.linalg.density_factor`.
+Each metric forms the matrix it solves and hands it to a private core:
+``_entropy_of`` and ``_log_negativity_of`` take a stack of density
+matrices, ``_concurrence_from_sy`` one of B^T Sy B, and
+``_trace_distance_from_r`` one of R's.  The runner hands the same cores the
+statistics of its blocked walks.
 
 Such a ``rho`` is Hermitian and positive semidefinite by construction, so
 its density contract is its trace alone: finite and within ``DENSITY_ATOL``
-of 1.  Each core reads that trace off a matrix it has anyway, and no
-eigensolve runs only to validate.  :func:`validate_density_matrix` checks a
-dense ``rho`` in full.
+of 1.  Whoever forms a state checks that trace once, off a matrix it has
+anyway: each public metric for the factors it is given, the runner for the
+states it walks.  The cores only solve, and no eigensolve runs only to
+validate.  :func:`validate_density_matrix` checks a dense ``rho`` in full.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ def _scalar_or_stack(values: np.ndarray) -> float | np.ndarray:
 
 def _entropy_of(rho: np.ndarray) -> np.ndarray:
     """:func:`von_neumann_entropy` of a (..., d, d) stack of density matrices."""
-    _check_trace(np.real(np.trace(rho, axis1=-2, axis2=-1)))
     vals = np.clip(hermitian_eig(rho, vectors=False), 0.0, 1.0)
     total = -np.sum(vals * np.log2(np.where(vals > 0.0, vals, 1.0)), axis=-1)
     # Not np.maximum, which keeps the -0.0 of an all-zero sum.
@@ -92,13 +91,14 @@ def von_neumann_entropy(factor: np.ndarray) -> float | np.ndarray:
     """
     b = _factor(factor)
     b_dag = b.conj().swapaxes(-1, -2)
-    return _scalar_or_stack(_entropy_of(b_dag @ b if b.shape[-1] <= b.shape[-2] else b @ b_dag))
+    gram = b_dag @ b if b.shape[-1] <= b.shape[-2] else b @ b_dag
+    _check_trace(np.real(np.trace(gram, axis1=-2, axis2=-1)))
+    return _scalar_or_stack(_entropy_of(gram))
 
 
 def _log_negativity_of(rho: np.ndarray, shape: SubsystemShape | Sequence[int],
                        part: Iterable[int]) -> np.ndarray:
     """:func:`log_negativity` of a (..., d, d) stack of density matrices."""
-    _check_trace(np.real(np.trace(rho, axis1=-2, axis2=-1)))
     vals = hermitian_eig(partial_transpose(rho, shape, part), vectors=False)
     negativity = -np.sum(np.where(vals < -PSD_CLIP, vals, 0.0), axis=-1)
     return np.log2(1.0 + 2.0 * negativity)
@@ -116,8 +116,9 @@ def log_negativity(factor: np.ndarray,
     as :func:`von_neumann_entropy` does.
     """
     b = _factor(factor)
-    return _scalar_or_stack(_log_negativity_of(b @ b.conj().swapaxes(-1, -2), shape,
-                                               transpose_part))
+    rho = b @ b.conj().swapaxes(-1, -2)
+    _check_trace(np.real(np.trace(rho, axis1=-2, axis2=-1)))
+    return _scalar_or_stack(_log_negativity_of(rho, shape, transpose_part))
 
 
 def _sigma_y_phase(num_qubits: int) -> np.ndarray:
@@ -128,10 +129,8 @@ def _sigma_y_phase(num_qubits: int) -> np.ndarray:
     return 1j ** num_qubits * (1 - 2 * parity)
 
 
-def _concurrence_from_sy(m: np.ndarray, trace: np.ndarray | float) -> np.ndarray:
-    """:func:`n_concurrence` of a (..., k, k) stack of M = B^T Sy B, with
-    tr(rho) = ||B||_F^2 of each as its density contract."""
-    _check_trace(trace)
+def _concurrence_from_sy(m: np.ndarray) -> np.ndarray:
+    """:func:`n_concurrence` of a (..., k, k) stack of M = B^T Sy B."""
     lam = np.linalg.svd(m, compute_uv=False)
     value = 2 * lam[..., 0] - lam.sum(axis=-1)
     return np.where(value > 0.0, np.minimum(value, 1.0), 0.0)
@@ -153,17 +152,14 @@ def n_concurrence(factor: np.ndarray, num_qubits: int) -> float:
     if b.ndim != 2 or b.shape[0] != dim:
         raise ValueError(f"expected a factor with {dim} rows for {num_qubits} qubits, "
                          f"got shape {b.shape}")
+    _check_trace(np.sum(np.abs(b) ** 2))
     sy_b = (_sigma_y_phase(num_qubits)[:, None] * b)[::-1]
-    return float(_concurrence_from_sy(b.T @ sy_b, np.sum(np.abs(b) ** 2)))
+    return float(_concurrence_from_sy(b.T @ sy_b))
 
 
 def _trace_distance_from_r(r: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """:func:`trace_distance` from a stack of R's of W = [A, B] = QR, with
-    J = diag(``signs``): +1 on A's columns, then -1 on B's.  As R^dag R =
-    W^dag W, R holds both traces."""
-    split = int(np.count_nonzero(signs > 0))
-    for part in (r[..., :split], r[..., split:]):
-        _check_trace(np.sum(np.abs(part) ** 2, axis=(-2, -1)))
+    J = diag(``signs``): +1 on A's columns, then -1 on B's."""
     eps = np.abs(hermitian_eig((r * signs) @ r.conj().swapaxes(-1, -2), vectors=False))
     return np.minimum(1.0, 0.5 * np.where(eps > PSD_CLIP, eps, 0.0).sum(axis=-1))
 
@@ -188,7 +184,11 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     w = np.concatenate([np.broadcast_to(a, batch + a.shape[-2:]),
                         np.broadcast_to(b, batch + b.shape[-2:])], axis=-1)
     signs = np.concatenate([np.ones(a.shape[-1]), -np.ones(b.shape[-1])])
-    return _scalar_or_stack(_trace_distance_from_r(np.linalg.qr(w, mode="r"), signs))
+    r = np.linalg.qr(w, mode="r")
+    # As R^dag R = W^dag W, R holds both traces.
+    for part in (r[..., :a.shape[-1]], r[..., a.shape[-1]:]):
+        _check_trace(np.sum(np.abs(part) ** 2, axis=(-2, -1)))
+    return _scalar_or_stack(_trace_distance_from_r(r, signs))
 
 
 def closeness(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

@@ -89,10 +89,6 @@ class PureState:
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"state is not normalized: ||psi|| = {norm:.12g}")
 
-    def tensor(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per subsystem."""
-        return self.amplitudes.reshape(self.shape.dims)
-
     def reduced(self, keep) -> np.ndarray:
         """Reduced density matrix on the subsystems in ``keep``."""
         return reduced_density(self.amplitudes, self.shape, keep)
@@ -147,27 +143,8 @@ def build_coin(coin: CoinParams) -> np.ndarray:
 
 
 def build_shift(topology: GraphTopology) -> np.ndarray:
-    """Conditional shift on H_P (x) H_C, indexed as ``p*2 + c``.
-
-    Coin 0 moves the walker one site down, coin 1 one site up.  On the
-    cycle both moves wrap around; on the path the two boundary moves
-    instead keep the walker in place and flip the coin, which is what
-    keeps the operator unitary.
-    """
-    n = topology.n
-    s = np.zeros((2 * n, 2 * n), dtype=complex)
-    if topology.kind == "cycle":
-        for i in range(n):
-            s[((i - 1) % n) * 2 + 0, i * 2 + 0] = 1.0
-            s[((i + 1) % n) * 2 + 1, i * 2 + 1] = 1.0
-    else:
-        for i in range(1, n):
-            s[(i - 1) * 2 + 0, i * 2 + 0] = 1.0
-        for i in range(n - 1):
-            s[(i + 1) * 2 + 1, i * 2 + 1] = 1.0
-        s[0 * 2 + 1, 0 * 2 + 0] = 1.0              # reflect at site 0, coin 0 -> 1
-        s[(n - 1) * 2 + 0, (n - 1) * 2 + 1] = 1.0  # reflect at site n-1, coin 1 -> 0
-    return s
+    """The conditional shift on H_P (x) H_C as a permutation matrix; see :func:`_shift_rows`."""
+    return np.eye(2 * topology.n, dtype=complex)[_shift_rows(topology)]
 
 
 def _cz_signs(topology: GraphTopology, columns: slice | np.ndarray = slice(None)) -> np.ndarray:
@@ -190,9 +167,23 @@ def _cz_signs(topology: GraphTopology, columns: slice | np.ndarray = slice(None)
 
 
 def _shift_rows(topology: GraphTopology) -> np.ndarray:
-    """The shift as a row gather: ``(S @ x)[r] = x[rows[r]]``, read off the
-    permutation matrix :func:`build_shift`."""
-    return build_shift(topology).real.argmax(axis=1)
+    """The conditional shift on H_P (x) H_C, indexed as ``p*2 + c``, as a
+    row gather: ``(S @ x)[r] = x[rows[r]]``.
+
+    Coin 0 moves the walker one site down, coin 1 one site up.  On the
+    cycle both moves wrap around; on the path the two boundary moves
+    instead keep the walker in place and flip the coin, which is what
+    keeps the operator unitary.
+    """
+    n = topology.n
+    sites = np.arange(n)[:, None]
+    # The site each (p, c) is shifted in from: p + 1 for coin 0, p - 1 for coin 1.
+    source = sites + [1, -1]
+    if topology.kind == "cycle":
+        return (2 * (source % n) + [0, 1]).reshape(-1)
+    inside = (source >= 0) & (source < n)
+    # Past the path's ends the walker stays put with its coin flipped.
+    return np.where(inside, 2 * source + [0, 1], 2 * sites + [1, 0]).reshape(-1)
 
 
 def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray,

@@ -91,6 +91,23 @@ def cz_diagonal(num_sites: int) -> np.ndarray:
     return diag
 
 
+def shift_matrix(kind: str, num_sites: int) -> np.ndarray:
+    """The walk's conditional shift on H_P (x) H_C (index p*2 + c), one move
+    at a time: coin 0 steps down, coin 1 up; the cycle wraps, and at the
+    path's ends the walker stays and its coin flips."""
+    n = num_sites
+    s = np.zeros((2 * n, 2 * n), dtype=complex)
+    for site in range(n):
+        for coin, target in ((0, site - 1), (1, site + 1)):
+            if kind == "cycle":
+                s[(target % n) * 2 + coin, site * 2 + coin] = 1.0
+            elif 0 <= target < n:
+                s[target * 2 + coin, site * 2 + coin] = 1.0
+            else:
+                s[site * 2 + 1 - coin, site * 2 + coin] = 1.0
+    return s
+
+
 def sigma_y_all(num_qubits: int) -> np.ndarray:
     """sigma_y^(x n) as a dense Kronecker product."""
     big_sy = _SIGMA_Y

@@ -28,6 +28,7 @@ from iqwalk import (
     series_csv,
     series_json,
 )
+from iqwalk import metrics as metrics_module
 from iqwalk import runner
 from iqwalk import walk as walk_module
 from iqwalk.cli import _build_parser, main
@@ -1079,6 +1080,44 @@ class TestUntiedSkip:
         monkeypatch.setattr(runner, "_column_walks", walks)
         with pytest.raises(ContractViolationError, match="trace"):
             run_sweep(spec)
+
+
+class TestTraceCheckedOnce:
+    """Each state's density trace is checked once, where it is formed: in
+    the runner's statistics and closeness walks, not again in the cores."""
+
+    STEPS = 6
+
+    @pytest.fixture
+    def trace_checks(self, monkeypatch, fresh_memo):
+        checks = []
+        original = runner._check_trace
+
+        def counted(tr):
+            checks.append(1)
+            return original(tr)
+
+        for module in (metrics_module, runner):
+            monkeypatch.setattr(module, "_check_trace", counted)
+        return checks
+
+    @pytest.mark.parametrize("metric", ["entropy(G)", "logneg(PC)", "concurrence",
+                                        "concurrence_postselected(0,0)"])
+    def test_statistics_series_check_once(self, metric, trace_checks):
+        run_metric_series(WalkConfig(PATH4, STANDARD_COINS[0], self.STEPS), metric)
+        assert len(trace_checks) == 1
+
+    def test_closeness_series_checks_each_step_once(self, trace_checks):
+        run_metric_series(WalkConfig(PATH4, STANDARD_COINS[0], self.STEPS), "closeness(graph)")
+        assert len(trace_checks) == self.STEPS + 1
+
+    @pytest.mark.parametrize("block", [1024, 4], ids=["one-block", "four-blocks"])
+    def test_sweep_checks_each_step_of_its_last_block_once(self, block, trace_checks,
+                                                           monkeypatch):
+        monkeypatch.setattr(runner, "_REGISTER_BLOCK", block)
+        run_sweep(SweepSpec(CYCLE4, "graph", thetas=(0.9, math.pi / 2), phi2s=(0.4, math.pi / 2),
+                            steps=self.STEPS))
+        assert len(trace_checks) == self.STEPS + 1
 
 
 class TestSweepBlocks:

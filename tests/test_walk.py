@@ -20,7 +20,7 @@ from iqwalk import (
 import iqwalk.runner as runner
 import iqwalk.walk as walk_module
 from iqwalk.walk import MAX_SITES, _apply_step, _cz_signs, _shift_rows
-from oracles import cz_diagonal, random_pure
+from oracles import cz_diagonal, random_pure, shift_matrix
 
 
 def random_coins(count, seed=2024):
@@ -110,6 +110,15 @@ class TestShift:
         # one 1 per row and column, everything else 0
         assert np.array_equal(np.sort(np.abs(s), axis=0)[-1], np.ones(2 * n))
         assert np.count_nonzero(s) == 2 * n
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("n", range(2, MAX_SITES + 1))
+    def test_matches_the_move_by_move_oracle(self, kind, n):
+        top = GraphTopology(kind, n)
+        s, rows = build_shift(top), _shift_rows(top)
+        assert s.dtype == complex and rows.dtype == np.intp
+        assert np.array_equal(s, shift_matrix(kind, n))
+        assert np.array_equal(s, np.eye(2 * n)[rows])
 
     def test_cycle_translation_invariance(self):
         n = 5
@@ -496,3 +505,19 @@ class TestClusterMechanism:
                                                  ("graph",))[0, :, 24]
             cluster = [coins[i] for i in np.flatnonzero(closeness >= 1 - 1e-9)]
             assert cluster == ([self.COIN] if kind == "cycle" else [])
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7])
+    @pytest.mark.parametrize("kind", ["cycle", "path"])
+    def test_no_coin_decouples_at_other_sizes(self, kind, n):
+        # The grid and T of test_only_c4_decouples_on_the_grid, as one
+        # batched walk: the walker-coin purity ||G_t||_F^2, G_t = F F^dag,
+        # stays below 1 - 1e-9 at every t >= 1, so the register is never pure.
+        grid = np.arange(21) * np.pi / 20
+        coin_mats = np.stack([build_coin(CoinParams(theta, 0.0, phi2))
+                              for theta in grid[1:-1] for phi2 in grid])
+        tensors = walk_module._walk_tensors(GraphTopology(kind, n), coin_mats, 48)
+        next(tensors)
+        for tensor in tensors:
+            f = tensor.reshape(len(coin_mats), 2 * n, -1)
+            purity = np.sum(np.abs(f @ f.conj().swapaxes(-1, -2)) ** 2, axis=(-2, -1))
+            assert purity.max() < 1 - 1e-9
