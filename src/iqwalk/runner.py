@@ -145,8 +145,8 @@ def reference_density(kind: str, topology: GraphTopology) -> np.ndarray:
     return np.outer(amps, amps.conj())
 
 
-# Register columns walked together: at n = 12 a block's (2n, 1024) step
-# tensor (384 KiB) stays in cache through all T steps; n <= 10 is one block.
+# Register columns walked together: at n = 12 a block's step tensor, at
+# most 384 KiB, stays in cache through all T steps; n <= 10 is one block.
 # Every block's width must be a multiple of 4: the coin matmul rounds a
 # row's last width % 4 columns on another BLAS path, so other widths would
 # move values in the last bits with the block size.
@@ -154,10 +154,10 @@ _REGISTER_BLOCK = 1024
 
 
 def _column_walks(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
-                  initial: PureState | None) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
+                  initial: PureState | None) -> Iterator[tuple[np.ndarray, Iterator]]:
     """Per register column block [lo, lo+h) + [2**n-lo-h, 2**n-lo), 2h =
-    ``_REGISTER_BLOCK``, its columns and walk tensors at t = 0..T.  Reversing
-    a block maps each g to ~g = 2**n-1-g: sigma_y^(x n) stays in it."""
+    ``_REGISTER_BLOCK``, its columns and walk (sites, tensor)s at t = 0..T.
+    Reversing a block maps each g to ~g = 2**n-1-g: sigma_y^(x n) stays."""
     size = 2 ** topology.n
     half = max(1, _REGISTER_BLOCK // 2)
     for lo in range(0, size // 2, half):
@@ -174,8 +174,9 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
     """(T+1, 2n, 2n) stacks (G, M) of G_t = F F^dag = rho_PC(t), PSD by
     construction, and with ``with_sy`` of M_t = B^T Sy B (B = F^T), F being
     psi(t) as a (2n, 2**n) matrix: sums over column blocks, tr G_t =
-    ||psi(t)||^2 checked.  Consecutive distinct series on a config share a
-    walk; a series already served walks again, as does one needing M."""
+    ||psi(t)||^2 checked, F's unwalked rows being 0.  Consecutive distinct
+    series on a config share a walk; one served walks again, as does one
+    needing M."""
     config_walked, served, stats = _last_walk
     if config == config_walked and series not in served and (stats[1] is not None or not with_sy):
         served.add(series)
@@ -187,11 +188,14 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
     phase = _sigma_y_phase(topology.n) if with_sy else None
     for columns, tensors in _column_walks(topology, build_coin(config.coin), config.steps,
                                           config.initial):
-        for t, tensor in enumerate(tensors):
-            f = tensor.reshape(rows, -1)
-            grams[t] += f @ f.conj().T
+        for t, (sites, tensor) in enumerate(tensors):
+            f = tensor.reshape(2 * len(sites), -1)
+            # Into the walked rows' block; in place (faster) if that is all.
+            walked = (2 * sites[:, None] + [0, 1]).ravel()
+            walked = ... if len(f) == rows else (walked[:, None], walked)
+            grams[t][walked] += f @ f.conj().T
             if with_sy:
-                sy[t] += f @ (f * phase[columns])[:, ::-1].T
+                sy[t][walked] += f @ (f * phase[columns])[:, ::-1].T
     _check_trace(np.trace(grams, axis1=1, axis2=2).real)
     _last_walk[:] = config, {series}, (grams, sy)
     return _last_walk[2]
@@ -205,7 +209,7 @@ _RITZ_MIN_RESIDUAL = 1e-6
 
 def _ritz_bound(parts: list) -> tuple[np.ndarray, np.ndarray]:
     """(bound, tr rho) per member of the state rho = Y Y^dag, g = z, over
-    the rows of all ``parts``, (Y, z) pairs of (..., m, 2n) and (..., m, 1)
+    the rows of all ``parts``, (Y, z) pairs of (..., m, k) and (..., m, 1)
     arrays.  The bound is min(F - d/2, 1 - d/2 + lam + ``_RITZ_SLACK``),
     with d = tr rho - 1 = ||Y||_F^2 - 1, F = ||c||^2, c = Y^dag z, and lam
     the smaller Ritz value of A = rho - gg^dag on span{g, v}, v = rho g -
@@ -245,16 +249,18 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
     """Closeness to each target at t = 0..T of the walks of the (..., 2, 2)
     coins ``coin_mats``, as a (targets, ..., T+1) array, from one blocked
     walk.  Each (target, walk) pair is one member of a (targets, ...)
-    stack: per step, R of W = [B, g] is built for every member as
-    R <- qr([R; W_block]) in one stacked call per register block, and all
-    members are solved in one call in the last block.  A step's R is
-    dropped once it is solved, so a walk in one column block holds no
-    statistics from step to step.
+    stack: per step, R of W = [B, g] is built for every member as R <-
+    qr([R; W_block]) in one stacked call per register block, and all
+    members are solved in one call in the last block.  B's columns are the
+    walked rows of psi(t) alone: psi(t) is 0 on the others, so rho = B
+    B^dag is the same without them.  A step's R is dropped once it is
+    solved, so a walk in one column block holds no statistics from step to
+    step.
 
     ``skip_untied`` is for sweeps, which need exact values only where a step
     can tie with its walk's maximum.  The test reads the state the solve
-    factors: Y = B and z = g in one register block, Y = [R[:, :2n]; B] and
-    z = [R[:, 2n]; g] over several, R being the held factor of the earlier
+    factors: Y = B and z = g in one register block, Y = [R[:, :-1]; B] and
+    z = [R[:, -1]; g] over several, R being the held factor of the earlier
     blocks' [B, g], so [Y, z] has the Gram matrix of [B, g].  Let d =
     ||Y||_F^2 - 1 be the trace defect and l the least eigenvalue of A = rho
     - gg^dag, rho = Y Y^dag.  A is PSD minus rank one, so only l can be
@@ -299,16 +305,15 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
     block: off the bound's ||Y||_F^2 in a sweep, off R's state columns in a
     series.  A target's norm is checked by its :class:`PureState`.
     """
-    rows = 2 * topology.n
     shape = (len(targets),) + coin_mats.shape[:-2]
     # A target is pure: its factor is its (norm-checked) amplitude column,
     # here a (1, 2**n) row per target that broadcasts over the walks.
     amplitudes = np.stack([_reference_state(target, topology).amplitudes for target in targets])
     amplitudes = amplitudes.reshape(shape[:1] + (1,) * (len(shape) - 1) + (1, -1))
-    signs = np.concatenate([np.ones(rows), [-1.0]])
+    signs = np.concatenate([np.ones(2 * topology.n), [-1.0]])
     values = np.empty(shape + (steps + 1,))
     best = np.full(shape, -np.inf)
-    slack = (rows + 1) * PSD_CLIP
+    slack = len(signs) * PSD_CLIP
     # Per step, the R of the blocks walked so far.
     earlier: list = [None] * (steps + 1)
     blocks = list(_column_walks(topology, coin_mats, steps, initial))
@@ -317,7 +322,8 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
         # Contiguous, so that the matmuls of the Ritz bound take one BLAS
         # path, and round alike, whatever the number of targets.
         column = np.ascontiguousarray(amplitudes[..., columns]).swapaxes(-1, -2)
-        for t, tensor in enumerate(tensors):
+        for t, (sites, tensor) in enumerate(tensors):
+            rows = 2 * len(sites)
             register = tensor.reshape(shape[1:] + (rows, -1)).swapaxes(-1, -2)
             held, earlier[t] = earlier[t], None
             keep = ...
@@ -341,7 +347,7 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
                 continue
             if not skip_untied:
                 _check_trace(np.sum(np.abs(r[..., :rows]) ** 2, axis=(-2, -1)))
-            value = 1.0 - _trace_distance_from_r(r, signs)
+            value = 1.0 - _trace_distance_from_r(r, signs[-rows - 1:])
             values[..., t][keep] = value
             if skip_untied:
                 best[keep] = np.maximum(best[keep], value)

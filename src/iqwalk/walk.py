@@ -5,10 +5,15 @@ subsystem ordering ``(P, C, q_0, ..., q_{n-1})`` and big-endian flat
 indexing.  One walk step applies, in order: the SU(2) coin on the coin
 qubit, the conditional shift of the walker, and a controlled-Z between the
 coin and the vertex qubit at the walker's new position.
+
+The walker hops one site per step, so on an even cycle, from a start on
+one sublattice, it occupies one sublattice at every step, and the walk
+steps only those (site, coin) rows; see :func:`_occupancy_plan`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -18,7 +23,8 @@ import numpy as np
 from .linalg import SubsystemShape, reduced_density
 
 # Ceiling on the site count for dense simulation; at n = 12 one walk state
-# holds 98304 amplitudes (1.5 MiB), and `evolve` and `trajectory` hold one
+# holds 98304 amplitudes (1.5 MiB), of which the walk steps the half on one
+# sublattice of an even cycle, and `evolve` and `trajectory` hold one full
 # state at a time.
 MAX_SITES = 12
 
@@ -117,19 +123,28 @@ class WalkConfig:
                              f"Hilbert space {walk_shape(self.topology).dims}")
 
 
-def _standard_start(n: int, width: int) -> np.ndarray:
-    """|0>_P |0>_C (x) |+>^(n) on ``width`` of its register columns, as an
-    (n, 2, width) tensor: each column is 2**(-n/2) in row (p, c) = (0, 0)."""
-    start = np.zeros((n, 2, width), dtype=complex)
+def _standard_start(n: int, width: int, sites: int) -> np.ndarray:
+    """|0>_P |0>_C (x) |+>^(n) on ``width`` of its register columns and the
+    first ``sites`` sites, as a (sites, 2, width) tensor: each column is
+    2**(-n/2) in row (p, c) = (0, 0)."""
+    start = np.zeros((sites, 2, width), dtype=complex)
     start[0, 0] = 2.0 ** (-n / 2)
     return start
+
+
+def _full_rows(sites, tensor: np.ndarray, n: int) -> np.ndarray:
+    """The (..., n, 2, width) tensor that is the (..., len(sites), 2, width)
+    ``tensor`` on ``sites`` and 0 on every other site."""
+    full = np.zeros(tensor.shape[:-3] + (n,) + tensor.shape[-2:], dtype=complex)
+    full[..., sites, :, :] = tensor
+    return full
 
 
 def standard_initial_state(topology: GraphTopology) -> PureState:
     """|0>_P |0>_C (x) |+>^(n): walker at site 0, coin 0, all vertex qubits
     in the +1 eigenstate of sigma_x."""
     n = topology.n
-    return PureState(_standard_start(n, 2 ** n).reshape(-1), walk_shape(topology))
+    return PureState(_standard_start(n, 2 ** n, n).reshape(-1), walk_shape(topology))
 
 
 def build_coin(coin: CoinParams) -> np.ndarray:
@@ -189,26 +204,71 @@ def _shift_rows(topology: GraphTopology) -> np.ndarray:
 def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray,
                 cz_signs: np.ndarray) -> np.ndarray:
     """Apply the one-step propagator U = CZ . (S (x) 1_G) . (1_P (x) C (x) 1_G)
-    to the state tensor of shape (..., n, 2, 2**n), factor by factor, into a
-    fresh array.
+    to the state tensor of shape (..., k, 2, width) on k sites' rows, factor
+    by factor, into a fresh array.
 
     Leading axes are a batch of walks, each with its own coin from the
     matching (..., 2, 2) stack ``coin_mat``.  The coin is one batched
-    ``matmul`` over the sites, the shift is the row gather
-    :func:`_shift_rows`, and the CZ flips signs of the result's ``float64``
-    view in place with the table :func:`_cz_signs`.
+    ``matmul`` over the sites, the shift is the row gather ``shift_rows``
+    (:func:`_shift_rows` on all sites), and the CZ flips signs of the
+    result's ``float64`` view in place with the table ``cz_signs``
+    (:func:`_cz_signs` on all sites).
     """
-    *batch, n, _, g_dim = tensor.shape
+    *batch, _, _, g_dim = tensor.shape
     t = np.matmul(coin_mat[..., None, :, :], tensor)
-    t = np.take(t.reshape(*batch, 2 * n, g_dim), shift_rows, axis=-2)
+    t = np.take(t.reshape(*batch, -1, g_dim), shift_rows, axis=-2)
     t.view(np.float64)[...] *= cz_signs
-    return t.reshape(*batch, n, 2, g_dim)
+    return t.reshape(*batch, -1, 2, g_dim)
+
+
+@functools.lru_cache(maxsize=64)
+def _occupancy_plan(topology: GraphTopology, start: tuple[int, ...]) -> tuple[tuple, int]:
+    """The walk's occupancy plan from the sites ``start``: the sites S_t the
+    walker can occupy at t = 0..m-1, up to the first repeat S_m = S_loop,
+    as (S_t, rows_t, dead_t), and loop.  The rows of every other site are
+    exactly 0.  rows_t gathers the rows of S_{t+1} from those of S_t, and
+    dead_t marks those whose source site is not in S_t (None if there are
+    none): they are 0 too.  From one site, the walker on an even cycle
+    occupies one sublattice at every step.  A walker that comes to occupy
+    every site, as on the path and odd cycles, is planned on every site
+    from t = 0: its light cone's narrower steps saved no time, and their
+    changing array sizes cost the path memory.  The plan is cached, so its
+    arrays are read-only.
+    """
+    n = topology.n
+    source = _shift_rows(topology).reshape(n, 2)
+    occupied = np.isin(np.arange(n), start)
+    seen: dict = {}
+    site_sets = []
+    while occupied.tobytes() not in seen:
+        seen[occupied.tobytes()] = len(site_sets)
+        site_sets.append(np.flatnonzero(occupied))
+        occupied = occupied[source // 2].any(axis=1)
+    loop = seen[occupied.tobytes()]
+    if len(site_sets[loop]) == n > len(site_sets[0]):
+        return _occupancy_plan(topology, tuple(range(n)))
+    plan = []
+    for t, sites in enumerate(site_sets):
+        after = source[site_sets[t + 1] if t + 1 < len(site_sets) else site_sets[loop]]
+        position = np.full(n, -1)
+        position[sites] = np.arange(len(sites))
+        rows = 2 * position[after // 2] + after % 2
+        entry = (sites, np.where(rows >= 0, rows, 0).reshape(-1), rows < 0)
+        for array in entry:
+            array.flags.writeable = False
+        plan.append(entry if entry[2].any() else entry[:2] + (None,))
+    return tuple(plan), loop
 
 
 def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
                   initial: PureState | None = None, *,
-                  columns: slice | np.ndarray = slice(None)) -> Iterator[np.ndarray]:
-    """Yield the state tensor of shape (..., n, 2, 2**n) at t = 0..steps.
+                  columns: slice | np.ndarray = slice(None)
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, at t = 0..steps, the sites S_t of :func:`_occupancy_plan` and
+    the state tensor on their rows, (..., len(S_t), 2, 2**n); the state is 0
+    on every other row (see :func:`_full_rows`).  From the standard start,
+    S_t on an even cycle is one sublattice, n/2 sites from t = n/2 - 1 on;
+    on the path and odd cycles it is every site.
 
     Leading axes batch walks, one per coin of the (..., 2, 2) stack
     ``coin_mats``, all started from ``initial`` (``None`` selects
@@ -217,21 +277,42 @@ def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
 
     The CZ is diagonal in the register basis, so each register column g
     evolves on its own: ``columns``, a slice or index array, walks only those
-    columns of the last axis, and the tensors are (..., n, 2, len(columns)).
-    The sign table and the standard start are built for those columns alone.
+    columns of the last axis, and the tensors are (..., len(S_t), 2,
+    len(columns)).  The sign table and the standard start are built for
+    those columns alone.  A step's table is a slice of it where S_{t+1} is
+    a run of sites, else a copy, and the plan's repeating steps keep
+    theirs.  The rows whose source site is not in S_t, at the edge of the
+    light cone, are gathered from any row and then set to 0: building a
+    table with zeros there would copy the signs at every such step.
     """
     n = topology.n
-    shift_rows = _shift_rows(topology)
-    cz_signs = _cz_signs(topology, columns)
+    cz_signs = _cz_signs(topology, columns).reshape(n, 2, -1)
     if initial is None:
-        start = _standard_start(n, cz_signs.shape[1] // 2)
+        plan, loop = _occupancy_plan(topology, (0,))
+        start = _standard_start(n, cz_signs.shape[-1] // 2, len(plan[0][0]))
     else:
-        start = initial.amplitudes.reshape(n, 2, -1)[..., columns]
+        amplitudes = initial.amplitudes.reshape(n, 2, -1)
+        plan, loop = _occupancy_plan(topology, tuple(np.flatnonzero(amplitudes.any(axis=(1, 2)))))
+        start = amplitudes[plan[0][0]][..., columns]
     tensor = np.broadcast_to(start, coin_mats.shape[:-2] + start.shape)
-    yield tensor
+    yield plan[0][0], tensor
+    i, kept = 0, {}
     for _ in range(steps):
-        tensor = _apply_step(tensor, coin_mats, shift_rows, cz_signs)
-        yield tensor
+        _, rows, dead = plan[i]
+        after = i + 1 if i + 1 < len(plan) else loop
+        sites = plan[after][0]
+        signs = kept.get(i)
+        if signs is None:
+            lo, hi = sites[0], sites[-1] + 1
+            signs = cz_signs[lo:hi] if hi - lo == len(sites) else cz_signs[sites]
+            signs = signs.reshape(2 * len(sites), -1)
+            if i >= loop:
+                kept[i] = signs
+        tensor = _apply_step(tensor, coin_mats, rows, signs)
+        if dead is not None:
+            tensor[..., dead, :] = 0.0
+        i = after
+        yield sites, tensor
 
 
 def trajectory(config: WalkConfig) -> Iterator[PureState]:
@@ -240,10 +321,11 @@ def trajectory(config: WalkConfig) -> Iterator[PureState]:
     Only the current state is held; a caller that needs the whole
     trajectory keeps it, e.g. with ``list(trajectory(config))``.
     """
+    n = config.topology.n
     shape = walk_shape(config.topology)
-    for tensor in _walk_tensors(config.topology, build_coin(config.coin),
-                                config.steps, config.initial):
-        yield PureState(tensor.reshape(-1), shape)
+    for sites, tensor in _walk_tensors(config.topology, build_coin(config.coin),
+                                       config.steps, config.initial):
+        yield PureState(_full_rows(sites, tensor, n).reshape(-1), shape)
 
 
 def evolve(config: WalkConfig) -> PureState:
@@ -252,7 +334,8 @@ def evolve(config: WalkConfig) -> PureState:
     Applies the step operator to the state vector factor by factor (coin,
     shift, CZ) rather than ever forming its ``t``-th power.
     """
-    for tensor in _walk_tensors(config.topology, build_coin(config.coin),
-                                config.steps, config.initial):
+    for sites, tensor in _walk_tensors(config.topology, build_coin(config.coin),
+                                       config.steps, config.initial):
         pass
-    return PureState(tensor.reshape(-1), walk_shape(config.topology))
+    return PureState(_full_rows(sites, tensor, config.topology.n).reshape(-1),
+                     walk_shape(config.topology))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iqwalk import build_coin
+from iqwalk import build_coin, standard_initial_state
 from iqwalk.walk import _apply_step, _cz_signs, _shift_rows
 
 # Basis columns pushed through the kernel per batched call.
@@ -27,3 +27,23 @@ def dense_step():
         return u
 
     return build
+
+
+@pytest.fixture
+def full_row_walk():
+    """The walk on all 2n (site, coin) rows at every step, with the
+    signature and the (sites, tensor) yield of ``walk._walk_tensors``: the
+    reference that the walk on the occupied rows must match."""
+
+    def walk(topology, coin_mats, steps, initial=None, *, columns=slice(None)):
+        n = topology.n
+        start = standard_initial_state(topology) if initial is None else initial
+        start = start.amplitudes.reshape(n, 2, -1)[..., columns]
+        tensor = np.broadcast_to(start, coin_mats.shape[:-2] + start.shape)
+        shift_rows, signs = _shift_rows(topology), _cz_signs(topology, columns)
+        yield np.arange(n), tensor
+        for _ in range(steps):
+            tensor = _apply_step(tensor, coin_mats, shift_rows, signs)
+            yield np.arange(n), tensor
+
+    return walk

@@ -905,7 +905,7 @@ class TestUntiedSkip:
         for e in eps:
             b = np.zeros((16, 8), dtype=complex)
             b[:, 0], b[:, 1] = (1 - e) ** 0.5 * g, e ** 0.5 * h
-            tensors.append(b.T.reshape(1, 4, 2, 16))
+            tensors.append((np.arange(4), b.T.reshape(1, 4, 2, 16)))
         monkeypatch.setattr(runner, "_column_walks",
                             lambda *args: iter([(np.arange(16), iter(tensors))]))
         coin_mats = np.eye(2)[None]
@@ -924,7 +924,7 @@ class TestUntiedSkip:
         g = runner._reference_state(target, CYCLE4).amplitudes
         b = np.zeros((16, 8), dtype=complex)
         b[:, 0] = (1 - 8e-11) ** 0.5 * g
-        tensors = [b.T.reshape(1, 4, 2, 16)] * 2
+        tensors = [(np.arange(4), b.T.reshape(1, 4, 2, 16))] * 2
         monkeypatch.setattr(runner, "_column_walks",
                             lambda *args: iter([(np.arange(16), iter(tensors))]))
         coin_mats = np.eye(2)[None]
@@ -1067,11 +1067,11 @@ class TestUntiedSkip:
         original = runner._column_walks
 
         def off_norm(tensors):
-            for t, tensor in enumerate(tensors):
+            for t, (sites, tensor) in enumerate(tensors):
                 if t == step:
                     tensor = tensor.copy()
                     tensor[coin] *= 1 + 1e-6
-                yield tensor
+                yield sites, tensor
 
         def walks(*args):
             for columns, tensors in original(*args):
@@ -1118,6 +1118,79 @@ class TestTraceCheckedOnce:
         run_sweep(SweepSpec(CYCLE4, "graph", thetas=(0.9, math.pi / 2), phi2s=(0.4, math.pi / 2),
                             steps=self.STEPS))
         assert len(trace_checks) == self.STEPS + 1
+
+
+class TestOccupiedRows:
+    """The walk steps only the rows its walker occupies; every statistic,
+    series and sweep value is within 1e-13 of the walk on all 2n rows,
+    ``full_row_walk`` patched in as ``runner._walk_tensors``."""
+
+    GRAPHS = [GraphTopology("cycle", 4), GraphTopology("cycle", 5), GraphTopology("cycle", 6),
+              GraphTopology("path", 6)]
+    STEPS = 30
+    METRICS = ("entropy(G)", "entropy(P)", "entropy(C)", "logneg(PC)", "concurrence",
+               "concurrence_postselected(0,0)", "concurrence_postselected(pi/2,0)",
+               "closeness(graph)", "closeness(ghz)", "closeness(w)")
+
+    @staticmethod
+    def initial(topology, start):
+        """None, or a random state on sites 1 and 3: one sublattice of an
+        even cycle, and a light cone from two sites elsewhere."""
+        if start == "standard":
+            return None
+        n = topology.n
+        amplitudes = np.zeros((n, 2, 2 ** n), dtype=complex)
+        amplitudes[[1, 3]] = random_pure(4 * 2 ** n, np.random.default_rng(n)).reshape(2, 2, -1)
+        return PureState(amplitudes.reshape(-1), walk_shape(topology))
+
+    @staticmethod
+    def both_ways(compute, monkeypatch, full_row_walk):
+        """``compute()`` on the occupied rows, then on all rows, each from
+        an empty memo of the last walk."""
+        runner._last_walk[:] = [None, set(), None]
+        occupied = compute()
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_walk_tensors", full_row_walk)
+            runner._last_walk[:] = [None, set(), None]
+            full = compute()
+        return occupied, full
+
+    @pytest.mark.parametrize("start", ["standard", "explicit"])
+    @pytest.mark.parametrize("topology", GRAPHS, ids=lambda top: f"{top.kind}{top.n}")
+    def test_statistics_stacks(self, topology, start, monkeypatch, full_row_walk, fresh_memo):
+        config = WalkConfig(topology, STANDARD_COINS[1], self.STEPS, self.initial(topology, start))
+        (grams, sy), (full_grams, full_sy) = self.both_ways(
+            lambda: runner._statistics(config, "concurrence", with_sy=True),
+            monkeypatch, full_row_walk)
+        assert np.abs(grams - full_grams).max() <= 1e-13
+        assert np.abs(sy - full_sy).max() <= 1e-13
+
+    @pytest.mark.parametrize("start", ["standard", "explicit"])
+    @pytest.mark.parametrize("topology", GRAPHS, ids=lambda top: f"{top.kind}{top.n}")
+    def test_every_series(self, topology, start, monkeypatch, full_row_walk, fresh_memo):
+        config = WalkConfig(topology, STANDARD_COINS[2], self.STEPS, self.initial(topology, start))
+        for metric in self.METRICS:
+            occupied, full = self.both_ways(lambda: run_metric_series(config, metric).values,
+                                            monkeypatch, full_row_walk)
+            assert np.abs(np.subtract(occupied, full)).max() <= 1e-13, metric
+
+    @pytest.mark.parametrize("blocks", [1, 4])
+    @pytest.mark.parametrize("start", ["standard", "explicit"])
+    @pytest.mark.parametrize("topology", GRAPHS, ids=lambda top: f"{top.kind}{top.n}")
+    def test_skipped_sweep_block(self, topology, start, blocks, monkeypatch, full_row_walk,
+                                 fresh_memo):
+        # A (5, 5) coin batch and every target, as a sweep solves them.
+        monkeypatch.setattr(runner, "_REGISTER_BLOCK", 2 ** topology.n // blocks)
+        grid = [k * math.pi / 4 for k in range(5)]
+        coin_mats = np.stack([[build_coin(CoinParams(theta, 0.0, phi2)) for phi2 in grid]
+                              for theta in grid])
+        initial = self.initial(topology, start)
+        occupied, full = self.both_ways(
+            lambda: runner._closeness_values(topology, coin_mats, self.STEPS, initial,
+                                             runner.TARGET_KINDS, skip_untied=True),
+            monkeypatch, full_row_walk)
+        assert occupied.shape == (3, 5, 5, self.STEPS + 1)
+        assert np.abs(occupied - full).max() <= 1e-13
 
 
 class TestSweepBlocks:

@@ -19,7 +19,7 @@ from iqwalk import (
 )
 import iqwalk.runner as runner
 import iqwalk.walk as walk_module
-from iqwalk.walk import MAX_SITES, _apply_step, _cz_signs, _shift_rows
+from iqwalk.walk import MAX_SITES, _apply_step, _cz_signs, _full_rows, _shift_rows
 from oracles import cz_diagonal, random_pure, shift_matrix
 
 
@@ -376,15 +376,17 @@ class TestColumnBlocks:
         stack = np.stack([build_coin(c) for c in random_coins(6)]).reshape(2, 3, 2, 2)
         table = _cz_signs(top).reshape(2 * n, -1, 2)
         for coin_mats in (stack[0, 0], stack):
-            full = list(walk_module._walk_tensors(top, coin_mats, 8, initial))
+            full = [_full_rows(sites, tensor, n) for sites, tensor in
+                    walk_module._walk_tensors(top, coin_mats, 8, initial)]
             blocks = [columns for columns, _ in runner._column_walks(top, coin_mats, 8, initial)]
             assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(2 ** n))
             strided = slice(1, None, register_block // 2)
             for columns in blocks + [strided]:
                 signs = _cz_signs(top, columns)
                 assert np.array_equal(signs, table[:, columns].reshape(2 * n, -1))
-                walked = list(walk_module._walk_tensors(top, coin_mats, 8, initial,
-                                                        columns=columns))
+                walked = [_full_rows(sites, tensor, n) for sites, tensor in
+                          walk_module._walk_tensors(top, coin_mats, 8, initial,
+                                                    columns=columns)]
                 assert len(walked) == len(full) == 9
                 assert np.array_equal(walked[0], full[0][..., columns])
                 bitwise = signs.shape[1] // 2 % 4 == 0
@@ -403,6 +405,82 @@ class TestColumnBlocks:
                   runner._column_walks(top, build_coin(CoinParams(0.3)), 1, None)]
         assert sum(widths) == 2 ** n
         assert all(width % 4 == 0 for width in widths)
+
+
+class TestOccupancyPlan:
+    """The walk steps only the (site, coin) rows of the sites its plan
+    names; the full-row walk is exactly 0 on every other row."""
+
+    @staticmethod
+    def support(topology, tensor):
+        """Sites of ``tensor`` (n, 2, width) with a nonzero amplitude."""
+        return np.flatnonzero(np.abs(tensor).reshape(topology.n, -1).max(axis=1))
+
+    @staticmethod
+    def reachable(topology, steps, start):
+        """Sites the walker can reach at t = 0..steps from ``start``, one
+        move of oracles.shift_matrix at a time."""
+        shift = shift_matrix(topology.kind, topology.n) != 0
+        rows = np.zeros(2 * topology.n, dtype=bool)
+        rows[2 * np.asarray(start)] = rows[2 * np.asarray(start) + 1] = True
+        sites = []
+        for _ in range(steps + 1):
+            occupied = rows.reshape(-1, 2).any(axis=1)
+            sites.append(np.flatnonzero(occupied))
+            rows = shift @ np.repeat(occupied, 2) > 0
+        return sites
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("n", range(2, MAX_SITES + 1))
+    def test_rows_outside_the_plan_are_zero(self, kind, n, full_row_walk):
+        # From the standard start with a generic coin: the full-row walk is
+        # nonzero on exactly the sites shift_matrix reaches; the plan is
+        # those sites on an even cycle and every site elsewhere, where the
+        # walker comes to cover the graph; and the walk on the planned
+        # rows is the full-row walk bitwise.
+        top = GraphTopology(kind, n)
+        coin = build_coin(CoinParams(0.7, 0.3, 1.1))
+        steps = 2 * n + 2
+        walked = list(walk_module._walk_tensors(top, coin, steps))
+        full = [tensor for _, tensor in full_row_walk(top, coin, steps)]
+        reachable = self.reachable(top, steps, [0])
+        sublattice = kind == "cycle" and n % 2 == 0
+        for t, ((sites, tensor), whole) in enumerate(zip(walked, full)):
+            assert np.array_equal(self.support(top, whole), reachable[t]), t
+            assert np.array_equal(sites, reachable[t] if sublattice else np.arange(n)), t
+            assert np.array_equal(_full_rows(sites, tensor, n), whole), t
+
+    def test_even_cycle_walks_one_sublattice(self):
+        walked = walk_module._walk_tensors(GraphTopology("cycle", 12), build_coin(CoinParams(0.7)),
+                                           26, columns=slice(0, 4))
+        sizes = [len(sites) for sites, _ in walked]
+        assert sizes[:6] == [1, 2, 3, 4, 5, 6]
+        assert all(size == 6 for size in sizes[6:])
+
+    def test_path_walks_every_site(self):
+        # The path's walker covers all 12 sites from t = 11 on, so the plan
+        # holds every site from the start.
+        top = GraphTopology("path", 12)
+        assert [len(sites) for sites in self.reachable(top, 26, [0])][10:12] == [11, 12]
+        walked = walk_module._walk_tensors(top, build_coin(CoinParams(0.7)), 26,
+                                           columns=slice(0, 4))
+        assert all(sites.tolist() == list(range(12)) for sites, _ in walked)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_initial_on_both_parities_gets_every_site(self, kind, full_row_walk):
+        # Sites 0 and 3 of C_6 or L_6: the two sublattices together reach
+        # every site, and the walk still equals the full-row walk.
+        top = GraphTopology(kind, 6)
+        amplitudes = np.zeros((6, 2, 2 ** 6), dtype=complex)
+        amplitudes[[0, 3]] = random_pure(2 * 2 * 2 ** 6, np.random.default_rng(6)).reshape(2, 2, -1)
+        initial = PureState(amplitudes.reshape(-1), walk_shape(top))
+        coin = build_coin(CoinParams(0.7, 0.3, 1.1))
+        walked = list(walk_module._walk_tensors(top, coin, 14, initial))
+        full = [tensor for _, tensor in full_row_walk(top, coin, 14, initial)]
+        assert [len(sites) for sites in self.reachable(top, 14, [0, 3])][3:] == [6] * 12
+        for (sites, tensor), whole in zip(walked, full):
+            assert sites.tolist() == list(range(6))
+            assert np.array_equal(_full_rows(sites, tensor, 6), whole)
 
 
 class TestWalkConfig:
@@ -517,7 +595,7 @@ class TestClusterMechanism:
                               for theta in grid[1:-1] for phi2 in grid])
         tensors = walk_module._walk_tensors(GraphTopology(kind, n), coin_mats, 48)
         next(tensors)
-        for tensor in tensors:
-            f = tensor.reshape(len(coin_mats), 2 * n, -1)
+        for sites, tensor in tensors:
+            f = _full_rows(sites, tensor, n).reshape(len(coin_mats), 2 * n, -1)
             purity = np.sum(np.abs(f @ f.conj().swapaxes(-1, -2)) ** 2, axis=(-2, -1))
             assert purity.max() < 1 - 1e-9
