@@ -33,6 +33,7 @@ from .walk import (
     PureState,
     WalkConfig,
     _walk_tensors,
+    _walked_sites,
     build_coin,
 )
 
@@ -485,20 +486,26 @@ class SweepResult:
 
 
 # Complex entries of the largest step array a sweep block may walk: 32
-# coins of an n = MAX_SITES walk in full register column blocks (12 MiB).
+# coins of an n = MAX_SITES walk on every site, in full register column
+# blocks (12 MiB).
 _SWEEP_STEP_ENTRIES = 32 * 2 * MAX_SITES * _REGISTER_BLOCK
 
 
-def _sweep_blocks(coin_count: int, n: int, steps: int, targets: int, workers: int) -> list[slice]:
+def _sweep_blocks(coin_count: int, topology: GraphTopology, steps: int, targets: int,
+                  workers: int) -> list[slice]:
     """The coin ranges a sweep walks as one block each: every worker's
     contiguous share of the grid, ceil(K / ``workers``) coins, cut further
-    only where a block's (coins, 2n, columns) step array, or the (T+1) x
-    ``targets`` R's of (2n+1)^2 entries per coin that several register
+    only where a block's (coins, 2|S|, columns) step array, or the (T+1) x
+    ``targets`` R's of (2|S|+1)^2 entries per coin that several register
     column blocks hold (see :func:`_closeness_values`), would have more
-    than ``_SWEEP_STEP_ENTRIES`` entries.  An n = 4 grid is one block per
-    worker; n = 12 at T = 24 with one target keeps blocks of 32 coins."""
-    held = (steps + 1) * targets * (2 * n + 1) ** 2 if 2 ** n > _REGISTER_BLOCK else 0
-    per_coin = max(2 * n * min(2 ** n, _REGISTER_BLOCK), held)
+    than ``_SWEEP_STEP_ENTRIES`` entries, S being the sites walked at a
+    step (see :func:`_walked_sites`).  An n = 4 grid is one block per
+    worker; C_12 at T = 24 with one target keeps blocks of 64 coins, L_12
+    of 32."""
+    n = topology.n
+    rows = 2 * n // len(_walked_sites(topology, None))
+    held = (steps + 1) * targets * (rows + 1) ** 2 if 2 ** n > _REGISTER_BLOCK else 0
+    per_coin = max(rows * min(2 ** n, _REGISTER_BLOCK), held)
     size = max(1, min(-(-coin_count // workers), _SWEEP_STEP_ENTRIES // per_coin))
     return [slice(lo, lo + size) for lo in range(0, coin_count, size)]
 
@@ -515,7 +522,7 @@ def _sweep_results(topology: GraphTopology, targets: tuple[str, ...], coins: lis
     workers = _check_jobs(jobs)
     coin_mats = np.stack([build_coin(coin) for coin in coins])
     coin_blocks = [coin_mats[block] for block in
-                   _sweep_blocks(len(coins), topology.n, steps, len(targets), workers)]
+                   _sweep_blocks(len(coins), topology, steps, len(targets), workers)]
     block_values = functools.partial(_closeness_values, topology, steps=steps, initial=None,
                                      targets=targets, skip_untied=True)
     workers = min(workers, len(coin_blocks))
@@ -599,7 +606,7 @@ def run_sweep(spec: SweepSpec, *, jobs: int = 1) -> SweepResult:
     smallest (theta, phi1, phi2).  The result is independent of evaluation
     order.  Coins are evolved and scored as blocks of stacked states, one
     block per worker's share of the grid, cut where a block would hold more
-    than the step array of 32 coins at n = 12 (see :func:`_sweep_blocks`);
+    than the step array of 32 coins of L_12 (see :func:`_sweep_blocks`);
     ``jobs`` worker processes share the blocks, at most one per usable CPU
     and one per block, each with one OpenBLAS thread.
 

@@ -7,13 +7,13 @@ qubit, the conditional shift of the walker, and a controlled-Z between the
 coin and the vertex qubit at the walker's new position.
 
 The walker hops one site per step, so on an even cycle, from a start on
-one sublattice, it occupies one sublattice at every step, and the walk
-steps only those (site, coin) rows; see :func:`_occupancy_plan`.
+the sites of one parity s0, it is on the sites of parity (s0 + t) mod 2
+at step t, and the walk steps only their (site, coin) rows; see
+:func:`_walked_sites`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -23,9 +23,9 @@ import numpy as np
 from .linalg import SubsystemShape, reduced_density
 
 # Ceiling on the site count for dense simulation; at n = 12 one walk state
-# holds 98304 amplitudes (1.5 MiB), of which the walk steps the half on one
-# sublattice of an even cycle, and `evolve` and `trajectory` hold one full
-# state at a time.
+# holds 98304 amplitudes (1.5 MiB).  On an even cycle the walk steps the
+# half on one sublattice at every step, and `evolve` and `trajectory` hold
+# one full state at a time.
 MAX_SITES = 12
 
 GRAPH_KINDS = ("path", "cycle")
@@ -211,64 +211,41 @@ def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray
     matching (..., 2, 2) stack ``coin_mat``.  The coin is one batched
     ``matmul`` over the sites, the shift is the row gather ``shift_rows``
     (:func:`_shift_rows` on all sites), and the CZ flips signs of the
-    result's ``float64`` view in place with the table ``cz_signs``
-    (:func:`_cz_signs` on all sites).
+    result's ``float64`` view, reshaped to the shape of the table
+    ``cz_signs`` (:func:`_cz_signs` on all sites), in place.
     """
     *batch, _, _, g_dim = tensor.shape
     t = np.matmul(coin_mat[..., None, :, :], tensor)
     t = np.take(t.reshape(*batch, -1, g_dim), shift_rows, axis=-2)
-    t.view(np.float64)[...] *= cz_signs
+    t.view(np.float64).reshape(*batch, *cz_signs.shape)[...] *= cz_signs
     return t.reshape(*batch, -1, 2, g_dim)
 
 
-@functools.lru_cache(maxsize=64)
-def _occupancy_plan(topology: GraphTopology, start: tuple[int, ...]) -> tuple[tuple, int]:
-    """The walk's occupancy plan from the sites ``start``: the sites S_t the
-    walker can occupy at t = 0..m-1, up to the first repeat S_m = S_loop,
-    as (S_t, rows_t, dead_t), and loop.  The rows of every other site are
-    exactly 0.  rows_t gathers the rows of S_{t+1} from those of S_t, and
-    dead_t marks those whose source site is not in S_t (None if there are
-    none): they are 0 too.  From one site, the walker on an even cycle
-    occupies one sublattice at every step.  A walker that comes to occupy
-    every site, as on the path and odd cycles, is planned on every site
-    from t = 0: its light cone's narrower steps saved no time, and their
-    changing array sizes cost the path memory.  The plan is cached, so its
-    arrays are read-only.
-    """
+def _walked_sites(topology: GraphTopology, initial: PureState | None) -> tuple[slice, ...]:
+    """The sites S_t that the walk steps, S_t being entry t mod k of the k
+    returned.  The walker hops one site per step, so on an even cycle,
+    from a start on the sites of one parity s0, S_t is the sites of parity
+    (s0 + t) mod 2; in every other case it is every site.  The state is
+    exactly 0 on every other site."""
     n = topology.n
-    source = _shift_rows(topology).reshape(n, 2)
-    occupied = np.isin(np.arange(n), start)
-    seen: dict = {}
-    site_sets = []
-    while occupied.tobytes() not in seen:
-        seen[occupied.tobytes()] = len(site_sets)
-        site_sets.append(np.flatnonzero(occupied))
-        occupied = occupied[source // 2].any(axis=1)
-    loop = seen[occupied.tobytes()]
-    if len(site_sets[loop]) == n > len(site_sets[0]):
-        return _occupancy_plan(topology, tuple(range(n)))
-    plan = []
-    for t, sites in enumerate(site_sets):
-        after = source[site_sets[t + 1] if t + 1 < len(site_sets) else site_sets[loop]]
-        position = np.full(n, -1)
-        position[sites] = np.arange(len(sites))
-        rows = 2 * position[after // 2] + after % 2
-        entry = (sites, np.where(rows >= 0, rows, 0).reshape(-1), rows < 0)
-        for array in entry:
-            array.flags.writeable = False
-        plan.append(entry if entry[2].any() else entry[:2] + (None,))
-    return tuple(plan), loop
+    if topology.kind == "cycle" and n % 2 == 0:
+        parities = {0} if initial is None else set(
+            (np.flatnonzero(initial.amplitudes.reshape(n, -1).any(axis=1)) % 2).tolist())
+        if len(parities) == 1:
+            s0, = parities
+            return slice(s0, None, 2), slice(1 - s0, None, 2)
+    return (slice(None),)
 
 
 def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
                   initial: PureState | None = None, *,
                   columns: slice | np.ndarray = slice(None)
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield, at t = 0..steps, the sites S_t of :func:`_occupancy_plan` and
+    """Yield, at t = 0..steps, the sites S_t of :func:`_walked_sites` and
     the state tensor on their rows, (..., len(S_t), 2, 2**n); the state is 0
-    on every other row (see :func:`_full_rows`).  From the standard start,
-    S_t on an even cycle is one sublattice, n/2 sites from t = n/2 - 1 on;
-    on the path and odd cycles it is every site.
+    on every other row (see :func:`_full_rows`).  From the standard start
+    S_t on an even cycle is one sublattice, n/2 sites; on the path and odd
+    cycles it is every site.
 
     Leading axes batch walks, one per coin of the (..., 2, 2) stack
     ``coin_mats``, all started from ``initial`` (``None`` selects
@@ -279,40 +256,27 @@ def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
     evolves on its own: ``columns``, a slice or index array, walks only those
     columns of the last axis, and the tensors are (..., len(S_t), 2,
     len(columns)).  The sign table and the standard start are built for
-    those columns alone.  A step's table is a slice of it where S_{t+1} is
-    a run of sites, else a copy, and the plan's repeating steps keep
-    theirs.  The rows whose source site is not in S_t, at the edge of the
-    light cone, are gathered from any row and then set to 0: building a
-    table with zeros there would copy the signs at every such step.
+    those columns alone, and a sublattice's table is a strided view of it.
     """
     n = topology.n
     cz_signs = _cz_signs(topology, columns).reshape(n, 2, -1)
+    walked = _walked_sites(topology, initial)
+    sites = [np.arange(n)[part] for part in walked]
+    # Row p*2 + c of the whole state, p in S_t, is row (p // k)*2 + c of
+    # S_t's, k = len(walked).
+    source = _shift_rows(topology).reshape(n, 2)
+    rows = [(source[part] // (2 * len(walked)) * 2 + source[part] % 2).reshape(-1)
+            for part in walked]
     if initial is None:
-        plan, loop = _occupancy_plan(topology, (0,))
-        start = _standard_start(n, cz_signs.shape[-1] // 2, len(plan[0][0]))
+        start = _standard_start(n, cz_signs.shape[-1] // 2, len(sites[0]))
     else:
-        amplitudes = initial.amplitudes.reshape(n, 2, -1)
-        plan, loop = _occupancy_plan(topology, tuple(np.flatnonzero(amplitudes.any(axis=(1, 2)))))
-        start = amplitudes[plan[0][0]][..., columns]
+        start = initial.amplitudes.reshape(n, 2, -1)[walked[0]][..., columns]
     tensor = np.broadcast_to(start, coin_mats.shape[:-2] + start.shape)
-    yield plan[0][0], tensor
-    i, kept = 0, {}
-    for _ in range(steps):
-        _, rows, dead = plan[i]
-        after = i + 1 if i + 1 < len(plan) else loop
-        sites = plan[after][0]
-        signs = kept.get(i)
-        if signs is None:
-            lo, hi = sites[0], sites[-1] + 1
-            signs = cz_signs[lo:hi] if hi - lo == len(sites) else cz_signs[sites]
-            signs = signs.reshape(2 * len(sites), -1)
-            if i >= loop:
-                kept[i] = signs
-        tensor = _apply_step(tensor, coin_mats, rows, signs)
-        if dead is not None:
-            tensor[..., dead, :] = 0.0
-        i = after
-        yield sites, tensor
+    yield sites[0], tensor
+    for t in range(1, steps + 1):
+        i = t % len(walked)
+        tensor = _apply_step(tensor, coin_mats, rows[i], cz_signs[walked[i]])
+        yield sites[i], tensor
 
 
 def trajectory(config: WalkConfig) -> Iterator[PureState]:

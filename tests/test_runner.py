@@ -508,13 +508,21 @@ def assert_sweep_matches_per_coin_series(spec, result):
         assert abs(value - values[want_t]) < 1e-12
 
 
-def sweep_blocks_of(coins, n, steps, targets, monkeypatch):
-    """Cap a sweep block at ``coins`` coins of an n-site walk of T = ``steps``
-    with ``targets`` targets: its step array, or over several register
-    column blocks the R's it holds."""
-    per_coin = 2 * n * min(2 ** n, runner._REGISTER_BLOCK)
+def walked_rows(topology):
+    """The (site, coin) rows a step walks: one sublattice's on an even
+    cycle, every site's elsewhere."""
+    n = topology.n
+    return n if topology.kind == "cycle" and n % 2 == 0 else 2 * n
+
+
+def sweep_blocks_of(coins, topology, steps, targets, monkeypatch):
+    """Cap a sweep block at ``coins`` coins of a walk on ``topology`` of T =
+    ``steps`` with ``targets`` targets: its step array, or over several
+    register column blocks the R's it holds."""
+    n, rows = topology.n, walked_rows(topology)
+    per_coin = rows * min(2 ** n, runner._REGISTER_BLOCK)
     if 2 ** n > runner._REGISTER_BLOCK:
-        per_coin = max(per_coin, (steps + 1) * targets * (2 * n + 1) ** 2)
+        per_coin = max(per_coin, (steps + 1) * targets * (rows + 1) ** 2)
     monkeypatch.setattr(runner, "_SWEEP_STEP_ENTRIES", coins * per_coin)
 
 
@@ -612,7 +620,7 @@ class TestSweep:
     @pytest.mark.parametrize("topology", [CYCLE4, PATH4], ids=["cycle", "path"])
     def test_blocks_match_per_coin_series(self, topology, target, monkeypatch):
         # 40 coins: one full block of 32 and an uneven last one
-        sweep_blocks_of(32, topology.n, 12, 1, monkeypatch)
+        sweep_blocks_of(32, topology, 12, 1, monkeypatch)
         spec = SweepSpec(topology, target, thetas=tuple(k * math.pi / 5 for k in range(5)),
                          phi2s=tuple(k * math.pi / 7 for k in range(8)), steps=12)
         result = run_sweep(spec)
@@ -1224,8 +1232,8 @@ class TestSweepBlocks:
                             lambda coins, values: scored.append(values) or best_of(coins, values))
         tables = set()
         for size in (1, 7, 32, len(coins)):
-            sweep_blocks_of(size, topology.n, 12, 3, monkeypatch)
-            blocks = runner._sweep_blocks(len(coins), topology.n, 12, 3, 1)
+            sweep_blocks_of(size, topology, 12, 3, monkeypatch)
+            blocks = runner._sweep_blocks(len(coins), topology, 12, 3, 1)
             assert len(blocks) == -(-len(coins) // size)
             scored.clear()
             results = runner._sweep_results(topology, runner.TARGET_KINDS, coins, 12, 1)
@@ -1237,51 +1245,59 @@ class TestSweepBlocks:
     def test_one_block_per_worker_share(self):
         for count in (1, 2, 121, 441):
             for workers in (1, 2, 3):
-                blocks = runner._sweep_blocks(count, 4, 24, 3, workers)
+                blocks = runner._sweep_blocks(count, CYCLE4, 24, 3, workers)
                 assert len(blocks) == min(count, workers)
                 assert [i for block in blocks for i in range(count)[block]] == list(range(count))
 
     def test_twelve_sites_keep_blocks_within_the_cap(self):
-        # The cap is 32 coins of an n = 12 walk: 12 MiB per step array, and
-        # as much for the R's of 25 x 25 entries held per step and target.
+        # The cap is 32 coins of an L_12 walk: 12 MiB per step array, and
+        # as much for the R's of (rows + 1)^2 entries held per step and
+        # target.  C_12 walks one sublattice, 12 rows, so its blocks take up
+        # to twice the coins: 64 and 46 per block at T = 24 and 100 with
+        # one target, against 32 and 12 on L_12.
         assert runner._SWEEP_STEP_ENTRIES * 16 == 12 * 2 ** 20
         columns = min(2 ** 12, runner._REGISTER_BLOCK)
-        for count in (1, 33, 441):
-            for workers in (1, 2):
-                for steps, targets in ((24, 1), (24, 3), (100, 1), (240, 3)):
-                    blocks = runner._sweep_blocks(count, 12, steps, targets, workers)
-                    sizes = [len(range(count)[block]) for block in blocks]
-                    assert max(sizes) * 24 * columns <= runner._SWEEP_STEP_ENTRIES
-                    assert max(sizes) * (steps + 1) * targets * 25 ** 2 \
-                        <= runner._SWEEP_STEP_ENTRIES
-                    assert sum(sizes) == count
-        assert len(runner._sweep_blocks(441, 12, 24, 1, 1)) == 14
-        assert len(runner._sweep_blocks(441, 12, 100, 1, 1)) == 37
+        for kind, rows, counts in (("path", 24, (14, 37)), ("cycle", 12, (7, 10))):
+            topology = GraphTopology(kind, 12)
+            for count in (1, 33, 441):
+                for workers in (1, 2):
+                    for steps, targets in ((24, 1), (24, 3), (100, 1), (240, 3)):
+                        blocks = runner._sweep_blocks(count, topology, steps, targets, workers)
+                        sizes = [len(range(count)[block]) for block in blocks]
+                        assert max(sizes) * rows * columns <= runner._SWEEP_STEP_ENTRIES
+                        assert max(sizes) * (steps + 1) * targets * (rows + 1) ** 2 \
+                            <= runner._SWEEP_STEP_ENTRIES
+                        assert sum(sizes) == count
+            assert len(runner._sweep_blocks(441, topology, 24, 1, 1)) == counts[0]
+            assert len(runner._sweep_blocks(441, topology, 100, 1, 1)) == counts[1]
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_one_register_block_is_cut_by_its_step_array_alone(self, n):
         # Up to n = 10 a walk is one register column block, which holds no
         # R from step to step: T and the targets move no block.
-        size = min(441, runner._SWEEP_STEP_ENTRIES // (2 * n * 2 ** n))
-        for steps, targets in ((1, 1), (24, 3), (1000, 3)):
-            blocks = runner._sweep_blocks(441, n, steps, targets, 1)
-            assert [len(range(441)[block]) for block in blocks[:-1]] == [size] * (len(blocks) - 1)
-            assert len(blocks) == -(-441 // size)
+        for kind in ("path", "cycle"):
+            topology = GraphTopology(kind, n)
+            size = min(441, runner._SWEEP_STEP_ENTRIES // (walked_rows(topology) * 2 ** n))
+            for steps, targets in ((1, 1), (24, 3), (1000, 3)):
+                blocks = runner._sweep_blocks(441, topology, steps, targets, 1)
+                sizes = [len(range(441)[block]) for block in blocks[:-1]]
+                assert sizes == [size] * (len(blocks) - 1)
+                assert len(blocks) == -(-441 // size)
 
     def test_held_factors_stay_within_the_cap(self, monkeypatch):
         # n = 6 in two register blocks of 32 columns: the first block's R of
-        # every step is held until the last block reaches it.  With the cap
-        # at four coins' R's at T = 240, the sweep's peak grows by less than
-        # the cap from T = 24 to T = 240; all 16 coins in one block would
-        # hold 10 MiB at T = 240.
+        # every step, 7 x 7 on C_6's sublattice, is held until the last
+        # block reaches it.  With the cap at four coins' R's at T = 240, the
+        # sweep's peak grows by less than the cap from T = 24 to T = 240;
+        # all 16 coins in one block would hold 3 MiB at T = 240.
         monkeypatch.setattr(runner, "_REGISTER_BLOCK", 32)
-        cap = 4 * 241 * 13 ** 2
+        cap = 4 * 241 * 7 ** 2
         monkeypatch.setattr(runner, "_SWEEP_STEP_ENTRIES", cap)
         topology = GraphTopology("cycle", 6)
         grid = tuple(k * math.pi / 4 for k in range(1, 5))
         coins = SweepSpec(topology, "graph", thetas=grid, phi2s=grid).coins()
-        assert len(runner._sweep_blocks(len(coins), 6, 24, 1, 1)) == 1
-        assert len(runner._sweep_blocks(len(coins), 6, 240, 1, 1)) == 4
+        assert len(runner._sweep_blocks(len(coins), topology, 24, 1, 1)) == 1
+        assert len(runner._sweep_blocks(len(coins), topology, 240, 1, 1)) == 4
         peaks = []
         for steps in (24, 240):
             tracemalloc.start()

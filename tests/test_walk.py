@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -408,8 +409,10 @@ class TestColumnBlocks:
 
 
 class TestOccupancyPlan:
-    """The walk steps only the (site, coin) rows of the sites its plan
-    names; the full-row walk is exactly 0 on every other row."""
+    """The walk's plan is the rule of ``walk._walked_sites``: it steps only
+    the (site, coin) rows of the sites of parity (s0 + t) mod 2 on an even
+    cycle from a start on parity s0, and of every site elsewhere.  The
+    full-row walk is exactly 0 on every other row."""
 
     @staticmethod
     def support(topology, tensor):
@@ -430,57 +433,113 @@ class TestOccupancyPlan:
             rows = shift @ np.repeat(occupied, 2) > 0
         return sites
 
+    @staticmethod
+    def initial(topology, start):
+        """A random state on the sites ``start``."""
+        n = topology.n
+        amplitudes = np.zeros((n, 2, 2 ** n), dtype=complex)
+        amplitudes[start] = random_pure(len(start) * 2 * 2 ** n,
+                                        np.random.default_rng(n)).reshape(len(start), 2, -1)
+        return PureState(amplitudes.reshape(-1), walk_shape(topology))
+
+    def check_walk(self, top, steps, start, initial, full_row_walk):
+        """The walk from ``initial`` (on the sites ``start``) against the
+        full-row walk and the sites that shift_matrix reaches; returns the
+        walked sites per step."""
+        n = top.n
+        coin = build_coin(CoinParams(0.7, 0.3, 1.1))
+        walked = list(walk_module._walk_tensors(top, coin, steps, initial))
+        full = [tensor for _, tensor in full_row_walk(top, coin, steps, initial)]
+        reachable = self.reachable(top, steps, start)
+        assert len(walked) == len(full) == steps + 1
+        for t, ((sites, tensor), whole) in enumerate(zip(walked, full)):
+            assert np.array_equal(self.support(top, whole), reachable[t]), t
+            assert np.isin(reachable[t], sites).all(), t
+            assert np.array_equal(_full_rows(sites, tensor, n), whole), t
+        return [sites.tolist() for sites, _ in walked]
+
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     @pytest.mark.parametrize("n", range(2, MAX_SITES + 1))
     def test_rows_outside_the_plan_are_zero(self, kind, n, full_row_walk):
         # From the standard start with a generic coin: the full-row walk is
-        # nonzero on exactly the sites shift_matrix reaches; the plan is
-        # those sites on an even cycle and every site elsewhere, where the
-        # walker comes to cover the graph; and the walk on the planned
+        # nonzero on exactly the sites shift_matrix reaches; they lie in the
+        # walked sites, which are the sublattice of parity t mod 2 on an
+        # even cycle and every site elsewhere; and the walk on the walked
         # rows is the full-row walk bitwise.
         top = GraphTopology(kind, n)
-        coin = build_coin(CoinParams(0.7, 0.3, 1.1))
-        steps = 2 * n + 2
-        walked = list(walk_module._walk_tensors(top, coin, steps))
-        full = [tensor for _, tensor in full_row_walk(top, coin, steps)]
-        reachable = self.reachable(top, steps, [0])
-        sublattice = kind == "cycle" and n % 2 == 0
-        for t, ((sites, tensor), whole) in enumerate(zip(walked, full)):
-            assert np.array_equal(self.support(top, whole), reachable[t]), t
-            assert np.array_equal(sites, reachable[t] if sublattice else np.arange(n)), t
-            assert np.array_equal(_full_rows(sites, tensor, n), whole), t
+        sites = self.check_walk(top, 2 * n + 2, [0], None, full_row_walk)
+        for t, walked in enumerate(sites):
+            if kind == "cycle" and n % 2 == 0:
+                assert walked == list(range(t % 2, n, 2)), t
+            else:
+                assert walked == list(range(n)), t
 
     def test_even_cycle_walks_one_sublattice(self):
+        # From t = 0: the walker reaches all six sites of its sublattice
+        # only at t = 5, and the rows it has not reached are walked as 0.
         walked = walk_module._walk_tensors(GraphTopology("cycle", 12), build_coin(CoinParams(0.7)),
                                            26, columns=slice(0, 4))
-        sizes = [len(sites) for sites, _ in walked]
-        assert sizes[:6] == [1, 2, 3, 4, 5, 6]
-        assert all(size == 6 for size in sizes[6:])
+        for t, (sites, tensor) in enumerate(walked):
+            assert sites.tolist() == list(range(t % 2, 12, 2))
+            assert tensor.shape == (6, 2, 4)
 
     def test_path_walks_every_site(self):
-        # The path's walker covers all 12 sites from t = 11 on, so the plan
-        # holds every site from the start.
+        # The path's walker covers all 12 sites only from t = 11 on; the
+        # walk holds every site from the start.
         top = GraphTopology("path", 12)
         assert [len(sites) for sites in self.reachable(top, 26, [0])][10:12] == [11, 12]
         walked = walk_module._walk_tensors(top, build_coin(CoinParams(0.7)), 26,
                                            columns=slice(0, 4))
         assert all(sites.tolist() == list(range(12)) for sites, _ in walked)
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_initial_on_one_parity_walks_a_sublattice(self, parity, full_row_walk):
+        # Sites 1 and 3, or 0 and 4, of C_6: the sublattice of parity
+        # (s0 + t) mod 2 from t = 0.
+        top = GraphTopology("cycle", 6)
+        start = [1, 3] if parity else [0, 4]
+        sites = self.check_walk(top, 14, start, self.initial(top, start), full_row_walk)
+        assert sites == [list(range((parity + t) % 2, 6, 2)) for t in range(15)]
+
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     def test_initial_on_both_parities_gets_every_site(self, kind, full_row_walk):
-        # Sites 0 and 3 of C_6 or L_6: the two sublattices together reach
-        # every site, and the walk still equals the full-row walk.
+        # Sites 0 and 3 of C_6 or L_6: every site from t = 0.
         top = GraphTopology(kind, 6)
-        amplitudes = np.zeros((6, 2, 2 ** 6), dtype=complex)
-        amplitudes[[0, 3]] = random_pure(2 * 2 * 2 ** 6, np.random.default_rng(6)).reshape(2, 2, -1)
-        initial = PureState(amplitudes.reshape(-1), walk_shape(top))
-        coin = build_coin(CoinParams(0.7, 0.3, 1.1))
-        walked = list(walk_module._walk_tensors(top, coin, 14, initial))
-        full = [tensor for _, tensor in full_row_walk(top, coin, 14, initial)]
-        assert [len(sites) for sites in self.reachable(top, 14, [0, 3])][3:] == [6] * 12
-        for (sites, tensor), whole in zip(walked, full):
-            assert sites.tolist() == list(range(6))
-            assert np.array_equal(_full_rows(sites, tensor, 6), whole)
+        sites = self.check_walk(top, 14, [0, 3], self.initial(top, [0, 3]), full_row_walk)
+        assert sites == [list(range(6))] * 15
+
+    def test_sublattice_tables_are_views_of_the_block_table(self, monkeypatch):
+        # Each step scales by a strided view cz_signs[s::2] of the block's
+        # (n, 2, 2 * width) table, never by a gathered copy.
+        tables, used = [], []
+        cz_signs, apply_step = walk_module._cz_signs, walk_module._apply_step
+        monkeypatch.setattr(walk_module, "_cz_signs",
+                            lambda *args: tables.append(cz_signs(*args)) or tables[-1])
+        monkeypatch.setattr(walk_module, "_apply_step",
+                            lambda *args: used.append(args[3]) or apply_step(*args))
+        n = 12
+        for _ in walk_module._walk_tensors(GraphTopology("cycle", n), build_coin(CoinParams(0.7)),
+                                           4, columns=slice(0, 8)):
+            pass
+        assert len(tables) == 1 and len(used) == 4
+        for t, signs in enumerate(used, start=1):
+            assert np.shares_memory(signs, tables[0])
+            assert np.array_equal(signs, tables[0].reshape(n, 2, -1)[t % 2::2])
+
+    def test_even_cycle_statistics_walk_peak(self, monkeypatch):
+        # One C_12 walk of the Grams at T = 24: the (25, 24, 24) stack, the
+        # block's sign table and a few step arrays of 12 rows, 1390 KiB in
+        # all.  Gathered sublattice tables and rows of the full width would
+        # push it past 1600 KiB.
+        config = WalkConfig(GraphTopology("cycle", 12), STANDARD_COINS[0], 24)
+        monkeypatch.setattr(runner, "_last_walk", [None, set(), None])
+        tracemalloc.start()
+        try:
+            runner._statistics(config, "entropy(G)")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1450 * 2 ** 10
 
 
 class TestWalkConfig:
