@@ -177,26 +177,48 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
     psi(t) as a (2n, 2**n) matrix: sums over column blocks, tr G_t =
     ||psi(t)||^2 checked, F's unwalked rows being 0.  Consecutive distinct
     series on a config share a walk; one served walks again, as does one
-    needing M."""
+    needing M.
+
+    On C_n with 4 | n from the standard start only the columns g <
+    2**(n-1) are walked.  The CZ signs of ~g = 2**n-1-g are those of g
+    times (-1)^c, c being the coin after the shift: -1 once per up-move on
+    the cycle.  At site p after t steps from site 0 a path of U up-moves
+    has 2U = p + t + kn, and kn/2 is even when 4 | n, so F[r, ~g] = lam_r
+    F[r, g] with lam_r = (-1)^((p+t)/2) on the rows r = 2p + c.  With H = f
+    f^dag and N = f (f * phase)^T over the walked columns f, and phase[~g] =
+    phase[g] at even n, G_t gets (1 + lam_r lam_s) H_rs and M_t gets (lam_r
+    + lam_s) N_rs: exact zeros across the sectors of lam."""
     config_walked, served, stats = _last_walk
     if config == config_walked and series not in served and (stats[1] is not None or not with_sy):
         served.add(series)
         return stats
-    topology = config.topology
-    rows = 2 * topology.n
-    grams = np.zeros((config.steps + 1, rows, rows), dtype=complex)
+    topology, n = config.topology, config.topology.n
+    grams = np.zeros((config.steps + 1, 2 * n, 2 * n), dtype=complex)
     sy = np.zeros_like(grams) if with_sy else None
-    phase = _sigma_y_phase(topology.n) if with_sy else None
-    for columns, tensors in _column_walks(topology, build_coin(config.coin), config.steps,
-                                          config.initial):
+    phase = _sigma_y_phase(n) if with_sy else None
+    coin_mats = build_coin(config.coin)
+    halved = topology.kind == "cycle" and n % 4 == 0 and config.initial is None
+    if halved:
+        half = 2 ** (n - 1)
+        lower = np.split(np.arange(half), range(_REGISTER_BLOCK, half, _REGISTER_BLOCK))
+        blocks = ((c, _walk_tensors(topology, coin_mats, config.steps, columns=c)) for c in lower)
+    else:
+        blocks = _column_walks(topology, coin_mats, config.steps, config.initial)
+    # Pairs each column with itself in N, or with its mirror ~g in M.
+    partner = slice(None) if halved else slice(None, None, -1)
+    for columns, tensors in blocks:
         for t, (sites, tensor) in enumerate(tensors):
             f = tensor.reshape(2 * len(sites), -1)
             # Into the walked rows' block; in place (faster) if that is all.
             walked = (2 * sites[:, None] + [0, 1]).ravel()
-            walked = ... if len(f) == rows else (walked[:, None], walked)
-            grams[t][walked] += f @ f.conj().T
+            walked = ... if len(f) == 2 * n else (walked[:, None], walked)
+            g_weights = m_weights = 1
+            if halved:
+                lam = np.repeat(1 - ((sites + t) & 2), 2)  # (-1)^((p+t)/2)
+                g_weights, m_weights = 1 + lam[:, None] * lam, lam[:, None] + lam
+            grams[t][walked] += g_weights * (f @ f.conj().T)
             if with_sy:
-                sy[t][walked] += f @ (f * phase[columns])[:, ::-1].T
+                sy[t][walked] += m_weights * (f @ (f * phase[columns])[:, partner].T)
     _check_trace(np.trace(grams, axis1=1, axis2=2).real)
     _last_walk[:] = config, {series}, (grams, sy)
     return _last_walk[2]
@@ -758,6 +780,9 @@ def reproduce_figure(fig_id: str, out_dir: str | Path, *,
         manifest["sweeps"] = summary
     else:
         graphs, coins, curves = _SERIES_FIGURES[fig_id]
+        if fig_id == "fig4":
+            manifest["note"] = ("the path's concurrence, float noise (at most 3e-17 at T = 100);"
+                                " the cycle's reaches about 0.75: criterion 2 is open")
         for kind in graphs:
             for i, coin in enumerate(coins, start=1):
                 cfg = WalkConfig(GraphTopology(kind, n), coin, steps)

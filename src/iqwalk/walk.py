@@ -9,7 +9,10 @@ coin and the vertex qubit at the walker's new position.
 The walker hops one site per step, so on an even cycle, from a start on
 the sites of one parity s0, it is on the sites of parity (s0 + t) mod 2
 at step t, and the walk steps only their (site, coin) rows; see
-:func:`_walked_sites`.
+:func:`_walked_sites`.  On C_n with 4 | n, column ~g = 2**n-1-g of psi(t)
+from the standard start is (-1)^((p+t)/2) times column g on site p, so
+``runner._statistics`` walks g < 2**(n-1) alone there; ``trajectory``,
+``evolve`` and the closeness walk every g.
 """
 
 from __future__ import annotations

@@ -1201,6 +1201,97 @@ class TestOccupiedRows:
         assert np.abs(occupied - full).max() <= 1e-13
 
 
+class TestHalvedRegister:
+    """On C_n with 4 | n from the standard start, ``runner._statistics``
+    walks the columns g < 2**(n-1) alone and forms the ~g half from the
+    complement symmetry; every stack matches the walk of all 2**n columns
+    on all 2n rows at 1e-13, in any block size."""
+
+    @staticmethod
+    def all_columns(config, full_row_walk):
+        """(G, M) stacks of every psi(t), all columns in one matrix F."""
+        n = config.topology.n
+        phase = (1j ** n) * (-1.0) ** np.array([bin(g).count("1") for g in range(2 ** n)])
+        grams, sy = [], []
+        for _, tensor in full_row_walk(config.topology, build_coin(config.coin), config.steps,
+                                       config.initial):
+            f = tensor.reshape(2 * n, -1)
+            grams.append(f @ f.conj().T)
+            sy.append(f @ (phase[:, None] * f.T)[::-1])
+        return np.array(grams), np.array(sy)
+
+    @staticmethod
+    def walked_columns(monkeypatch):
+        """The columns of every walk the runner starts, in order."""
+        walked = []
+        original = runner._walk_tensors
+
+        def recorded(*args, columns=slice(None), **kwargs):
+            walked.append(columns)
+            return original(*args, columns=columns, **kwargs)
+
+        monkeypatch.setattr(runner, "_walk_tensors", recorded)
+        return walked
+
+    @pytest.mark.parametrize("block", [1024, 2, 4, 6])
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_statistics_match_all_columns(self, n, block, monkeypatch, full_row_walk,
+                                          fresh_memo):
+        # Blocks of 6 end the lower half with a shorter block: 6 + 2 columns at n = 4.
+        monkeypatch.setattr(runner, "_REGISTER_BLOCK", block)
+        config = WalkConfig(GraphTopology("cycle", n), STANDARD_COINS[1], 2 * n)
+        walked = self.walked_columns(monkeypatch)
+        grams, sy = runner._statistics(config, "concurrence", with_sy=True)
+        assert np.array_equal(np.concatenate(walked), np.arange(2 ** (n - 1)))
+        assert max(len(columns) for columns in walked) == min(block, 2 ** (n - 1))
+        full_grams, full_sy = self.all_columns(config, full_row_walk)
+        assert np.abs(grams - full_grams).max() <= 1e-13
+        assert np.abs(sy - full_sy).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_cross_sector_entries_are_exact_zeros(self, n, fresh_memo):
+        # lam_r = (-1)^((p + t)/2) on the rows r = 2p + c with p + t even.
+        config = WalkConfig(GraphTopology("cycle", n), STANDARD_COINS[0], 3 * n)
+        grams, sy = runner._statistics(config, "concurrence", with_sy=True)
+        for t in range(config.steps + 1):
+            p = np.repeat(np.arange(n), 2)
+            lam = np.where((p + t) % 2 == 0, (-1.0) ** ((p + t) // 2), 0.0)
+            assert (grams[t][lam[:, None] * lam < 0] == 0).all(), t
+            assert (sy[t][(lam[:, None] != 0) & (lam[:, None] + lam == 0)] == 0).all(), t
+            assert np.abs(grams[t][lam[:, None] * lam > 0]).max() > 0, t
+
+    @pytest.mark.parametrize("start", ["random", "standard"])
+    def test_explicit_initial_walks_every_column(self, start, monkeypatch, full_row_walk,
+                                                 fresh_memo):
+        # An explicit start keeps the mirrored blocks of all 2**n columns,
+        # and its stacks match their oracle, the standard start's too.
+        topology = GraphTopology("cycle", 8)
+        initial = standard_initial_state(topology) if start == "standard" else PureState(
+            random_pure(8 * 2 * 2 ** 8, np.random.default_rng(8)), walk_shape(topology))
+        config = WalkConfig(topology, STANDARD_COINS[2], 20, initial)
+        walked = self.walked_columns(monkeypatch)
+        grams, sy = runner._statistics(config, "concurrence", with_sy=True)
+        assert sorted(np.concatenate(walked)) == list(range(2 ** 8))
+        full_grams, full_sy = self.all_columns(config, full_row_walk)
+        assert np.abs(grams - full_grams).max() <= 1e-13
+        assert np.abs(sy - full_sy).max() <= 1e-13
+
+    @pytest.mark.parametrize("topology", [GraphTopology("cycle", 6), GraphTopology("path", 8)],
+                             ids=["cycle6", "path8"])
+    def test_other_graphs_walk_every_column(self, topology, monkeypatch, fresh_memo):
+        walked = self.walked_columns(monkeypatch)
+        runner._statistics(WalkConfig(topology, STANDARD_COINS[2], 4), "entropy(G)")
+        assert sorted(np.concatenate(walked)) == list(range(2 ** topology.n))
+
+    def test_one_walk_for_consecutive_series(self, walk_count):
+        config = WalkConfig(GraphTopology("cycle", 12), STANDARD_COINS[3], 6)
+        for metric in ("entropy(PC)", "entropy(C)", "entropy(P)", "logneg(PC)"):
+            run_metric_series(config, metric)
+        assert len(walk_count) == 1
+        run_metric_series(config, "concurrence")
+        assert len(walk_count) == 2
+
+
 class TestSweepBlocks:
     """A sweep walks each worker's share of the grid as one block, cut only
     where a block's step array would outgrow ``_SWEEP_STEP_ENTRIES``."""
@@ -1376,6 +1467,8 @@ class TestReproduceFigure:
         manifest = json.loads((tmp_path / "fig4_manifest.json").read_text())
         assert manifest["figure"] == "fig4"
         assert len(manifest["files"]) == 4
+        # The curve is the path's: the cycle's is not null (criterion 2).
+        assert "3e-17" in manifest["note"] and "criterion 2 is open" in manifest["note"]
 
     def test_fig2_panel_count(self, tmp_path):
         written = reproduce_figure("fig2", tmp_path, steps=4)
@@ -1386,6 +1479,7 @@ class TestReproduceFigure:
         names = {p.name for p in written}
         assert "fig5_path_coin1_concurrence_mu0.csv" in names
         assert "fig5_path_coin1_concurrence_muhalfpi.csv" in names
+        assert "note" not in json.loads((tmp_path / "fig5_manifest.json").read_text())
 
     def test_rerun_byte_identical(self, tmp_path):
         reproduce_figure("fig7", tmp_path / "a", steps=8)

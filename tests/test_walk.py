@@ -542,6 +542,38 @@ class TestOccupancyPlan:
         assert peak < 1450 * 2 ** 10
 
 
+class TestComplementSymmetry:
+    """From the standard start on C_n with 4 | n, register column ~g = 2**n
+    - 1 - g of psi(t) is Lambda_t times column g, Lambda_t[p, c] = (-1)^(((p
+    + t) mod n) / 2): the relation by which ``runner._statistics`` walks
+    only g < 2**(n-1) there.  On no other graph tried does any sign per
+    (site, coin) row relate the two columns."""
+
+    @staticmethod
+    def columns(topology, full_row_walk):
+        """(t, column ~g of psi(t), column g) over t <= 3n, all g at once."""
+        coin = build_coin(STANDARD_COINS[1])
+        for t, (_, tensor) in enumerate(full_row_walk(topology, coin, 3 * topology.n)):
+            yield t, tensor[..., ::-1], tensor
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_cycles_of_four_k_sites(self, n, full_row_walk):
+        sites = np.arange(n)
+        for t, mirrored, tensor in self.columns(GraphTopology("cycle", n), full_row_walk):
+            lam = (-1.0) ** ((sites + t) % n // 2)
+            assert np.abs(mirrored - lam[:, None, None] * tensor).max() <= 1e-15, t
+
+    @pytest.mark.parametrize("kind, n", [("cycle", 6), ("cycle", 10), ("cycle", 5),
+                                         ("path", 4)])
+    def test_no_row_sign_elsewhere(self, kind, n, full_row_walk):
+        # Per row, the smaller of max_g |psi_~g - psi_g| and |psi_~g + psi_g|.
+        defect = max(np.minimum(np.abs(mirrored - tensor).max(axis=-1),
+                                np.abs(mirrored + tensor).max(axis=-1)).max()
+                     for _, mirrored, tensor in self.columns(GraphTopology(kind, n),
+                                                             full_row_walk))
+        assert defect > 1e-3
+
+
 class TestWalkConfig:
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
