@@ -25,7 +25,6 @@ from .walk import (
     PureState,
     WalkConfig,
     build_coin,
-    build_shift,
     evolve,
     standard_initial_state,
     trajectory,
@@ -47,7 +46,6 @@ __all__ = [
     "WalkConfig",
     "ZeroProbabilityError",
     "build_coin",
-    "build_shift",
     "closeness",
     "default_angle_grid",
     "density_factor",

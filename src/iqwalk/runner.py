@@ -5,7 +5,10 @@ names are compact strings such as ``entropy(G)``, ``logneg(PC)``,
 ``concurrence``, ``concurrence_postselected(pi/2,0)`` or
 ``closeness(graph)``; angles inside them accept the same ``k*pi/m`` tokens
 as the command line.  All emitted CSV/JSON files are byte-identical across
-reruns.
+reruns with the same ``jobs``.  A sweep's workers run one BLAS thread,
+whose QRs round differently: at n >= 10 a table value under ``jobs`` > 1
+can differ from the serial one in the 12th digit; the argmax, best t and
+delta_tilde agreed in every case tried.
 """
 
 from __future__ import annotations
@@ -155,15 +158,19 @@ _REGISTER_BLOCK = 1024
 
 
 def _column_walks(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
-                  initial: PureState | None) -> Iterator[tuple[np.ndarray, Iterator]]:
-    """Per register column block [lo, lo+h) + [2**n-lo-h, 2**n-lo), 2h =
-    ``_REGISTER_BLOCK``, its columns and walk (sites, tensor)s at t = 0..T.
-    Reversing a block maps each g to ~g = 2**n-1-g: sigma_y^(x n) stays."""
+                  initial: PureState | None, halved: bool = False
+                  ) -> Iterator[tuple[np.ndarray, Iterator]]:
+    """Per register column block, its columns and walk (sites, tensor)s at
+    t = 0..T.  The blocks are [lo, lo+h) + [2**n-lo-h, 2**n-lo), 2h =
+    ``_REGISTER_BLOCK``: reversing a block maps each g to ~g = 2**n-1-g,
+    so sigma_y^(x n) stays in it.  ``halved`` walks the columns g <
+    2**(n-1) alone, in blocks [lo, lo + ``_REGISTER_BLOCK``), for the
+    complement symmetry of :func:`_statistics`."""
     size = 2 ** topology.n
-    half = max(1, _REGISTER_BLOCK // 2)
-    for lo in range(0, size // 2, half):
-        hi = min(lo + half, size // 2)
-        columns = np.r_[lo:hi, size - hi:size - lo]
+    width = _REGISTER_BLOCK if halved else max(1, _REGISTER_BLOCK // 2)
+    for lo in range(0, size // 2, width):
+        hi = min(lo + width, size // 2)
+        columns = np.r_[lo:hi] if halved else np.r_[lo:hi, size - hi:size - lo]
         yield columns, _walk_tensors(topology, coin_mats, steps, initial, columns=columns)
 
 
@@ -179,10 +186,11 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
     series on a config share a walk; one served walks again, as does one
     needing M.
 
-    On C_n with 4 | n from the standard start only the columns g <
-    2**(n-1) are walked.  The CZ signs of ~g = 2**n-1-g are those of g
-    times (-1)^c, c being the coin after the shift: -1 once per up-move on
-    the cycle.  At site p after t steps from site 0 a path of U up-moves
+    On C_n with 4 | n from the standard start, where the walk steps one
+    sublattice (see :func:`_walked_sites`), only the columns g < 2**(n-1)
+    are walked.  The CZ signs of ~g = 2**n-1-g are those of g times
+    (-1)^c, c being the coin after the shift: -1 once per up-move on the
+    cycle.  At site p after t steps from site 0 a path of U up-moves
     has 2U = p + t + kn, and kn/2 is even when 4 | n, so F[r, ~g] = lam_r
     F[r, g] with lam_r = (-1)^((p+t)/2) on the rows r = 2p + c.  With H = f
     f^dag and N = f (f * phase)^T over the walked columns f, and phase[~g] =
@@ -196,29 +204,25 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
     grams = np.zeros((config.steps + 1, 2 * n, 2 * n), dtype=complex)
     sy = np.zeros_like(grams) if with_sy else None
     phase = _sigma_y_phase(n) if with_sy else None
-    coin_mats = build_coin(config.coin)
-    halved = topology.kind == "cycle" and n % 4 == 0 and config.initial is None
-    if halved:
-        half = 2 ** (n - 1)
-        lower = np.split(np.arange(half), range(_REGISTER_BLOCK, half, _REGISTER_BLOCK))
-        blocks = ((c, _walk_tensors(topology, coin_mats, config.steps, columns=c)) for c in lower)
-    else:
-        blocks = _column_walks(topology, coin_mats, config.steps, config.initial)
+    halved = n % 4 == 0 and len(_walked_sites(topology, config.initial)) == 2
     # Pairs each column with itself in N, or with its mirror ~g in M.
     partner = slice(None) if halved else slice(None, None, -1)
-    for columns, tensors in blocks:
+    for columns, tensors in _column_walks(topology, build_coin(config.coin), config.steps,
+                                          config.initial, halved=halved):
         for t, (sites, tensor) in enumerate(tensors):
-            f = tensor.reshape(2 * len(sites), -1)
-            # Into the walked rows' block; in place (faster) if that is all.
-            walked = (2 * sites[:, None] + [0, 1]).ravel()
-            walked = ... if len(f) == 2 * n else (walked[:, None], walked)
+            k = tensor.shape[-3]
+            f = tensor.reshape(2 * k, -1)
+            # The walked rows' (k, 2, k, 2) block of G_t and M_t, in place.
+            walked = (sites, slice(None), sites)
             g_weights = m_weights = 1
             if halved:
-                lam = np.repeat(1 - ((sites + t) & 2), 2)  # (-1)^((p+t)/2)
+                lam = np.repeat(1 - ((np.arange(n)[sites] + t) & 2), 2)  # (-1)^((p+t)/2)
                 g_weights, m_weights = 1 + lam[:, None] * lam, lam[:, None] + lam
-            grams[t][walked] += g_weights * (f @ f.conj().T)
+            grams[t].reshape(n, 2, n, 2)[walked] += (
+                g_weights * (f @ f.conj().T)).reshape(k, 2, k, 2)
             if with_sy:
-                sy[t][walked] += m_weights * (f @ (f * phase[columns])[:, partner].T)
+                sy[t].reshape(n, 2, n, 2)[walked] += (
+                    m_weights * (f @ (f * phase[columns])[:, partner].T)).reshape(k, 2, k, 2)
     _check_trace(np.trace(grams, axis1=1, axis2=2).real)
     _last_walk[:] = config, {series}, (grams, sy)
     return _last_walk[2]
@@ -345,8 +349,8 @@ def _closeness_values(topology: GraphTopology, coin_mats: np.ndarray, steps: int
         # Contiguous, so that the matmuls of the Ritz bound take one BLAS
         # path, and round alike, whatever the number of targets.
         column = np.ascontiguousarray(amplitudes[..., columns]).swapaxes(-1, -2)
-        for t, (sites, tensor) in enumerate(tensors):
-            rows = 2 * len(sites)
+        for t, (_, tensor) in enumerate(tensors):
+            rows = 2 * tensor.shape[-3]
             register = tensor.reshape(shape[1:] + (rows, -1)).swapaxes(-1, -2)
             held, earlier[t] = earlier[t], None
             keep = ...

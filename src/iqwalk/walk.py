@@ -6,13 +6,14 @@ indexing.  One walk step applies, in order: the SU(2) coin on the coin
 qubit, the conditional shift of the walker, and a controlled-Z between the
 coin and the vertex qubit at the walker's new position.
 
-The walker hops one site per step, so on an even cycle, from a start on
-the sites of one parity s0, it is on the sites of parity (s0 + t) mod 2
-at step t, and the walk steps only their (site, coin) rows; see
+The walker hops one site per step, so on an even cycle from the standard
+start it is on the sites of parity t mod 2 at step t, and the walk steps
+only their (site, coin) rows, passed on as the slice of
 :func:`_walked_sites`.  On C_n with 4 | n, column ~g = 2**n-1-g of psi(t)
 from the standard start is (-1)^((p+t)/2) times column g on site p, so
 ``runner._statistics`` walks g < 2**(n-1) alone there; ``trajectory``,
-``evolve`` and the closeness walk every g.
+``evolve`` and the closeness walk every g.  An explicit start walks every
+row and every column.  The shift is the row gather :func:`_shift_rows`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 from .linalg import SubsystemShape, reduced_density
 
 # Ceiling on the site count for dense simulation; at n = 12 one walk state
-# holds 98304 amplitudes (1.5 MiB).  On an even cycle the walk steps the
-# half on one sublattice at every step, and `evolve` and `trajectory` hold
-# one full state at a time.
+# holds 98304 amplitudes (1.5 MiB).  On an even cycle from the standard
+# start the walk steps the half on one sublattice at every step, and
+# `evolve` and `trajectory` hold one full state at a time.
 MAX_SITES = 12
 
 GRAPH_KINDS = ("path", "cycle")
@@ -135,9 +136,10 @@ def _standard_start(n: int, width: int, sites: int) -> np.ndarray:
     return start
 
 
-def _full_rows(sites, tensor: np.ndarray, n: int) -> np.ndarray:
-    """The (..., n, 2, width) tensor that is the (..., len(sites), 2, width)
-    ``tensor`` on ``sites`` and 0 on every other site."""
+def _full_rows(sites: slice, tensor: np.ndarray, n: int) -> np.ndarray:
+    """The (..., n, 2, width) tensor that is the (..., k, 2, width)
+    ``tensor`` on the k sites of the slice ``sites`` and 0 on every other
+    site."""
     full = np.zeros(tensor.shape[:-3] + (n,) + tensor.shape[-2:], dtype=complex)
     full[..., sites, :, :] = tensor
     return full
@@ -158,11 +160,6 @@ def build_coin(coin: CoinParams) -> np.ndarray:
         [np.exp(-0.5j * (p1 + p2)) * c, -np.exp(0.5j * (p2 - p1)) * s],
         [np.exp(0.5j * (p1 - p2)) * s, np.exp(0.5j * (p1 + p2)) * c],
     ])
-
-
-def build_shift(topology: GraphTopology) -> np.ndarray:
-    """The conditional shift on H_P (x) H_C as a permutation matrix; see :func:`_shift_rows`."""
-    return np.eye(2 * topology.n, dtype=complex)[_shift_rows(topology)]
 
 
 def _cz_signs(topology: GraphTopology, columns: slice | np.ndarray = slice(None)) -> np.ndarray:
@@ -226,29 +223,24 @@ def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray
 
 def _walked_sites(topology: GraphTopology, initial: PureState | None) -> tuple[slice, ...]:
     """The sites S_t that the walk steps, S_t being entry t mod k of the k
-    returned.  The walker hops one site per step, so on an even cycle,
-    from a start on the sites of one parity s0, S_t is the sites of parity
-    (s0 + t) mod 2; in every other case it is every site.  The state is
-    exactly 0 on every other site."""
-    n = topology.n
-    if topology.kind == "cycle" and n % 2 == 0:
-        parities = {0} if initial is None else set(
-            (np.flatnonzero(initial.amplitudes.reshape(n, -1).any(axis=1)) % 2).tolist())
-        if len(parities) == 1:
-            s0, = parities
-            return slice(s0, None, 2), slice(1 - s0, None, 2)
+    returned slices.  The walker hops one site per step, so on an even
+    cycle from the standard start (``initial`` None) S_t is the sites of
+    parity t mod 2, and the state is exactly 0 on every other site; an
+    explicit start, and every other graph, walks every site."""
+    if initial is None and topology.kind == "cycle" and topology.n % 2 == 0:
+        return slice(0, None, 2), slice(1, None, 2)
     return (slice(None),)
 
 
 def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
                   initial: PureState | None = None, *,
                   columns: slice | np.ndarray = slice(None)
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield, at t = 0..steps, the sites S_t of :func:`_walked_sites` and
-    the state tensor on their rows, (..., len(S_t), 2, 2**n); the state is 0
-    on every other row (see :func:`_full_rows`).  From the standard start
-    S_t on an even cycle is one sublattice, n/2 sites; on the path and odd
-    cycles it is every site.
+                  ) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield, at t = 0..steps, the slice S_t of :func:`_walked_sites` and
+    the state tensor on its sites' rows, (..., |S_t|, 2, 2**n); the state
+    is 0 on every other row (see :func:`_full_rows`).  From the standard
+    start S_t on an even cycle is one sublattice, n/2 sites; on the path,
+    odd cycles and from an explicit start it is every site.
 
     Leading axes batch walks, one per coin of the (..., 2, 2) stack
     ``coin_mats``, all started from ``initial`` (``None`` selects
@@ -257,29 +249,28 @@ def _walk_tensors(topology: GraphTopology, coin_mats: np.ndarray, steps: int,
 
     The CZ is diagonal in the register basis, so each register column g
     evolves on its own: ``columns``, a slice or index array, walks only those
-    columns of the last axis, and the tensors are (..., len(S_t), 2,
+    columns of the last axis, and the tensors are (..., |S_t|, 2,
     len(columns)).  The sign table and the standard start are built for
     those columns alone, and a sublattice's table is a strided view of it.
     """
     n = topology.n
     cz_signs = _cz_signs(topology, columns).reshape(n, 2, -1)
     walked = _walked_sites(topology, initial)
-    sites = [np.arange(n)[part] for part in walked]
     # Row p*2 + c of the whole state, p in S_t, is row (p // k)*2 + c of
     # S_t's, k = len(walked).
     source = _shift_rows(topology).reshape(n, 2)
     rows = [(source[part] // (2 * len(walked)) * 2 + source[part] % 2).reshape(-1)
             for part in walked]
     if initial is None:
-        start = _standard_start(n, cz_signs.shape[-1] // 2, len(sites[0]))
+        start = _standard_start(n, cz_signs.shape[-1] // 2, n // len(walked))
     else:
-        start = initial.amplitudes.reshape(n, 2, -1)[walked[0]][..., columns]
+        start = initial.amplitudes.reshape(n, 2, -1)[..., columns]
     tensor = np.broadcast_to(start, coin_mats.shape[:-2] + start.shape)
-    yield sites[0], tensor
+    yield walked[0], tensor
     for t in range(1, steps + 1):
         i = t % len(walked)
         tensor = _apply_step(tensor, coin_mats, rows[i], cz_signs[walked[i]])
-        yield sites[i], tensor
+        yield walked[i], tensor
 
 
 def trajectory(config: WalkConfig) -> Iterator[PureState]:

@@ -41,9 +41,9 @@ def full_row_walk():
         start = start.amplitudes.reshape(n, 2, -1)[..., columns]
         tensor = np.broadcast_to(start, coin_mats.shape[:-2] + start.shape)
         shift_rows, signs = _shift_rows(topology), _cz_signs(topology, columns)
-        yield np.arange(n), tensor
+        yield slice(None), tensor
         for _ in range(steps):
             tensor = _apply_step(tensor, coin_mats, shift_rows, signs)
-            yield np.arange(n), tensor
+            yield slice(None), tensor
 
     return walk

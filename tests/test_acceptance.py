@@ -19,7 +19,6 @@ from iqwalk import (
     WalkConfig,
     ZeroProbabilityError,
     build_coin,
-    build_shift,
     density_factor,
     evolve,
     graph_state,
@@ -32,7 +31,7 @@ from iqwalk import (
 )
 from iqwalk.conditioning import postselect_coin, unconditioned_vertex_state
 from iqwalk.runner import reference_density
-from iqwalk.walk import _cz_signs
+from iqwalk.walk import _cz_signs, _shift_rows
 from oracles import (
     concurrence_direct,
     partial_trace,
@@ -265,7 +264,7 @@ def test_criterion_7_structural_invariants(dense_step):
     for n in range(2, 9):
         for kind in ("path", "cycle"):
             topology = GraphTopology(kind, n)
-            shift = build_shift(topology)
+            shift = np.eye(2 * n)[_shift_rows(topology)]
             worst_shift = max(worst_shift, np.abs(
                 shift.conj().T @ shift - np.eye(2 * n)).max())
             signs = _cz_signs(topology)

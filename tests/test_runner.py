@@ -580,6 +580,18 @@ class TestSweep:
         parallel = run_sweep(spec, jobs=2)
         assert serial == parallel
 
+    def test_parallel_agrees_with_serial_at_ten_sites(self):
+        # A worker's single OpenBLAS thread rounds the QRs of n >= 10 a few
+        # ulp off the serial run's: here two table rows print differently
+        # in the 12th digit, while the argmax, best t and delta_tilde agree.
+        grid = tuple(k * math.pi / 5 for k in (1, 2, 3))
+        spec = SweepSpec(GraphTopology("path", 10), "graph", thetas=grid, phi2s=grid, steps=6)
+        serial, parallel = run_sweep(spec, jobs=1), run_sweep(spec, jobs=2)
+        assert (serial.best_coin, serial.best_t) == (parallel.best_coin, parallel.best_t)
+        assert runner._fmt(serial.best_value) == runner._fmt(parallel.best_value)
+        assert [row[:4] for row in serial.table] == [row[:4] for row in parallel.table]
+        assert max(abs(a[4] - b[4]) for a, b in zip(serial.table, parallel.table)) <= 1e-14
+
     @staticmethod
     def _tie_rule(spec, table):
         """The sweep's choice over made-up closeness series per coin (zeros
@@ -913,7 +925,7 @@ class TestUntiedSkip:
         for e in eps:
             b = np.zeros((16, 8), dtype=complex)
             b[:, 0], b[:, 1] = (1 - e) ** 0.5 * g, e ** 0.5 * h
-            tensors.append((np.arange(4), b.T.reshape(1, 4, 2, 16)))
+            tensors.append((slice(None), b.T.reshape(1, 4, 2, 16)))
         monkeypatch.setattr(runner, "_column_walks",
                             lambda *args: iter([(np.arange(16), iter(tensors))]))
         coin_mats = np.eye(2)[None]
@@ -932,7 +944,7 @@ class TestUntiedSkip:
         g = runner._reference_state(target, CYCLE4).amplitudes
         b = np.zeros((16, 8), dtype=complex)
         b[:, 0] = (1 - 8e-11) ** 0.5 * g
-        tensors = [(np.arange(4), b.T.reshape(1, 4, 2, 16))] * 2
+        tensors = [(slice(None), b.T.reshape(1, 4, 2, 16))] * 2
         monkeypatch.setattr(runner, "_column_walks",
                             lambda *args: iter([(np.arange(16), iter(tensors))]))
         coin_mats = np.eye(2)[None]

@@ -12,7 +12,6 @@ from iqwalk import (
     STANDARD_COINS,
     WalkConfig,
     build_coin,
-    build_shift,
     evolve,
     standard_initial_state,
     trajectory,
@@ -87,14 +86,14 @@ class TestCoin:
 
 class TestShift:
     def test_cycle_moves(self):
-        s = build_shift(GraphTopology("cycle", 4))
+        s = shift_matrix("cycle", 4)
         # |0>_P|1>_C -> |1>_P|1>_C
         assert s[1 * 2 + 1, 0 * 2 + 1] == 1
         # |0>_P|0>_C -> |3>_P|0>_C
         assert s[3 * 2 + 0, 0 * 2 + 0] == 1
 
     def test_path_boundary_reflects_with_coin_flip(self):
-        s = build_shift(GraphTopology("path", 4))
+        s = shift_matrix("path", 4)
         # |0>_P|0>_C -> |0>_P|1>_C
         assert s[0 * 2 + 1, 0 * 2 + 0] == 1
         # |3>_P|1>_C -> |3>_P|0>_C
@@ -106,7 +105,7 @@ class TestShift:
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_unitary_permutation(self, kind, n):
-        s = build_shift(GraphTopology(kind, n))
+        s = shift_matrix(kind, n)
         assert unitarity_defect(s) < 1e-12
         # one 1 per row and column, everything else 0
         assert np.array_equal(np.sort(np.abs(s), axis=0)[-1], np.ones(2 * n))
@@ -116,14 +115,13 @@ class TestShift:
     @pytest.mark.parametrize("n", range(2, MAX_SITES + 1))
     def test_matches_the_move_by_move_oracle(self, kind, n):
         top = GraphTopology(kind, n)
-        s, rows = build_shift(top), _shift_rows(top)
-        assert s.dtype == complex and rows.dtype == np.intp
-        assert np.array_equal(s, shift_matrix(kind, n))
-        assert np.array_equal(s, np.eye(2 * n)[rows])
+        rows = _shift_rows(top)
+        assert rows.dtype == np.intp
+        assert np.array_equal(np.eye(2 * n)[rows], shift_matrix(kind, n))
 
     def test_cycle_translation_invariance(self):
         n = 5
-        s = build_shift(GraphTopology("cycle", n))
+        s = shift_matrix("cycle", n)
         rot = np.zeros((n, n))
         for i in range(n):
             rot[(i + 1) % n, i] = 1
@@ -218,7 +216,7 @@ class TestStep:
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
     def test_shift_gather_is_the_matmul_bitwise(self, kind, n):
         top = GraphTopology(kind, n)
-        shift, rows = build_shift(top), _shift_rows(top)
+        shift, rows = shift_matrix(kind, n), _shift_rows(top)
         coin = build_coin(STANDARD_COINS[2])
         diag, signs = cz_diagonal(n), _cz_signs(top)
         tensor = standard_initial_state(top).amplitudes.reshape(n, 2, -1)
@@ -284,7 +282,7 @@ class TestEvolve:
         coin = CoinParams(0.7, 0.3, 1.1)
         cfg = WalkConfig(top, coin, 5)
         # Independent dense reference: U = CZ . (S (x) 1_G) . (1_P (x) C (x) 1_G).
-        walker = build_shift(top) @ np.kron(np.eye(3), build_coin(coin))
+        walker = shift_matrix(kind, 3) @ np.kron(np.eye(3), build_coin(coin))
         u = cz_diagonal(3)[:, None] * np.kron(walker, np.eye(2 ** 3))
         psi = standard_initial_state(top).amplitudes
         for state in list(trajectory(cfg))[1:]:
@@ -410,9 +408,9 @@ class TestColumnBlocks:
 
 class TestOccupancyPlan:
     """The walk's plan is the rule of ``walk._walked_sites``: it steps only
-    the (site, coin) rows of the sites of parity (s0 + t) mod 2 on an even
-    cycle from a start on parity s0, and of every site elsewhere.  The
-    full-row walk is exactly 0 on every other row."""
+    the (site, coin) rows of the sites of parity t mod 2 on an even cycle
+    from the standard start, and of every site elsewhere and from every
+    explicit start.  The full-row walk is exactly 0 on every other row."""
 
     @staticmethod
     def support(topology, tensor):
@@ -452,11 +450,12 @@ class TestOccupancyPlan:
         full = [tensor for _, tensor in full_row_walk(top, coin, steps, initial)]
         reachable = self.reachable(top, steps, start)
         assert len(walked) == len(full) == steps + 1
-        for t, ((sites, tensor), whole) in enumerate(zip(walked, full)):
+        sites = [list(range(n)[part]) for part, _ in walked]
+        for t, ((part, tensor), whole) in enumerate(zip(walked, full)):
             assert np.array_equal(self.support(top, whole), reachable[t]), t
-            assert np.isin(reachable[t], sites).all(), t
-            assert np.array_equal(_full_rows(sites, tensor, n), whole), t
-        return [sites.tolist() for sites, _ in walked]
+            assert np.isin(reachable[t], sites[t]).all(), t
+            assert np.array_equal(_full_rows(part, tensor, n), whole), t
+        return sites
 
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     @pytest.mark.parametrize("n", range(2, MAX_SITES + 1))
@@ -480,7 +479,7 @@ class TestOccupancyPlan:
         walked = walk_module._walk_tensors(GraphTopology("cycle", 12), build_coin(CoinParams(0.7)),
                                            26, columns=slice(0, 4))
         for t, (sites, tensor) in enumerate(walked):
-            assert sites.tolist() == list(range(t % 2, 12, 2))
+            assert list(range(12)[sites]) == list(range(t % 2, 12, 2))
             assert tensor.shape == (6, 2, 4)
 
     def test_path_walks_every_site(self):
@@ -490,16 +489,18 @@ class TestOccupancyPlan:
         assert [len(sites) for sites in self.reachable(top, 26, [0])][10:12] == [11, 12]
         walked = walk_module._walk_tensors(top, build_coin(CoinParams(0.7)), 26,
                                            columns=slice(0, 4))
-        assert all(sites.tolist() == list(range(12)) for sites, _ in walked)
+        assert all(list(range(12)[sites]) == list(range(12)) for sites, _ in walked)
 
-    @pytest.mark.parametrize("parity", [0, 1])
-    def test_initial_on_one_parity_walks_a_sublattice(self, parity, full_row_walk):
-        # Sites 1 and 3, or 0 and 4, of C_6: the sublattice of parity
-        # (s0 + t) mod 2 from t = 0.
+    def test_every_explicit_start_walks_every_site(self, full_row_walk):
+        # On C_6 the sublattice is the standard start's alone: a start on
+        # sites 1 and 3, on 0 and 4 (one parity each), on 0 and 3 (both),
+        # and the standard state passed explicitly all walk every site.
         top = GraphTopology("cycle", 6)
-        start = [1, 3] if parity else [0, 4]
-        sites = self.check_walk(top, 14, start, self.initial(top, start), full_row_walk)
-        assert sites == [list(range((parity + t) % 2, 6, 2)) for t in range(15)]
+        for start in ([1, 3], [0, 4], [0, 3]):
+            sites = self.check_walk(top, 14, start, self.initial(top, start), full_row_walk)
+            assert sites == [list(range(6))] * 15, start
+        sites = self.check_walk(top, 14, [0], standard_initial_state(top), full_row_walk)
+        assert sites == [list(range(6))] * 15
 
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     def test_initial_on_both_parities_gets_every_site(self, kind, full_row_walk):
@@ -630,7 +631,7 @@ class TestClusterMechanism:
 
     def test_every_column_step_has_order_24_up_to_the_graph_signs(self):
         n = self.TOPOLOGY.n
-        step = build_shift(self.TOPOLOGY) @ np.kron(np.eye(n), build_coin(self.COIN))
+        step = shift_matrix("cycle", n) @ np.kron(np.eye(n), build_coin(self.COIN))
         signs = _cz_signs(self.TOPOLOGY)[:, 0::2]
         phases = []
         for g in range(2 ** n):
