@@ -491,6 +491,18 @@ class TestOccupancyPlan:
                                            columns=slice(0, 4))
         assert all(list(range(12)[sites]) == list(range(12)) for sites, _ in walked)
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_initial_on_one_parity_walks_a_sublattice(self, parity, full_row_walk):
+        # Sites 1 and 3, or 0 and 4, of C_6: the walker's amplitude lies on
+        # the sublattice of parity (s0 + t) mod 2 from t = 0, while the walk
+        # of this explicit start steps every site and is 0 off the sublattice.
+        top = GraphTopology("cycle", 6)
+        start = [1, 3] if parity else [0, 4]
+        for t, occupied in enumerate(self.reachable(top, 14, start)):
+            assert np.isin(occupied, range((parity + t) % 2, 6, 2)).all(), t
+        sites = self.check_walk(top, 14, start, self.initial(top, start), full_row_walk)
+        assert sites == [list(range(6))] * 15
+
     def test_every_explicit_start_walks_every_site(self, full_row_walk):
         # On C_6 the sublattice is the standard start's alone: a start on
         # sites 1 and 3, on 0 and 4 (one parity each), on 0 and 3 (both),
