@@ -2,7 +2,7 @@
 
 from .conditioning import CoinProjection
 from .errors import ContractViolationError, ZeroProbabilityError
-from .linalg import SubsystemShape, density_factor, hermitian_eig, partial_transpose
+from .linalg import SubsystemShape, hermitian_eig, partial_transpose
 from .metrics import closeness, log_negativity, n_concurrence, trace_distance, von_neumann_entropy
 from .runner import (
     BEST_CLUSTER_COINS,
@@ -48,7 +48,6 @@ __all__ = [
     "build_coin",
     "closeness",
     "default_angle_grid",
-    "density_factor",
     "evolve",
     "ghz",
     "graph_state",

@@ -163,45 +163,26 @@ def hermitian_eig(a: np.ndarray, *,
     return np.linalg.eigvalsh(h)[..., ::-1].copy()
 
 
-def _psd_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = hermitian_eig(a)
-    if vals.size and vals.min() < -PSD_CLIP:
-        raise ContractViolationError(
-            f"matrix is not PSD: smallest eigenvalue {vals.min():.3e} < -{PSD_CLIP:.0e}")
-    return np.clip(vals, 0.0, None), vecs
-
-
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues in ``[-PSD_CLIP, 0)`` are clamped to zero as float noise; a
     more negative one raises :class:`ContractViolationError`.
     """
-    vals, vecs = _psd_eig(a)
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    vals, vecs = hermitian_eig(a)
+    if vals.size and vals.min() < -PSD_CLIP:
+        raise ContractViolationError(
+            f"matrix is not PSD: smallest eigenvalue {vals.min():.3e} < -{PSD_CLIP:.0e}")
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     return (root + root.conj().T) / 2
-
-
-def density_factor(rho: np.ndarray) -> np.ndarray:
-    """Factor ``B`` with ``rho = B @ B^dag`` of a dense positive
-    semidefinite matrix: its eigenvectors scaled by the square roots of
-    their eigenvalues.
-
-    This is how a caller holding a dense density matrix reaches the metrics,
-    which all take a factor.  ``rho`` must be Hermitian; eigenvalues in
-    ``[-PSD_CLIP, 0)`` are clamped to zero as float noise and a more
-    negative one raises :class:`ContractViolationError`.  A (..., d, d)
-    stack gives a (..., d, d) stack of factors.
-    """
-    vals, vecs = _psd_eig(rho)
-    return vecs * np.sqrt(vals)[..., None, :]
 
 
 def schatten1_norm(a: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: the sum of |eigenvalues|, which
     equals the sum of singular values.
 
-    Raises :class:`ContractViolationError` when ``a`` is not Hermitian (the
-    package's only operand is the partial transpose of a density matrix).
+    Raises :class:`ContractViolationError` when ``a`` is not Hermitian.  No
+    metric calls it: the log negativity sums only the negative eigenvalues
+    of its partial transpose.  It is a dense reference for checks.
     """
     return float(np.abs(hermitian_eig(a, vectors=False)).sum())

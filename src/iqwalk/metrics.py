@@ -3,10 +3,13 @@ entropy (in bits), logarithmic negativity across a bipartition, n-partite
 concurrence of a qubit register, and trace distance with its complement
 ("closeness").
 
-Every public metric takes a factor ``B`` of the state, ``rho = B @ B^dag``:
-the vertex register of an n-site walk has a (2**n, 2n) one, so every
-register metric is solved in dimension at most 2n + 1, never 2**n.  A
-caller holding a dense ``rho`` passes :func:`~iqwalk.linalg.density_factor`.
+Every public metric takes a factor ``B`` of the state, ``rho = B @ B^dag``.
+Each state the walk produces is pure, so each register state has its
+factor by construction: (2**n, 2n) for the vertex register of an n-site
+walk, (2**n, n) after a coin post-selection, and
+:func:`~iqwalk.linalg.reduction_factor` for any other cut.  Every register
+metric is solved in dimension at most 2n + 1, never 2**n.  Dense matrices
+reach the metrics only in the tests.
 Each metric forms the matrix it solves and hands it to a private core:
 ``_entropy_of`` and ``_log_negativity_of`` take a stack of density
 matrices, ``_concurrence_from_sy`` one of B^T Sy B, and

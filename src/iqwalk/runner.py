@@ -209,6 +209,7 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
     partner = slice(None) if halved else slice(None, None, -1)
     for columns, tensors in _column_walks(topology, build_coin(config.coin), config.steps,
                                           config.initial, halved=halved):
+        block_phase = phase[columns] if with_sy else None
         for t, (sites, tensor) in enumerate(tensors):
             k = tensor.shape[-3]
             f = tensor.reshape(2 * k, -1)
@@ -222,7 +223,7 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
                 g_weights * (f @ f.conj().T)).reshape(k, 2, k, 2)
             if with_sy:
                 sy[t].reshape(n, 2, n, 2)[walked] += (
-                    m_weights * (f @ (f * phase[columns])[:, partner].T)).reshape(k, 2, k, 2)
+                    m_weights * (f @ (f * block_phase)[:, partner].T)).reshape(k, 2, k, 2)
     _check_trace(np.trace(grams, axis1=1, axis2=2).real)
     _last_walk[:] = config, {series}, (grams, sy)
     return _last_walk[2]

@@ -209,10 +209,14 @@ def _apply_step(tensor: np.ndarray, coin_mat: np.ndarray, shift_rows: np.ndarray
 
     Leading axes are a batch of walks, each with its own coin from the
     matching (..., 2, 2) stack ``coin_mat``.  The coin is one batched
-    ``matmul`` over the sites, the shift is the row gather ``shift_rows``
-    (:func:`_shift_rows` on all sites), and the CZ flips signs of the
-    result's ``float64`` view, reshaped to the shape of the table
-    ``cz_signs`` (:func:`_cz_signs` on all sites), in place.
+    ``matmul`` over the sites, the shift is the row gather ``shift_rows``,
+    and the CZ flips signs of the result's ``float64`` view, reshaped to the
+    shape of the table ``cz_signs``, in place.  Both cover only the k sites
+    the step lands on.  From :func:`_walk_tensors` these are every site, or
+    on an even cycle one sublattice: ``shift_rows`` is then that
+    sublattice's rows of :func:`_shift_rows`, renumbered into the previous
+    sublattice's tensor, and ``cz_signs`` a strided half of the
+    :func:`_cz_signs` table.
     """
     *batch, _, _, g_dim = tensor.shape
     t = np.matmul(coin_mat[..., None, :, :], tensor)

@@ -3,9 +3,11 @@ library's linear algebra and entanglement measures.
 
 Everything here shares no code with the package internals it checks, and
 is written the slow, obvious way (explicit index loops, non-Hermitian
-eigensolves), except :func:`partial_trace`: the one-contraction partial
-trace that tests use to build dense references, itself pinned against
-:func:`partial_trace_loops`.
+eigensolves, exact integer arithmetic), except :func:`partial_trace`: the
+one-contraction partial trace that tests use to build dense references,
+itself pinned against :func:`partial_trace_loops`; and
+:func:`density_factor`, the ``eigh`` factor through which dense test states
+reach the metrics, which take factors only.
 """
 
 from __future__ import annotations
@@ -106,6 +108,46 @@ def shift_matrix(kind: str, num_sites: int) -> np.ndarray:
             else:
                 s[site * 2 + 1 - coin, site * 2 + coin] = 1.0
     return s
+
+
+# The cluster coin, doubled, as its real and imaginary parts: C(theta, phi1,
+# phi2) = [[e^{-i(phi1+phi2)/2} c, -e^{i(phi2-phi1)/2} s], [e^{i(phi1-phi2)/2} s,
+# e^{i(phi1+phi2)/2} c]] at (pi/2, 0, pi/2), where c = s = 1/sqrt(2), gives
+# 2C = [[1 - i, -1 - i], [1 - i, 1 + i]].
+_CLUSTER_COIN_X2 = (np.array([[1, -1], [1, 1]]), np.array([[-1, -1], [-1, 1]]))
+
+
+def gaussian_cluster_walk(kind: str, num_sites: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The walk with the cluster coin (pi/2, 0, pi/2) from |0>_P |0>_C |+>^n,
+    exactly, in Gaussian integers.
+
+    Returns ``(re, im)``, int64 arrays of shape (2n, 2**n), row p*2 + c and
+    column g, with re + i im = 2**steps * 2**(n/2) * psi(steps): the start
+    is all ones on row (0, 0), and each step applies 2C to the coin, then
+    :func:`shift_matrix` and :func:`cz_diagonal` as integer matrices.
+    Entries stay below 2**(steps + n/2) in modulus.
+    """
+    n = num_sites
+    shift = shift_matrix(kind, n).real.astype(np.int64)
+    cz = cz_diagonal(n).astype(np.int64).reshape(2 * n, 2 ** n)
+    a, b = _CLUSTER_COIN_X2
+    re = np.zeros((2 * n, 2 ** n), dtype=np.int64)
+    im = np.zeros_like(re)
+    re[0] = 1
+    for _ in range(steps):
+        x, y = re.reshape(n, 2, -1), im.reshape(n, 2, -1)
+        # (a + ib)(x + iy) = (ax - by) + i(ay + bx) on each site's coin pair.
+        re, im = (a @ x - b @ y).reshape(2 * n, -1), (a @ y + b @ x).reshape(2 * n, -1)
+        re, im = cz * (shift @ re), cz * (shift @ im)
+    return re, im
+
+
+def density_factor(rho: np.ndarray) -> np.ndarray:
+    """Factor ``B`` with ``rho = B @ B^dag`` of a dense density matrix, or of
+    each member of a (..., d, d) stack: its ``eigh`` eigenvectors scaled by
+    the square roots of their eigenvalues, the rounding negatives set to 0."""
+    vals, vecs = np.linalg.eigh(rho)
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
 
 
 def sigma_y_all(num_qubits: int) -> np.ndarray:

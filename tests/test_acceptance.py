@@ -19,7 +19,6 @@ from iqwalk import (
     WalkConfig,
     ZeroProbabilityError,
     build_coin,
-    density_factor,
     evolve,
     graph_state,
     n_concurrence,
@@ -34,6 +33,8 @@ from iqwalk.runner import reference_density
 from iqwalk.walk import _cz_signs, _shift_rows
 from oracles import (
     concurrence_direct,
+    density_factor,
+    gaussian_cluster_walk,
     partial_trace,
     partial_trace_loops,
     random_density,
@@ -68,6 +69,23 @@ def test_criterion_1_perfect_cluster_state():
     _report(1, "perfect cluster state at t=24",
             delta <= 1e-9 and elapsed < 1.0,
             f"trace distance {delta:.3e}, {elapsed:.3f} s")
+
+
+def test_criterion_1_exact_in_gaussian_integers():
+    """Criterion 1's point, exactly.  2C has entries +-1 +- i for the cluster
+    coin, so 2^24 * 4 * psi(24) on C4 is a Gaussian-integer vector.  It is
+    nonzero only in row (p, c) = (0, 0), where it is 2^24 * 4 * |C4>:
+    entries +-2^24, phase +1.  evolve's float psi(24) is within 1e-15 of it
+    (3.2e-16 measured)."""
+    scale = 2 ** 24 * 4
+    re, im = gaussian_cluster_walk("cycle", 4, 24)
+    graph = scale * graph_state(CYCLE4).amplitudes
+    assert not im.any()
+    assert not re[1:].any()
+    assert np.array_equal(re[0], graph.real) and not graph.imag.any()
+    assert np.array_equal(np.abs(re[0]), np.full(16, 2 ** 24)) and re[0, 0] == 2 ** 24
+    final = evolve(WalkConfig(CYCLE4, CLUSTER_COIN, 24)).amplitudes
+    assert np.abs(final - re.reshape(-1) / scale).max() <= 1e-15
 
 
 def test_criterion_2_cycle_concurrence_null():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from iqwalk import (
     von_neumann_entropy,
 )
 from iqwalk.conditioning import postselect_coin, unconditioned_vertex_state
+from iqwalk.linalg import SubsystemShape
+from iqwalk.walk import PureState
 from oracles import concurrence_direct, partial_trace
 
 CYCLE4 = GraphTopology("cycle", 4)
@@ -64,6 +68,14 @@ class TestPostselect:
         state = standard_initial_state(CYCLE4)
         with pytest.raises(ZeroProbabilityError):
             postselect_coin(state, CoinProjection(np.pi / 2, 0.0))
+
+    @pytest.mark.parametrize("dims", [(4, 3, 2), (4, 2)])
+    def test_rejects_a_state_off_the_walk_shape(self, dims):
+        total = int(np.prod(dims))
+        state = PureState(np.full(total, total ** -0.5), SubsystemShape(dims))
+        with pytest.raises(ValueError, match=re.escape(
+                f"state must live on position (x) coin (x) vertex qubits, got dims {dims}")):
+            postselect_coin(state, CoinProjection(0.0, 0.0))
 
     def test_outcome_probabilities_sum_to_one(self):
         state = walk_states(PATH4, STANDARD_COINS[2], 17)[-1]

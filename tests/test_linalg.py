@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +7,17 @@ import pytest
 from iqwalk import (
     ContractViolationError,
     SubsystemShape,
-    density_factor,
     hermitian_eig,
     partial_transpose,
 )
 from iqwalk.linalg import matrix_sqrt_psd, reduced_density, reduction_factor, schatten1_norm
-from oracles import partial_trace, partial_trace_loops, random_density, random_pure
+from oracles import (
+    density_factor,
+    partial_trace,
+    partial_trace_loops,
+    random_density,
+    random_pure,
+)
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -202,6 +208,16 @@ class TestMatrixSqrt:
         with pytest.raises(ContractViolationError):
             matrix_sqrt_psd(np.diag([1.0, -1e-6]))
 
+    def test_clamps_noise_and_rejects_negative(self):
+        # PSD_CLIP = 1e-12 is the edge: below it an eigenvalue is noise.
+        assert np.array_equal(matrix_sqrt_psd(np.diag([1.0, -1e-13])), np.diag([1.0, 0.0]))
+        with pytest.raises(ContractViolationError, match="not PSD"):
+            matrix_sqrt_psd(np.diag([1.0, -1e-11]))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ContractViolationError, match="not Hermitian"):
+            matrix_sqrt_psd(np.array([[0.5, 0.3], [0.0, 0.5]]))
+
 
 class TestSchatten1:
     def test_density_matrix(self):
@@ -250,23 +266,34 @@ class TestReducedDensity:
             assert np.abs(f @ f.conj().T - reduced_density(psi, (2, 3, 2), keep)).max() == 0.0
 
 
+class TestSubsetSelection:
+    """``partial_transpose``'s ``part`` and ``reduced_density``'s ``keep``
+    must name at least one subsystem, each in range."""
+
+    def test_empty_selection(self):
+        with pytest.raises(ValueError, match="^part must select at least one subsystem$"):
+            partial_transpose(BELL_RHO, (2, 2), [])
+        with pytest.raises(ValueError, match="^keep must select at least one subsystem$"):
+            reduced_density(BELL, (2, 2), ())
+
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("part [0, 2] out of range for 2 subsystems")):
+            partial_transpose(BELL_RHO, (2, 2), [2, 0])
+        with pytest.raises(ValueError,
+                           match=re.escape("keep [-1] out of range for 2 subsystems")):
+            reduced_density(BELL, (2, 2), [-1])
+
+
 class TestDensityFactor:
+    """The oracle that passes dense test states to the metrics."""
+
     def test_reconstructs_input(self):
         rng = np.random.default_rng(71)
         for rank in (1, 3, 6):
             rho = random_density(6, rng, rank=rank)
             b = density_factor(rho)
             assert np.abs(b @ b.conj().T - rho).max() < 1e-12
-
-    def test_clamps_noise_and_rejects_negative(self):
-        b = density_factor(np.diag([1.0, -1e-13]))
-        assert np.abs(b @ b.conj().T - np.diag([1.0, 0.0])).max() == 0.0
-        with pytest.raises(ContractViolationError):
-            density_factor(np.diag([1.0, -1e-6]))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ContractViolationError):
-            density_factor(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
     @pytest.mark.parametrize("batch", [(3,), (2,), (2, 4)])
     def test_stack_is_factored_member_by_member(self, batch):

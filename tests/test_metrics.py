@@ -5,7 +5,6 @@ import iqwalk.metrics
 from iqwalk import (
     ContractViolationError,
     closeness,
-    density_factor,
     ghz,
     log_negativity,
     n_concurrence,
@@ -13,10 +12,11 @@ from iqwalk import (
     von_neumann_entropy,
     w_state,
 )
-from iqwalk.linalg import reduced_density
+from iqwalk.linalg import matrix_sqrt_psd, reduced_density
 from iqwalk.metrics import validate_density_matrix
 from oracles import (
     concurrence_direct,
+    density_factor,
     random_density,
     random_pure,
     random_unitary,
@@ -391,7 +391,7 @@ NAN_CALLS = {
     "validate": lambda: validate_density_matrix(np.full((2, 2), np.nan)),
     "validate_stack": lambda: validate_density_matrix(
         with_nan(np.stack([np.eye(2) / 2] * 4), (1, 0, 1))),
-    "density_factor": lambda: density_factor(
+    "matrix_sqrt_psd": lambda: matrix_sqrt_psd(
         with_nan(with_nan(np.eye(2) / 2, (0, 1)), (1, 0))),
 }
 

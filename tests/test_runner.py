@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 from iqwalk import (
     CoinParams,
     GraphTopology,
+    MetricSeries,
     STANDARD_COINS,
     SweepSpec,
     WalkConfig,
@@ -150,6 +152,21 @@ class TestMetricSeries:
             with pytest.raises(ValueError):
                 run_metric_series(cfg, bad)
         assert walk_count == []
+
+    @pytest.mark.parametrize("bad,message", [
+        ("entropy(G", "cannot parse metric name 'entropy(G'"),
+        ("concurrence_postselected", "concurrence_postselected needs (mu,nu)"),
+        ("concurrence_postselected()", "concurrence_postselected needs (mu,nu)"),
+    ])
+    def test_bad_metric_message(self, walk_count, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_metric_series(WalkConfig(CYCLE4, CoinParams(0.7), 2), bad)
+        assert walk_count == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_series_values_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^metric values must be finite$"):
+            MetricSeries("entropy(G)", (0.0, bad, 1.0), {})
 
     def test_nonnegative_entropy_series(self):
         series = run_metric_series(WalkConfig(PATH4, CoinParams(1.0, 0.2, 0.4), 40),

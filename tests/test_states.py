@@ -7,7 +7,6 @@ import pytest
 
 from iqwalk import (
     GraphTopology,
-    density_factor,
     ghz,
     graph_state,
     n_concurrence,
@@ -17,7 +16,12 @@ from iqwalk import (
 )
 from iqwalk.linalg import SubsystemShape
 from iqwalk.walk import PureState
-from oracles import graph_stabilizer_expectations, random_pure, wootters_concurrence
+from oracles import (
+    density_factor,
+    graph_stabilizer_expectations,
+    random_pure,
+    wootters_concurrence,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
