@@ -38,6 +38,15 @@ class CoinProjection:
                          np.exp(-1j * self.nu) * math.sin(self.mu)])
 
 
+def _walk_tensor(state: PureState) -> np.ndarray:
+    """The (n, 2, 2**n) tensor of a state on :func:`~iqwalk.walk.walk_shape`'s dims."""
+    dims = state.shape.dims
+    if dims != (dims[0], 2) + (2,) * dims[0]:
+        raise ValueError("state must live on position (x) coin (x) vertex qubits, "
+                         f"got dims {dims}")
+    return state.amplitudes.reshape(dims[0], 2, -1)
+
+
 def postselect_coin(state: PureState, proj: CoinProjection) -> tuple[np.ndarray, float]:
     """Conditional vertex-register state after projecting the coin.
 
@@ -50,12 +59,7 @@ def postselect_coin(state: PureState, proj: CoinProjection) -> tuple[np.ndarray,
     ``p`` is below the numerical floor: the conditional state does not
     exist.
     """
-    if len(state.shape.dims) < 3 or state.shape.dims[1] != 2:
-        raise ValueError("state must live on position (x) coin (x) vertex qubits, "
-                         f"got dims {state.shape.dims}")
-    n = state.shape.dims[0]
-    tensor = state.amplitudes.reshape(n, 2, -1)
-
+    tensor = _walk_tensor(state)
     bra = proj.ket().conj()
     branch = bra[0] * tensor[:, 0, :] + bra[1] * tensor[:, 1, :]
 
@@ -70,5 +74,4 @@ def unconditioned_vertex_state(state: PureState) -> np.ndarray:
     """Factor ``B`` of the vertex-register density matrix ``rho = B @ B^dag``
     (walker and coin traced out): the walk state as a (2**n, 2n) matrix, so
     ``rho`` has rank at most 2n."""
-    dims = state.shape.dims
-    return state.amplitudes.reshape(dims[0] * dims[1], -1).T
+    return _walk_tensor(state).reshape(2 * state.shape.dims[0], -1).T

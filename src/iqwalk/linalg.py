@@ -19,6 +19,8 @@ from .errors import ContractViolationError
 
 # Tolerance below which an operator is accepted as Hermitian.
 HERMITIAN_ATOL = 1e-10
+# How far a state's squared norm, the trace of its density matrix, may be from 1.
+DENSITY_ATOL = 1e-10
 # Eigenvalues in [-PSD_CLIP, 0) are treated as float noise and clamped to 0.
 PSD_CLIP = 1e-12
 

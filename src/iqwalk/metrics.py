@@ -31,9 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import PSD_CLIP, SubsystemShape, hermitian_eig, partial_transpose
-
-DENSITY_ATOL = 1e-10
+from .linalg import DENSITY_ATOL, PSD_CLIP, SubsystemShape, hermitian_eig, partial_transpose
 
 
 def _check_trace(tr: np.ndarray | float) -> None:
@@ -44,7 +42,7 @@ def _check_trace(tr: np.ndarray | float) -> None:
     bad = ~(np.abs(tr - 1.0) <= DENSITY_ATOL)
     if bad.any():
         raise ContractViolationError(
-            f"density matrix trace is {tr[bad].flat[0]!r}, expected 1")
+            f"density matrix trace is {float(tr[bad].flat[0])!r}, expected 1")
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -139,9 +137,10 @@ def _concurrence_from_sy(m: np.ndarray) -> np.ndarray:
     return np.where(value > 0.0, np.minimum(value, 1.0), 0.0)
 
 
-def n_concurrence(factor: np.ndarray, num_qubits: int) -> float:
+def n_concurrence(factor: np.ndarray) -> float:
     """n-partite concurrence max(0, sqrt(l1) - sum_j>=2 sqrt(l_j)) of
-    ``rho = B @ B^dag``.
+    ``rho = B @ B^dag``, for a factor ``B`` with 2**n rows, n >= 1: the
+    row count gives the qubit count, and any other raises :class:`ValueError`.
 
     The l's are the (descending) eigenvalues of rho Sy rho* Sy with
     Sy = sigma_y^(x n).  Their square roots are the singular values of the
@@ -151,10 +150,9 @@ def n_concurrence(factor: np.ndarray, num_qubits: int) -> float:
     an n-qubit GHZ state.
     """
     b = np.asarray(factor)
-    dim = 2 ** num_qubits
-    if b.ndim != 2 or b.shape[0] != dim:
-        raise ValueError(f"expected a factor with {dim} rows for {num_qubits} qubits, "
-                         f"got shape {b.shape}")
+    num_qubits = b.shape[0].bit_length() - 1 if b.ndim == 2 else 0
+    if num_qubits < 1 or b.shape[0] != 2 ** num_qubits:
+        raise ValueError(f"expected a factor with 2**n rows, n >= 1, got shape {b.shape}")
     _check_trace(np.sum(np.abs(b) ** 2))
     sy_b = (_sigma_y_phase(num_qubits)[:, None] * b)[::-1]
     return float(_concurrence_from_sy(b.T @ sy_b))

@@ -8,12 +8,9 @@ coin and the vertex qubit at the walker's new position.
 
 The walker hops one site per step, so on an even cycle from the standard
 start it is on the sites of parity t mod 2 at step t, and the walk steps
-only their (site, coin) rows, passed on as the slice of
-:func:`_walked_sites`.  On C_n with 4 | n, column ~g = 2**n-1-g of psi(t)
-from the standard start is (-1)^((p+t)/2) times column g on site p, so
-``runner._statistics`` walks g < 2**(n-1) alone there; ``trajectory``,
-``evolve`` and the closeness walk every g.  An explicit start walks every
-row and every column.  The shift is the row gather :func:`_shift_rows`.
+only their (site, coin) rows, the slice of :func:`_walked_sites`; an
+explicit start walks every row.  ``runner._statistics`` says which register
+columns it walks.  The shift is the row gather :func:`_shift_rows`.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import SubsystemShape, reduced_density
+from .linalg import DENSITY_ATOL, SubsystemShape, reduced_density
 
 # Ceiling on the site count for dense simulation; at n = 12 one walk state
 # holds 98304 amplitudes (1.5 MiB).  On an even cycle from the standard
@@ -95,8 +92,8 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         self.shape.check_vector(amps)
         norm = np.linalg.norm(amps)
-        # Written so that a NaN norm fails the check too.
-        if not abs(norm - 1.0) <= 1e-10:
+        # The trace contract of every metric; written so that NaN fails it too.
+        if not abs(norm ** 2 - 1.0) <= DENSITY_ATOL:
             raise ValueError(f"state is not normalized: ||psi|| = {norm:.12g}")
 
     def reduced(self, keep) -> np.ndarray:

@@ -105,7 +105,7 @@ def test_criterion_2_cycle_concurrence_null():
     start = time.perf_counter()
     worst = 0.0
     for coin in STANDARD_COINS:
-        values = [n_concurrence(unconditioned_vertex_state(s), 4)
+        values = [n_concurrence(unconditioned_vertex_state(s))
                   for s in _trajectory(CYCLE4, coin)]
         worst = max(worst, max(values))
     elapsed = time.perf_counter() - start
@@ -123,7 +123,7 @@ def test_criterion_3_postselection_gain_on_path():
     details = []
     for coin in STANDARD_COINS:
         states = _trajectory(PATH4, coin)
-        unconditioned = max(n_concurrence(unconditioned_vertex_state(s), 4)
+        unconditioned = max(n_concurrence(unconditioned_vertex_state(s))
                             for s in states)
         best = {}
         for mu in (0.0, math.pi / 2):
@@ -131,7 +131,7 @@ def test_criterion_3_postselection_gain_on_path():
             for state in states:
                 try:
                     factor, _ = postselect_coin(state, CoinProjection(mu, 0.0))
-                    values.append(n_concurrence(factor, 4))
+                    values.append(n_concurrence(factor))
                 except ZeroProbabilityError:
                     values.append(0.0)
             best[mu] = max(values)
@@ -217,14 +217,14 @@ def test_criterion_6_oracle_suites():
     for num_qubits in (2, 3, 4):
         for _ in range(10):
             rho = random_density(2 ** num_qubits, rng)
-            worst_conc = max(worst_conc, abs(n_concurrence(density_factor(rho), num_qubits)
+            worst_conc = max(worst_conc, abs(n_concurrence(density_factor(rho))
                                              - concurrence_direct(rho, num_qubits)))
 
     worst_wootters = 0.0
     for _ in range(20):
         rho = random_density(4, rng)
         worst_wootters = max(worst_wootters,
-                             abs(n_concurrence(density_factor(rho), 2)
+                             abs(n_concurrence(density_factor(rho))
                                  - wootters_concurrence(rho)))
 
     _report(6, "oracle suites",

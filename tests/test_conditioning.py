@@ -23,6 +23,20 @@ CYCLE4 = GraphTopology("cycle", 4)
 PATH4 = GraphTopology("path", 4)
 
 
+# Dims that are not (n, 2, 2, ..., 2) with n vertex qubits: a qutrit coin,
+# no register, a qutrit vertex, and one vertex qubit for 4 sites.
+OFF_WALK_DIMS = [(4, 3, 2), (4, 2), (4, 2, 3), (4, 2, 2)]
+
+
+def uniform_state(dims):
+    total = int(np.prod(dims))
+    return PureState(np.full(total, total ** -0.5), SubsystemShape(dims))
+
+
+def off_walk_message(dims):
+    return re.escape(f"state must live on position (x) coin (x) vertex qubits, got dims {dims}")
+
+
 def walk_states(topology, coin, steps):
     return list(trajectory(WalkConfig(topology, coin, steps)))
 
@@ -69,13 +83,10 @@ class TestPostselect:
         with pytest.raises(ZeroProbabilityError):
             postselect_coin(state, CoinProjection(np.pi / 2, 0.0))
 
-    @pytest.mark.parametrize("dims", [(4, 3, 2), (4, 2)])
+    @pytest.mark.parametrize("dims", OFF_WALK_DIMS)
     def test_rejects_a_state_off_the_walk_shape(self, dims):
-        total = int(np.prod(dims))
-        state = PureState(np.full(total, total ** -0.5), SubsystemShape(dims))
-        with pytest.raises(ValueError, match=re.escape(
-                f"state must live on position (x) coin (x) vertex qubits, got dims {dims}")):
-            postselect_coin(state, CoinProjection(0.0, 0.0))
+        with pytest.raises(ValueError, match=off_walk_message(dims)):
+            postselect_coin(uniform_state(dims), CoinProjection(0.0, 0.0))
 
     def test_outcome_probabilities_sum_to_one(self):
         state = walk_states(PATH4, STANDARD_COINS[2], 17)[-1]
@@ -115,7 +126,7 @@ class TestPostselect:
             assert factor.shape == (16, 4)
             rho, _ = project_then_trace(state, proj)
             # the conditional state has rank <= n = 4
-            assert abs(n_concurrence(factor, 4) - concurrence_direct(rho, 4, rank=4)) < 1e-8
+            assert abs(n_concurrence(factor) - concurrence_direct(rho, 4, rank=4)) < 1e-8
             vals = np.linalg.eigvalsh(rho)
             vals = vals[vals > 1e-15]
             assert abs(von_neumann_entropy(factor) + np.sum(vals * np.log2(vals))) < 1e-12
@@ -127,6 +138,11 @@ class TestPostselect:
 
 
 class TestVertexState:
+    @pytest.mark.parametrize("dims", OFF_WALK_DIMS)
+    def test_rejects_a_state_off_the_walk_shape(self, dims):
+        with pytest.raises(ValueError, match=off_walk_message(dims)):
+            unconditioned_vertex_state(uniform_state(dims))
+
     def test_initial_product_state(self):
         rho = density(unconditioned_vertex_state(standard_initial_state(PATH4)))
         plus16 = np.full(16, 0.25)
@@ -148,7 +164,7 @@ class TestWalkConcurrencePhenomenology:
 
     def test_path_unconditioned_identically_zero(self):
         for coin in STANDARD_COINS:
-            values = [n_concurrence(unconditioned_vertex_state(s), 4)
+            values = [n_concurrence(unconditioned_vertex_state(s))
                       for s in walk_states(PATH4, coin, 100)]
             assert max(values) < 1e-8
 
@@ -161,10 +177,10 @@ class TestWalkConcurrencePhenomenology:
                         factor, _ = postselect_coin(state, CoinProjection(mu, 0.0))
                     except ZeroProbabilityError:
                         continue
-                    best = max(best, n_concurrence(factor, 4))
+                    best = max(best, n_concurrence(factor))
             assert best > 0.05
 
     def test_cycle_unconditioned_has_bursts(self):
-        values = [n_concurrence(unconditioned_vertex_state(s), 4)
+        values = [n_concurrence(unconditioned_vertex_state(s))
                   for s in walk_states(CYCLE4, STANDARD_COINS[0], 100)]
         assert max(values) > 0.5

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -126,31 +128,31 @@ class TestLogNegativity:
 class TestConcurrence:
     def test_ghz_is_one(self):
         rho = projector(ghz(4))
-        assert abs(n_concurrence(density_factor(rho), 4) - 1.0) < 1e-8
+        assert abs(n_concurrence(density_factor(rho)) - 1.0) < 1e-8
         assert abs(concurrence_direct(rho, 4) - 1.0) < 1e-12
 
     def test_w_state_is_zero(self):
-        assert n_concurrence(density_factor(projector(w_state(4))), 4) < 1e-8
+        assert n_concurrence(density_factor(projector(w_state(4)))) < 1e-8
 
     def test_bell_reduces_to_wootters(self):
-        assert abs(n_concurrence(density_factor(projector(ghz(2))), 2) - 1.0) < 1e-8
+        assert abs(n_concurrence(density_factor(projector(ghz(2)))) - 1.0) < 1e-8
 
     def test_separable_qubit_kills_it(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             rho = np.kron(random_density(2, rng), random_density(8, rng))
-            assert n_concurrence(density_factor(rho), 4) < 1e-8
+            assert n_concurrence(density_factor(rho)) < 1e-8
             # separable qubit in the middle, not just on the edge
             rho = np.kron(np.kron(random_density(2, rng), random_density(2, rng, rank=1)),
                           random_density(4, rng))
-            assert n_concurrence(density_factor(rho), 4) < 1e-8
+            assert n_concurrence(density_factor(rho)) < 1e-8
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4])
     def test_hermitian_route_matches_direct(self, num_qubits):
         rng = np.random.default_rng(10 + num_qubits)
         for _ in range(10):
             rho = random_density(2 ** num_qubits, rng)
-            got = n_concurrence(density_factor(rho), num_qubits)
+            got = n_concurrence(density_factor(rho))
             want = concurrence_direct(rho, num_qubits)
             assert abs(got - want) < 1e-8
 
@@ -158,7 +160,7 @@ class TestConcurrence:
         rng = np.random.default_rng(20)
         for _ in range(20):
             rho = random_density(4, rng)
-            assert abs(n_concurrence(density_factor(rho), 2) - wootters_concurrence(rho)) < 1e-8
+            assert abs(n_concurrence(density_factor(rho)) - wootters_concurrence(rho)) < 1e-8
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6])
     def test_low_rank_factor_matches_direct(self, num_qubits):
@@ -172,7 +174,7 @@ class TestConcurrence:
                 b = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
                 b /= np.linalg.norm(b)
                 want = concurrence_direct(b @ b.conj().T, num_qubits, rank=rank)
-                assert abs(n_concurrence(b, num_qubits) - want) < 1e-8
+                assert abs(n_concurrence(b) - want) < 1e-8
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6])
     def test_pure_state_closed_form(self, num_qubits):
@@ -182,13 +184,17 @@ class TestConcurrence:
         for _ in range(5):
             psi = random_pure(2 ** num_qubits, rng)
             want = abs(psi @ big_sy @ psi)
-            assert abs(n_concurrence(psi[:, None], num_qubits) - want) < 1e-12
-        assert abs(n_concurrence(ghz(num_qubits).amplitudes[:, None], num_qubits)
+            assert abs(n_concurrence(psi[:, None]) - want) < 1e-12
+        assert abs(n_concurrence(ghz(num_qubits).amplitudes[:, None])
                    - (num_qubits % 2 == 0)) < 1e-12
 
     def test_rejects_non_qubit_dimension(self):
-        with pytest.raises(ValueError):
-            n_concurrence(density_factor(np.eye(6) / 6), 2)
+        # The row count must be 2**n with n >= 1: it is the qubit count.
+        for b in (density_factor(np.eye(6) / 6), np.eye(12, 2) / 2 ** 0.5, np.ones((1, 1)),
+                  np.zeros((0, 1)), np.ones(4) / 2, np.ones((2, 4, 1)) / 8 ** 0.5):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expected a factor with 2**n rows, n >= 1, got shape {b.shape}")):
+                n_concurrence(b)
 
 
 class TestTraceDistance:
@@ -346,7 +352,7 @@ class TestStacks:
         m = b.swapaxes(-1, -2) @ sigma_y_all(3) @ b
         values = iqwalk.metrics._concurrence_from_sy(m)
         assert values.shape == (5,)
-        assert np.abs(values - [n_concurrence(member, 3) for member in b]).max() <= 1e-12
+        assert np.abs(values - [n_concurrence(member) for member in b]).max() <= 1e-12
 
     def test_one_bad_member_rejects_the_stack(self):
         rng = np.random.default_rng(72)
@@ -385,7 +391,7 @@ NAN_CALLS = {
     "entropy_stack": lambda: von_neumann_entropy(with_nan(np.stack([BELL] * 4), (2, 3, 0))),
     "logneg_stack": lambda: log_negativity(with_nan(np.stack([BELL] * 4), (2, 3, 0)),
                                            (2, 2), [1]),
-    "concurrence": lambda: n_concurrence(with_nan(BELL, (3, 0)), 2),
+    "concurrence": lambda: n_concurrence(with_nan(BELL, (3, 0))),
     "closeness": lambda: closeness(BELL, with_nan(BELL, (0, 0))),
     "closeness_stack": lambda: closeness(with_nan(np.stack([BELL] * 4), (2, 3, 0)), BELL),
     "validate": lambda: validate_density_matrix(np.full((2, 2), np.nan)),
@@ -424,7 +430,7 @@ class TestSolveCounts:
         assert len(eig_calls) == 1
 
     def test_concurrence(self, eig_calls):
-        n_concurrence(random_factors(np.random.default_rng(81), 1, (16, 8))[0], 4)
+        n_concurrence(random_factors(np.random.default_rng(81), 1, (16, 8))[0])
         assert len(eig_calls) == 0
 
     def test_entropy(self, eig_calls):

@@ -373,7 +373,7 @@ def register_oracle(cfg, metric):
     values = []
     for s in trajectory(cfg):
         if metric == "concurrence":
-            values.append(n_concurrence(unconditioned_vertex_state(s), n))
+            values.append(n_concurrence(unconditioned_vertex_state(s)))
         elif metric.startswith("concurrence_postselected"):
             mu, nu = runner.parse_angles(metric[len("concurrence_postselected("):-1], 2)
             try:
@@ -381,7 +381,7 @@ def register_oracle(cfg, metric):
             except ZeroProbabilityError:
                 values.append(0.0)
                 continue
-            values.append(n_concurrence(factor, n))
+            values.append(n_concurrence(factor))
         else:
             target = runner._reference_state(metric[len("closeness("):-1], cfg.topology)
             values.append(closeness(unconditioned_vertex_state(s), target.amplitudes[:, None]))
@@ -1637,6 +1637,38 @@ class TestCli:
         else:
             values = [v for pair in json.loads(out)["amplitudes"] for v in pair]
             assert 0.0 in values and all(math.copysign(1, v) > 0 for v in values if v == 0)
+
+    def test_contract_violation_prints_the_trace_as_a_number(self, monkeypatch, capsys):
+        # A start 1.5 times too long has trace 2.25 at t = 0, exactly.
+        start = walk_module._standard_start
+        monkeypatch.setattr(walk_module, "_standard_start", lambda *args: 1.5 * start(*args))
+        assert main(["metric", "--graph", "path", "--sites", "4", "--coin", "pi/3,0,pi/7",
+                     "--steps", "2", "--metric", "entropy(G)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("iqwalk: numeric contract violation: "
+                                "density matrix trace is 2.25, expected 1\n")
+
+    def test_module_entry_point(self):
+        # `python -m iqwalk` runs __main__.py, and its exit code is main()'s.
+        src = str(Path(runner.__file__).resolve().parents[1])
+
+        def run(*flags):
+            return subprocess.run([sys.executable, "-m", "iqwalk", "metric", "--coin",
+                                   "pi/2,0,pi/2", "--steps", "1", "--metric", "entropy(G)",
+                                   *flags], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src})
+
+        ok = run()
+        assert ok.returncode == 0
+        assert ok.stdout.splitlines()[:2] == [
+            "# iqwalk v1, metric=entropy(G), graph=cycle, n=4, theta=1.57079632679, phi1=0, "
+            "phi2=1.57079632679", "t,value"]
+        too_many = run("--sites", "13")
+        assert too_many.returncode == 1
+        assert too_many.stdout == ""
+        assert too_many.stderr == ("iqwalk: error: n=13 exceeds the dense-simulation ceiling "
+                                   "MAX_SITES=12\n")
 
     def test_metric_needs_a_metric(self, capsys):
         assert main(["metric", "--coin", "0,0,0", "--steps", "2"]) == 1

@@ -54,7 +54,7 @@ class TestGHZ:
 
 class TestWState:
     def test_four_qubit_concurrence_vanishes(self):
-        assert n_concurrence(density_factor(projector(w_state(4))), 4) < 1e-8
+        assert n_concurrence(density_factor(projector(w_state(4)))) < 1e-8
 
     def test_two_qubit_form_and_concurrence(self):
         state = w_state(2)

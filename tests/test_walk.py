@@ -15,12 +15,14 @@ from iqwalk import (
     evolve,
     standard_initial_state,
     trajectory,
+    von_neumann_entropy,
     walk_shape,
 )
 import iqwalk.runner as runner
 import iqwalk.walk as walk_module
+from iqwalk.conditioning import unconditioned_vertex_state
 from iqwalk.walk import MAX_SITES, _apply_step, _cz_signs, _full_rows, _shift_rows
-from oracles import cz_diagonal, random_pure, shift_matrix
+from oracles import _CLUSTER_COIN_X2, cz_diagonal, random_pure, shift_matrix
 
 
 def random_coins(count, seed=2024):
@@ -629,6 +631,17 @@ class TestWalkConfig:
             with pytest.raises(ValueError):
                 PureState(amps, walk_shape(GraphTopology("cycle", 4)))
 
+    def test_norm_tolerance_is_the_metrics_trace_contract(self):
+        # ||psi|| - 1 = 8e-11 puts ||psi||^2, the trace every metric checks,
+        # 1.6e-10 from 1: the state is rejected where it is built, not by
+        # the first metric.  At 4e-11 both the state and its metrics pass.
+        topology = GraphTopology("path", 4)
+        amps = standard_initial_state(topology).amplitudes
+        with pytest.raises(ValueError, match="state is not normalized"):
+            PureState((1 + 8e-11) * amps, walk_shape(topology))
+        state = PureState((1 + 4e-11) * amps, walk_shape(topology))
+        assert von_neumann_entropy(unconditioned_vertex_state(state)) == 0.0
+
 
 class TestClusterMechanism:
     """Why the cycle C_4 with the coin (pi/2, 0, pi/2) holds the cluster
@@ -655,6 +668,26 @@ class TestClusterMechanism:
         bits = [[(g >> (n - 1 - i)) & 1 for i in range(n)] for g in range(2 ** n)]
         graph_signs = [(-1) ** sum(b[i] * b[j] for i, j in self.TOPOLOGY.edges) for b in bits]
         assert np.abs(np.array(phases) / phases[0] - graph_signs).max() <= 1e-12
+
+    def test_every_column_step_has_order_24_exactly(self):
+        # 2U_g = D_g S (1 (x) 2C) has Gaussian-integer entries, as int64 real
+        # and imaginary parts, so (2U_g)^24 = 2^24 phi_g 1 holds exactly:
+        # phi_0 = +1 and phi_g the graph state's sign of g.
+        n = self.TOPOLOGY.n
+        shift = shift_matrix("cycle", n).real.astype(np.int64)
+        coin_re, coin_im = (np.kron(np.eye(n, dtype=np.int64), part) for part in _CLUSTER_COIN_X2)
+        signs = cz_diagonal(n).astype(np.int64).reshape(2 * n, 2 ** n)
+        identity = np.eye(2 * n, dtype=np.int64)
+        for g in range(2 ** n):
+            step_re = signs[:, g, None] * (shift @ coin_re)
+            step_im = signs[:, g, None] * (shift @ coin_im)
+            re, im = identity, np.zeros_like(identity)
+            for _ in range(24):
+                re, im = step_re @ re - step_im @ im, step_re @ im + step_im @ re
+            bits = [(g >> (n - 1 - i)) & 1 for i in range(n)]
+            sign = (-1) ** sum(bits[i] * bits[j] for i, j in self.TOPOLOGY.edges)
+            assert np.array_equal(re, sign * 2 ** 24 * identity), g
+            assert not im.any(), g
 
     def test_register_is_pure_and_the_cluster_state_at_the_predicted_steps(self):
         config = WalkConfig(self.TOPOLOGY, self.COIN, 120)
