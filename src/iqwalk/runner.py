@@ -193,9 +193,9 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
     cycle.  At site p after t steps from site 0 a path of U up-moves
     has 2U = p + t + kn, and kn/2 is even when 4 | n, so F[r, ~g] = lam_r
     F[r, g] with lam_r = (-1)^((p+t)/2) on the rows r = 2p + c.  With H = f
-    f^dag and N = f (f * phase)^T over the walked columns f, and phase[~g] =
-    phase[g] at even n, G_t gets (1 + lam_r lam_s) H_rs and M_t gets (lam_r
-    + lam_s) N_rs: exact zeros across the sectors of lam."""
+    f^dag and N = f (f * phase)^T summed over all blocks' walked columns f,
+    and phase[~g] = phase[g] at even n, G_t = (1 + lam_r lam_s) H_rs and M_t
+    = (lam_r + lam_s) N_rs, weights 0 or +-2 that scale the sums exactly."""
     config_walked, served, stats = _last_walk
     if config == config_walked and series not in served and (stats[1] is not None or not with_sy):
         served.add(series)
@@ -215,15 +215,15 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
             f = tensor.reshape(2 * k, -1)
             # The walked rows' (k, 2, k, 2) block of G_t and M_t, in place.
             walked = (sites, slice(None), sites)
-            g_weights = m_weights = 1
-            if halved:
-                lam = np.repeat(1 - ((np.arange(n)[sites] + t) & 2), 2)  # (-1)^((p+t)/2)
-                g_weights, m_weights = 1 + lam[:, None] * lam, lam[:, None] + lam
-            grams[t].reshape(n, 2, n, 2)[walked] += (
-                g_weights * (f @ f.conj().T)).reshape(k, 2, k, 2)
+            grams[t].reshape(n, 2, n, 2)[walked] += (f @ f.conj().T).reshape(k, 2, k, 2)
             if with_sy:
                 sy[t].reshape(n, 2, n, 2)[walked] += (
-                    m_weights * (f @ (f * block_phase)[:, partner].T)).reshape(k, 2, k, 2)
+                    f @ (f * block_phase)[:, partner].T).reshape(k, 2, k, 2)
+    if halved:
+        lam = 1 - ((np.arange(config.steps + 1)[:, None] + np.arange(2 * n) // 2) & 2)
+        grams *= 1 + lam[:, :, None] * lam[:, None]
+        if with_sy:
+            sy *= lam[:, :, None] + lam[:, None]
     _check_trace(np.trace(grams, axis1=1, axis2=2).real)
     _last_walk[:] = config, {series}, (grams, sy)
     return _last_walk[2]

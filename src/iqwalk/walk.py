@@ -174,7 +174,7 @@ def _cz_signs(topology: GraphTopology, columns: slice | np.ndarray = slice(None)
     # bits[p, j]: vertex qubit p of the block's j-th register state (big-endian).
     bits = (np.arange(2 ** n)[columns] >> np.arange(n - 1, -1, -1)[:, None]) & 1
     signs = np.ones((n, 2, bits.shape[1], 2))
-    signs[:, 1] -= 2 * bits[..., None]
+    signs[:, 1] = (1.0 - 2.0 * bits)[..., None]
     return signs.reshape(2 * n, -1)
 
 
