@@ -220,7 +220,7 @@ def _statistics(config: WalkConfig, series: str, with_sy: bool = False) -> tuple
                 sy[t].reshape(n, 2, n, 2)[walked] += (
                     f @ (f * block_phase)[:, partner].T).reshape(k, 2, k, 2)
     if halved:
-        lam = 1 - ((np.arange(config.steps + 1)[:, None] + np.arange(2 * n) // 2) & 2)
+        lam = np.repeat(1 - ((np.arange(config.steps + 1)[:, None] + np.arange(n)) & 2), 2, axis=1)
         grams *= 1 + lam[:, :, None] * lam[:, None]
         if with_sy:
             sy *= lam[:, :, None] + lam[:, None]
