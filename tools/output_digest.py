@@ -39,9 +39,9 @@ def write_outputs(out: Path, figure_steps: int) -> list[Path]:
         if problems:
             raise RuntimeError(f"{name}: {problems}")
         if isinstance(workload, workloads.Series):
+            (out / name).mkdir(parents=True, exist_ok=True)
             for key, text in raw.items():
                 path = out / name / (re.sub(r"[^\w.,()-]+", "_", key) + ".csv")
-                path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(text)
                 files.append(path)
         else:
