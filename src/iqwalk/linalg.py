@@ -100,29 +100,6 @@ def partial_transpose(rho: np.ndarray,
     return tensor.transpose(perm).reshape(rho.shape)
 
 
-def reduction_factor(amplitudes: np.ndarray,
-                     shape: SubsystemShape | Sequence[int],
-                     keep: Iterable[int]) -> np.ndarray:
-    """Factor ``F`` of the reduced density matrix of a pure state,
-    ``rho_keep = F @ F^dag``.
-
-    ``F`` is the amplitude tensor with the kept subsystems moved to the row
-    index and the traced-out ones to the column index, so ``rho_keep`` has
-    rank at most ``min(F.shape)``: a metric of ``rho_keep`` can be solved on
-    the smaller of the Gram matrices ``F^dag F`` and ``F F^dag``.
-    """
-    shape = as_shape(shape)
-    psi = np.asarray(amplitudes)
-    shape.check_vector(psi)
-    k = len(shape)
-    keep_idx = _normalize_subset(keep, k, "keep")
-    rest = [i for i in range(k) if i not in keep_idx]
-
-    tensor = psi.reshape(shape.dims)
-    d_keep = int(np.prod([shape.dims[i] for i in keep_idx]))
-    return tensor.transpose(list(keep_idx) + rest).reshape(d_keep, -1)
-
-
 def reduced_density(amplitudes: np.ndarray,
                     shape: SubsystemShape | Sequence[int],
                     keep: Iterable[int]) -> np.ndarray:
@@ -135,7 +112,16 @@ def reduced_density(amplitudes: np.ndarray,
     or sweep calls it, since they reduce each block of register columns to
     O(n^2) statistics instead of forming a register density matrix.
     """
-    f = reduction_factor(amplitudes, shape, keep)
+    shape = as_shape(shape)
+    psi = np.asarray(amplitudes)
+    shape.check_vector(psi)
+    k = len(shape)
+    keep_idx = _normalize_subset(keep, k, "keep")
+    rest = [i for i in range(k) if i not in keep_idx]
+
+    d_keep = int(np.prod([shape.dims[i] for i in keep_idx]))
+    # The kept subsystems index the rows, the traced-out ones the columns.
+    f = psi.reshape(shape.dims).transpose(list(keep_idx) + rest).reshape(d_keep, -1)
     return f @ f.conj().T
 
 

@@ -5,11 +5,11 @@ concurrence of a qubit register, and trace distance with its complement
 
 Every public metric takes a factor ``B`` of the state, ``rho = B @ B^dag``.
 Each state the walk produces is pure, so each register state has its
-factor by construction: (2**n, 2n) for the vertex register of an n-site
-walk, (2**n, n) after a coin post-selection, and
-:func:`~iqwalk.linalg.reduction_factor` for any other cut.  Every register
-metric is solved in dimension at most 2n + 1, never 2**n.  Dense matrices
-reach the metrics only in the tests.
+factor by construction, and only the walk makes one: the runner's blocked
+walks, or from one full state :mod:`~iqwalk.conditioning`'s (2**n, 2n)
+vertex register of an n-site walk and (2**n, n) coin post-selection.
+Every register metric is solved in dimension at most 2n + 1, never 2**n.
+Dense matrices reach the metrics only in the tests.
 Each metric forms the matrix it solves and hands it to a private core:
 ``_entropy_of`` and ``_log_negativity_of`` take a stack of density
 matrices, ``_concurrence_from_sy`` one of B^T Sy B, and
@@ -147,13 +147,18 @@ def n_concurrence(factor: np.ndarray) -> float:
     small matrix B^T Sy B (Carvalho, Mintert & Buchleitner, PRL 2004): the
     nonzero spectrum of B B^dag Sy B* B^T Sy is that of M M^dag with
     M = B^T Sy B.  Zero whenever any qubit is separable from the rest; 1 on
-    an n-qubit GHZ state.
+    an n-qubit GHZ state at even n.  At odd n, Sy^T = -Sy, so Theta = Sy K
+    has Theta^2 = -1, <psi|Theta psi> = 0 for every psi and M^T = -M: the
+    singular values of an antisymmetric M pair up (Youla form U (+)_j s_j
+    [[0, 1], [-1, 0]] U^T), s1 = s2, and the value is 0 for every state.
     """
     b = np.asarray(factor)
     num_qubits = b.shape[0].bit_length() - 1 if b.ndim == 2 else 0
     if num_qubits < 1 or b.shape[0] != 2 ** num_qubits:
         raise ValueError(f"expected a factor with 2**n rows, n >= 1, got shape {b.shape}")
     _check_trace(np.sum(np.abs(b) ** 2))
+    if num_qubits % 2:
+        return 0.0
     sy_b = (_sigma_y_phase(num_qubits)[:, None] * b)[::-1]
     return float(_concurrence_from_sy(b.T @ sy_b))
 

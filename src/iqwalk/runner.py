@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -426,7 +427,9 @@ def run_metric_series(config: WalkConfig, metric: str) -> MetricSeries:
             raise ValueError("concurrence takes no arguments; use "
                              "concurrence_postselected(mu,nu) for conditioning")
         name = "concurrence"
-        values = _concurrence_from_sy(_statistics(config, name, with_sy=True)[1])
+        # 0 at odd n (see n_concurrence): G is walked for its trace alone.
+        grams, sy = _statistics(config, name, with_sy=n % 2 == 0)
+        values = np.zeros(len(grams)) if n % 2 else _concurrence_from_sy(sy)
 
     elif head == "concurrence_postselected":
         if not arg:
@@ -436,7 +439,7 @@ def run_metric_series(config: WalkConfig, metric: str) -> MetricSeries:
         extras = {"mu": mu, "nu": nu}
         # Pi = 1_n (x) <Sigma| projects the coin of the (P, C) rows.
         proj = np.kron(np.eye(n), CoinProjection(mu, nu).ket().conj())
-        grams, sy = _statistics(config, name, with_sy=True)
+        grams, sy = _statistics(config, name, with_sy=n % 2 == 0)
         prob = np.einsum("ij,tjk,ik->t", proj, grams, proj.conj()).real
         # A (numerically) impossible outcome has no conditional state; the
         # series records 0 there.  Elsewhere its trace is tr(Pi G Pi^dag) / p.
@@ -447,7 +450,8 @@ def run_metric_series(config: WalkConfig, metric: str) -> MetricSeries:
         # p = 1e-12.  The standard and grid coins keep p >= 4.7e-5.
         kept = ~(prob < ZERO_PROBABILITY)
         values = np.zeros(len(prob))
-        values[kept] = _concurrence_from_sy(proj @ sy[kept] @ proj.T / prob[kept, None, None])
+        if n % 2 == 0:  # 0 at odd n, as the unconditioned concurrence
+            values[kept] = _concurrence_from_sy(proj @ sy[kept] @ proj.T / prob[kept, None, None])
 
     elif head == "closeness":
         if not arg:
@@ -488,6 +492,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.target not in TARGET_KINDS:
             raise ValueError(f"target must be one of {TARGET_KINDS}, got {self.target!r}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("sweep needs steps >= 1")
         for name, default in (("thetas", default_angle_grid()), ("phi1s", (0.0,)),

@@ -16,6 +16,7 @@ columns it walks.  The shift is the row gather :func:`_shift_rows`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -42,8 +43,8 @@ class GraphTopology:
     def __post_init__(self):
         if self.kind not in GRAPH_KINDS:
             raise ValueError(f"kind must be one of {GRAPH_KINDS}, got {self.kind!r}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 sites, got n={self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if self.n > MAX_SITES:
             raise ValueError(f"n={self.n} exceeds the dense-simulation ceiling "
                              f"MAX_SITES={MAX_SITES}")
@@ -117,8 +118,8 @@ class WalkConfig:
     initial: PureState | None = None
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 0:
+            raise ValueError(f"steps must be an integer >= 0, got {self.steps!r}")
         if self.initial is not None and self.initial.shape != walk_shape(self.topology):
             raise ValueError("explicit initial state does not live on the walk's "
                              f"Hilbert space {walk_shape(self.topology).dims}")

@@ -1,11 +1,29 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from iqwalk import build_coin, standard_initial_state
 from iqwalk.walk import _apply_step, _cz_signs, _shift_rows
 
 # Basis columns pushed through the kernel per batched call.
 _COLUMN_BLOCK = 256
+
+
+# Hypothesis caches the constants of local modules in its home directory,
+# ``.hypothesis/`` by default, while it collects, whatever the example
+# database; a temporary home for the session keeps that out of the tree.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+
+
+def pytest_configure(config):
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    _HYPOTHESIS_HOME.cleanup()
 
 
 @pytest.fixture

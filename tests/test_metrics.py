@@ -188,6 +188,19 @@ class TestConcurrence:
         assert abs(n_concurrence(ghz(num_qubits).amplitudes[:, None])
                    - (num_qubits % 2 == 0)) < 1e-12
 
+    @pytest.mark.parametrize("num_qubits", [1, 3, 5])
+    def test_exactly_zero_at_odd_n(self, num_qubits):
+        # Theta^2 = -1 at odd n: every state's value is 0 by structure, and
+        # the trace is still checked.
+        rng = np.random.default_rng(70 + num_qubits)
+        for rank in (1, 2, num_qubits + 1):
+            b = rng.normal(size=(2 ** num_qubits, rank)) \
+                + 1j * rng.normal(size=(2 ** num_qubits, rank))
+            b /= np.linalg.norm(b)
+            assert n_concurrence(b) == 0.0
+            with pytest.raises(ContractViolationError, match="density matrix trace"):
+                n_concurrence(2 * b)
+
     def test_rejects_non_qubit_dimension(self):
         # The row count must be 2**n with n >= 1: it is the qubit count.
         for b in (density_factor(np.eye(6) / 6), np.eye(12, 2) / 2 ** 0.5, np.ones((1, 1)),

@@ -36,10 +36,10 @@ from iqwalk import walk as walk_module
 from iqwalk.cli import _build_parser, main
 from iqwalk.conditioning import CoinProjection, postselect_coin, unconditioned_vertex_state
 from iqwalk.errors import ContractViolationError, ZeroProbabilityError
-from iqwalk.linalg import PSD_CLIP, reduction_factor
+from iqwalk.linalg import PSD_CLIP
 from iqwalk.metrics import closeness, log_negativity, n_concurrence, von_neumann_entropy
 from iqwalk.walk import PureState, build_coin, standard_initial_state, trajectory, walk_shape
-from oracles import random_pure
+from oracles import density_factor, random_pure
 
 CYCLE4 = GraphTopology("cycle", 4)
 PATH4 = GraphTopology("path", 4)
@@ -178,20 +178,23 @@ WALKER_METRICS = tuple(f"entropy({x})" for x in ("P", "C", "G", "PC", "PG", "CG"
     + ("logneg(PC)",)
 
 
+# The walker subsystems (P, C) reduced for each entropy label: psi(t) is
+# pure, so a label and its complement share their nonzero spectrum.
+WALKER_SIDE = {"P": (0,), "C": (1,), "PC": (0, 1), "G": (0, 1), "CG": (0,), "PG": (1,)}
+
+
 def full_state_series(cfg, metric):
-    """A walker-side metric from the full walk states: the reduction
-    factor of each psi(t), as the metric takes it."""
+    """A walker-side metric from the full walk states: the dense reduction
+    of each psi(t) to the walker side of the label, at most 2n x 2n, passed
+    to the metric through its ``density_factor``."""
     n = cfg.topology.n
-    groups = {"P": (0,), "C": (1,), "G": tuple(range(2, n + 2))}
     values = []
     for s in trajectory(cfg):
         if metric == "logneg(PC)":
-            factor = reduction_factor(s.amplitudes, s.shape, (0, 1))
-            values.append(log_negativity(factor, (n, 2), (1,)))
+            values.append(log_negativity(density_factor(s.reduced((0, 1))), (n, 2), (1,)))
         else:
-            label = metric[len("entropy("):-1]
-            keep = sum((groups[ch] for ch in label), ())
-            values.append(von_neumann_entropy(reduction_factor(s.amplitudes, s.shape, keep)))
+            keep = WALKER_SIDE[metric[len("entropy("):-1]]
+            values.append(von_neumann_entropy(density_factor(s.reduced(keep))))
     return values
 
 
@@ -446,7 +449,24 @@ class TestRegisterSeries:
                                 CoinParams(*rng.uniform(0, 2 * math.pi, 3)), 30)
             mu, nu = rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2)
             for metric in ("concurrence", f"concurrence_postselected({mu!r},{nu!r})"):
-                assert max(run_metric_series(config, metric).values) <= 1e-12, metric
+                assert max(run_metric_series(config, metric).values) == 0.0, metric
+
+    def test_odd_n_concurrence_walks_g_alone(self, walk_count, monkeypatch):
+        # The odd-n zeros need no M and no SVD; the concurrences share the
+        # walk of G with the walker-side series, and still check its trace.
+        monkeypatch.setattr(runner, "_concurrence_from_sy", None)
+        topology = GraphTopology("cycle", 5)
+        cfg = WalkConfig(topology, STANDARD_COINS[1], 6)
+        for metric in ("entropy(G)", "concurrence", "concurrence_postselected(pi/3,pi/5)"):
+            run_metric_series(cfg, metric)
+        assert len(walk_count) == 1
+        assert runner._last_walk[2][1] is None
+        initial = standard_initial_state(topology)
+        object.__setattr__(initial, "amplitudes", 1.1 * initial.amplitudes)
+        for metric in ("concurrence", "concurrence_postselected(0,0)"):
+            with pytest.raises(ContractViolationError, match="density matrix trace"):
+                run_metric_series(WalkConfig(topology, STANDARD_COINS[1], 3, initial=initial),
+                                  metric)
 
     def test_concurrence_on_the_four_cycle_is_not_null(self):
         # The control for the odd-n null: C_4 with the first standard coin.
@@ -696,6 +716,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(CYCLE4, "bell")
 
+    def test_rejects_non_integral_steps(self):
+        # Where the spec is built, not as a TypeError inside the walk.
+        with pytest.raises(ValueError, match=re.escape("steps must be an integer, got 2.5")):
+            SweepSpec(CYCLE4, "graph", steps=2.5)
+        assert SweepSpec(CYCLE4, "graph", steps=np.int64(3)) == SweepSpec(CYCLE4, "graph", steps=3)
+
     def test_rejects_nonpositive_jobs(self):
         spec = SweepSpec(CYCLE4, "graph", thetas=(0.9,), phi2s=(0.4,), steps=1)
         for jobs in (0, -3):
@@ -723,6 +749,15 @@ class TestSweep:
         spec = SweepSpec(CYCLE4, "graph", thetas=(0.9, 1.2), phi2s=(0.4,), steps=2)
         assert run_sweep(spec, jobs=2) == run_sweep(spec)
         assert pools == []
+
+    def test_jobs_capped_at_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        # Where os has no sched_getaffinity, os.cpu_count() caps the
+        # workers, and an unknown count (None) allows one.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [runner._check_jobs(jobs) for jobs in (1, 2, 8)] == [1, 2, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert runner._check_jobs(4) == 1
 
     def test_pool_worker_runs_one_blas_thread(self, tmp_path):
         _, worker = run_blas_probe(tmp_path)

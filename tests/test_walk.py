@@ -1,9 +1,12 @@
 import itertools
+import re
 import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from iqwalk import (
     BEST_CLUSTER_COINS,
@@ -60,6 +63,14 @@ class TestGraphTopology:
             GraphTopology("path", 1)
         with pytest.raises(ValueError):
             GraphTopology("cycle", MAX_SITES + 1)
+
+    def test_rejects_non_integral_n(self):
+        # Where the graph is built, not as a TypeError inside the walk.
+        for n in (4.0, 2.5, "4", None):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"n must be an integer >= 2, got {n!r}")):
+                GraphTopology("cycle", n)
+        assert GraphTopology("cycle", np.int64(4)) == GraphTopology("cycle", 4)
 
     def test_edges(self):
         assert GraphTopology("path", 4).edges == ((0, 1), (1, 2), (2, 3))
@@ -584,6 +595,18 @@ class TestComplementSymmetry:
                 lam = (-1.0) ** ((sites + t) % n // 2)
                 assert np.array_equal(mirrored, lam[:, None, None] * tensor), (coin, t)
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.sampled_from([4, 8]),
+           angles=st.tuples(*[st.floats(-2 * np.pi, 2 * np.pi)] * 3))
+    def test_any_coin(self, n, angles, full_row_walk):
+        # The relation holds bit for bit for every coin, not only the figures'.
+        sites = np.arange(n)
+        for t, mirrored, tensor in self.columns(GraphTopology("cycle", n), full_row_walk,
+                                                CoinParams(*angles)):
+            lam = (-1.0) ** ((sites + t) % n // 2)
+            assert np.array_equal(mirrored, lam[:, None, None] * tensor), t
+
     @pytest.mark.parametrize("kind, n", [("cycle", 6), ("cycle", 10), ("cycle", 5),
                                          ("path", 4)])
     def test_no_row_sign_elsewhere(self, kind, n, full_row_walk):
@@ -599,6 +622,14 @@ class TestWalkConfig:
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
             WalkConfig(GraphTopology("path", 4), CoinParams(0), -1)
+
+    def test_rejects_non_integral_steps(self):
+        top = GraphTopology("path", 4)
+        for steps in (2.5, 3.0):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"steps must be an integer >= 0, got {steps!r}")):
+                WalkConfig(top, CoinParams(0), steps)
+        assert WalkConfig(top, CoinParams(0), np.int32(3)) == WalkConfig(top, CoinParams(0), 3)
 
     def test_rejects_mismatched_initial(self):
         top4, top5 = GraphTopology("cycle", 4), GraphTopology("cycle", 5)
