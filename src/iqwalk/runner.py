@@ -592,9 +592,9 @@ def _best_of(coins: list[CoinParams], values: np.ndarray) -> SweepResult:
 
 def _check_jobs(jobs: int) -> int:
     """Worker count for ``jobs``: at most one per CPU this process may run
-    on (its affinity mask, where the OS has one); ``jobs < 1`` raises."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    on (its affinity mask, where the OS has one).  Anything but an int >= 1 raises."""
+    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if hasattr(os, "sched_getaffinity"):
         return min(jobs, len(os.sched_getaffinity(0)))
     return min(jobs, os.cpu_count() or 1)

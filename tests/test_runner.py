@@ -724,7 +724,7 @@ class TestSweep:
 
     def test_rejects_nonpositive_jobs(self):
         spec = SweepSpec(CYCLE4, "graph", thetas=(0.9,), phi2s=(0.4,), steps=1)
-        for jobs in (0, -3):
+        for jobs in (0, -3, 2.5):
             with pytest.raises(ValueError, match="jobs"):
                 run_sweep(spec, jobs=jobs)
 
